@@ -274,16 +274,10 @@ pub enum CellOutcome {
 // Engine configuration
 // ---------------------------------------------------------------------
 
-/// Environment variable holding the default retry policy as `N[:M]`
-/// (`N` attempts, optional flat backoff of `M` milliseconds) — the
-/// fallback when `t1000 bench --retries/--backoff-ms` are not given.
-pub const RETRY_ENV: &str = "T1000_RETRY";
-
 /// Bounded deterministic retry: up to `max_attempts` tries per cell, with
 /// a fixed backoff schedule between them — no randomness, so a retried
 /// run produces the same artifact as an untroubled one. Shared by the
-/// engine's local cell retry, artifact-write retry, and the shard
-/// coordinator's remote-transport reconnects.
+/// engine's local cell retry and artifact-write retry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per retryable failure (1 = no retry).
@@ -291,9 +285,6 @@ pub struct RetryPolicy {
     /// Milliseconds slept before attempt 2, 3, ... (the last entry
     /// repeats for further attempts).
     pub backoff_ms: &'static [u64],
-    /// Flat override (`--backoff-ms M`): when set, every inter-attempt
-    /// wait is exactly this many milliseconds instead of the schedule.
-    pub backoff_override_ms: Option<u64>,
 }
 
 impl Default for RetryPolicy {
@@ -301,7 +292,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
             backoff_ms: &[10, 50],
-            backoff_override_ms: None,
         }
     }
 }
@@ -312,9 +302,6 @@ impl RetryPolicy {
         if attempt <= 1 {
             return Duration::ZERO;
         }
-        if let Some(ms) = self.backoff_override_ms {
-            return Duration::from_millis(ms);
-        }
         let i = (attempt - 2) as usize;
         let ms = self
             .backoff_ms
@@ -324,43 +311,12 @@ impl RetryPolicy {
             .unwrap_or(0);
         Duration::from_millis(ms)
     }
-
-    /// Parses the [`RETRY_ENV`] grammar `N[:M]`: `N` total attempts
-    /// (at least 1), optionally followed by a flat backoff of `M`
-    /// milliseconds between attempts.
-    pub fn parse_spec(spec: &str) -> Result<RetryPolicy, String> {
-        let spec = spec.trim();
-        let (attempts, backoff) = match spec.split_once(':') {
-            Some((n, m)) => (n, Some(m)),
-            None => (spec, None),
-        };
-        let max_attempts: u32 = attempts
-            .parse()
-            .map_err(|_| format!("bad retry spec {spec:?}: expected N[:M]"))?;
-        if max_attempts == 0 {
-            return Err(format!("bad retry spec {spec:?}: attempts must be >= 1"));
-        }
-        let backoff_override_ms = match backoff {
-            Some(m) => Some(
-                m.parse::<u64>()
-                    .map_err(|_| format!("bad retry spec {spec:?}: `{m}` is not milliseconds"))?,
-            ),
-            None => None,
-        };
-        Ok(RetryPolicy {
-            max_attempts,
-            backoff_override_ms,
-            ..RetryPolicy::default()
-        })
-    }
 }
 
 /// Knobs governing one engine invocation. `Default` is the clean path:
 /// no fuel limit, no wall-clock watchdog, no faults, no checkpoint.
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
-    /// Retry/backoff policy for transient (panic) failures.
-    pub retry: RetryPolicy,
     /// Per-simulation cycle fuel (0 = unlimited). Threaded into
     /// `CpuConfig::max_cycles`; exhaustion fails the cell with
     /// [`FailureCause::Timeout`].
@@ -871,7 +827,7 @@ pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineR
             attempt += 1;
             if attempt > 1 {
                 retries.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(config.retry.backoff_before(attempt));
+                std::thread::sleep(RetryPolicy::default().backoff_before(attempt));
             }
             let result = quiet_catch_unwind(|| {
                 simulate_cell(
@@ -892,7 +848,7 @@ pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineR
                 Ok(Err(cause)) => cause,
                 Err(msg) => FailureCause::Panic(msg),
             };
-            if !cause.retryable() || attempt >= config.retry.max_attempts {
+            if !cause.retryable() || attempt >= RetryPolicy::default().max_attempts {
                 return fail(cause, attempt);
             }
         }
@@ -1220,7 +1176,6 @@ impl CellRunner {
         &self,
         cell: Cell,
         opts: &RunOptions,
-        retry: &RetryPolicy,
         deadline: Option<Instant>,
     ) -> Result<CellResult, EngineError> {
         let selection = match cell.selection {
@@ -1249,7 +1204,7 @@ impl CellRunner {
             }
             attempt += 1;
             if attempt > 1 {
-                std::thread::sleep(retry.backoff_before(attempt));
+                std::thread::sleep(RetryPolicy::default().backoff_before(attempt));
             }
             let cause =
                 match quiet_catch_unwind(|| self.run_cell_with(cell, selection.as_deref(), opts)) {
@@ -1257,7 +1212,7 @@ impl CellRunner {
                     Ok(Err(cause)) => cause,
                     Err(msg) => FailureCause::Panic(msg),
                 };
-            if !cause.retryable() || attempt >= retry.max_attempts {
+            if !cause.retryable() || attempt >= RetryPolicy::default().max_attempts {
                 return Err(EngineError {
                     cell,
                     cause,
@@ -1398,45 +1353,6 @@ mod tests {
     fn parallel_map_handles_empty_input() {
         let out: Vec<u32> = parallel_map(&[] as &[u32], 4, |&x| x);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn retry_policy_backoff_follows_the_schedule_or_the_override() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff_before(1), Duration::ZERO);
-        assert_eq!(p.backoff_before(2), Duration::from_millis(10));
-        assert_eq!(p.backoff_before(3), Duration::from_millis(50));
-        // The last schedule entry repeats for further attempts.
-        assert_eq!(p.backoff_before(9), Duration::from_millis(50));
-        let flat = RetryPolicy {
-            backoff_override_ms: Some(7),
-            ..RetryPolicy::default()
-        };
-        assert_eq!(flat.backoff_before(1), Duration::ZERO);
-        assert_eq!(flat.backoff_before(2), Duration::from_millis(7));
-        assert_eq!(flat.backoff_before(9), Duration::from_millis(7));
-    }
-
-    #[test]
-    fn retry_policy_parses_the_env_spec() {
-        assert_eq!(
-            RetryPolicy::parse_spec("5"),
-            Ok(RetryPolicy {
-                max_attempts: 5,
-                ..RetryPolicy::default()
-            })
-        );
-        assert_eq!(
-            RetryPolicy::parse_spec(" 4:20 "),
-            Ok(RetryPolicy {
-                max_attempts: 4,
-                backoff_override_ms: Some(20),
-                ..RetryPolicy::default()
-            })
-        );
-        for bad in ["", "0", "0:10", "three", "3:", "3:fast"] {
-            assert!(RetryPolicy::parse_spec(bad).is_err(), "{bad:?}");
-        }
     }
 
     #[test]

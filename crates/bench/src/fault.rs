@@ -12,19 +12,11 @@
 //! | `panic@NxK` | cell `N` panics on its first `K` attempts only (retry then succeeds) |
 //! | `abort@N` | the **process** aborts when cell `N` starts simulating (worker-crash injection) |
 //! | `pfu@N` | every PFU configuration load in cell `N` fails → graceful scalar fallback |
-//! | `net@S` | every connect attempt to shard `S`'s remote endpoint is refused |
-//! | `net@SxK` | shard `S`'s first `K` connect attempts are refused (retry then succeeds) |
-//! | `netdrop@S` | shard `S`'s remote stream disconnects after its first cell document |
-//! | `netstall@S` | shard `S`'s remote stream stalls until the idle timeout fires |
 //! | `io@artifact` | the first 2 artifact writes fail with a simulated I/O error |
 //! | `io@artifactxK` | the first `K` artifact writes fail |
 //! | `io@checkpoint` / `io@checkpointxK` | same, for checkpoint flushes |
 //!
-//! Example: `--inject panic@3,pfu@6,netdrop@1,io@artifactx1`.
-//!
-//! Network arms are keyed by *shard* index (not cell index) and fire in
-//! the coordinator's remote transport only — they are never forwarded to
-//! workers and are inert in local (child-process) runs.
+//! Example: `--inject panic@3,pfu@6,io@artifactx1`.
 
 use std::collections::{HashMap, HashSet};
 
@@ -44,13 +36,6 @@ pub struct FaultPlan {
     aborts: HashSet<usize>,
     /// Cells whose PFU configuration loads all fail.
     pfu_faults: HashSet<usize>,
-    /// shard index → number of leading connect attempts to that shard's
-    /// remote endpoint that are refused (`u32::MAX` = every attempt).
-    net_connect: HashMap<usize, u32>,
-    /// Shards whose remote stream drops after the first cell document.
-    net_drops: HashSet<usize>,
-    /// Shards whose remote stream stalls until the idle timeout fires.
-    net_stalls: HashSet<usize>,
     /// Leading artifact-write attempts that fail.
     artifact_fails: u32,
     /// Leading checkpoint-write attempts that fail.
@@ -68,9 +53,6 @@ impl FaultPlan {
         self.cell_panics.is_empty()
             && self.aborts.is_empty()
             && self.pfu_faults.is_empty()
-            && self.net_connect.is_empty()
-            && self.net_drops.is_empty()
-            && self.net_stalls.is_empty()
             && self.artifact_fails == 0
             && self.checkpoint_fails == 0
     }
@@ -99,23 +81,6 @@ impl FaultPlan {
                         .parse()
                         .map_err(|_| format!("bad pfu arm {arm:?}: expected pfu@N"))?;
                     plan.pfu_faults.insert(cell);
-                }
-                "net" => {
-                    let (shard, count) = parse_indexed(target)
-                        .ok_or_else(|| format!("bad net arm {arm:?}: expected net@S[xK]"))?;
-                    plan.net_connect.insert(shard, count.unwrap_or(u32::MAX));
-                }
-                "netdrop" => {
-                    let shard: usize = target
-                        .parse()
-                        .map_err(|_| format!("bad netdrop arm {arm:?}: expected netdrop@S"))?;
-                    plan.net_drops.insert(shard);
-                }
-                "netstall" => {
-                    let shard: usize = target
-                        .parse()
-                        .map_err(|_| format!("bad netstall arm {arm:?}: expected netstall@S"))?;
-                    plan.net_stalls.insert(shard);
                 }
                 "io" => {
                     let (site, count) = match target.split_once('x') {
@@ -178,9 +143,7 @@ impl FaultPlan {
     /// so each worker receives only its own cells' arms, rewritten to the
     /// worker's local cell numbering. I/O arms carry no cell index and
     /// pass through unchanged (they are inert in workers, which write
-    /// neither artifacts nor checkpoints). Network arms are *dropped*:
-    /// they are keyed by shard and belong to the coordinator's transport
-    /// layer, never to a worker.
+    /// neither artifacts nor checkpoints).
     pub fn remap_cells(&self, map: impl Fn(usize) -> Option<usize>) -> FaultPlan {
         FaultPlan {
             cell_panics: self
@@ -190,9 +153,6 @@ impl FaultPlan {
                 .collect(),
             aborts: self.aborts.iter().filter_map(|&c| map(c)).collect(),
             pfu_faults: self.pfu_faults.iter().filter_map(|&c| map(c)).collect(),
-            net_connect: HashMap::new(),
-            net_drops: HashSet::new(),
-            net_stalls: HashSet::new(),
             artifact_fails: self.artifact_fails,
             checkpoint_fails: self.checkpoint_fails,
         }
@@ -201,27 +161,6 @@ impl FaultPlan {
     /// Whether cell `idx`'s PFU configuration loads are injected to fail.
     pub fn pfu_fault(&self, idx: usize) -> bool {
         self.pfu_faults.contains(&idx)
-    }
-
-    /// Whether connect `attempt` (1-based) to `shard`'s remote endpoint
-    /// is injected to be refused.
-    pub fn net_connect_fails(&self, shard: usize, attempt: u32) -> bool {
-        self.net_connect.get(&shard).is_some_and(|&k| attempt <= k)
-    }
-
-    /// Whether `shard`'s remote stream is injected to drop mid-stream.
-    pub fn net_drop(&self, shard: usize) -> bool {
-        self.net_drops.contains(&shard)
-    }
-
-    /// Whether `shard`'s remote stream is injected to stall.
-    pub fn net_stall(&self, shard: usize) -> bool {
-        self.net_stalls.contains(&shard)
-    }
-
-    /// Whether any network arm (`net@`/`netdrop@`/`netstall@`) is armed.
-    pub fn has_net_arms(&self) -> bool {
-        !self.net_connect.is_empty() || !self.net_drops.is_empty() || !self.net_stalls.is_empty()
     }
 
     /// Renders the plan back into the `--inject` grammar (arms in a
@@ -248,25 +187,6 @@ impl FaultPlan {
         pfus.sort();
         for cell in pfus {
             arms.push(format!("pfu@{cell}"));
-        }
-        let mut nets: Vec<(&usize, &u32)> = self.net_connect.iter().collect();
-        nets.sort();
-        for (shard, count) in nets {
-            if *count == u32::MAX {
-                arms.push(format!("net@{shard}"));
-            } else {
-                arms.push(format!("net@{shard}x{count}"));
-            }
-        }
-        let mut drops: Vec<&usize> = self.net_drops.iter().collect();
-        drops.sort();
-        for shard in drops {
-            arms.push(format!("netdrop@{shard}"));
-        }
-        let mut stalls: Vec<&usize> = self.net_stalls.iter().collect();
-        stalls.sort();
-        for shard in stalls {
-            arms.push(format!("netstall@{shard}"));
         }
         if self.artifact_fails > 0 {
             arms.push(format!("io@artifactx{}", self.artifact_fails));
@@ -349,6 +269,9 @@ mod tests {
             "io@disk",
             "io@artifactxq",
             "boom@1",
+            "net@0",
+            "netdrop@0",
+            "netstall@0",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} must be rejected");
         }
@@ -378,39 +301,10 @@ mod tests {
     }
 
     #[test]
-    fn network_arms_parse_and_key_by_shard() {
-        let p = FaultPlan::parse("net@0x2,net@3,netdrop@1,netstall@2").unwrap();
-        assert!(p.has_net_arms() && !p.is_empty());
-        assert!(p.net_connect_fails(0, 1) && p.net_connect_fails(0, 2));
-        assert!(!p.net_connect_fails(0, 3), "attempt 3 must connect");
-        assert!(p.net_connect_fails(3, 1) && p.net_connect_fails(3, 999));
-        assert!(!p.net_connect_fails(1, 1));
-        assert!(p.net_drop(1) && !p.net_drop(0));
-        assert!(p.net_stall(2) && !p.net_stall(1));
-        for bad in ["net@", "net@x2", "net@1x", "netdrop@x", "netstall@"] {
-            assert!(FaultPlan::parse(bad).is_err(), "{bad:?} must be rejected");
-        }
-    }
-
-    #[test]
-    fn remap_drops_network_arms_entirely() {
-        // Workers never see net arms: they are coordinator-side, keyed by
-        // shard — remapping through *any* cell map must drop them.
-        let p = FaultPlan::parse("panic@0x1,net@0,netdrop@0,netstall@1,io@checkpointx1").unwrap();
-        let local = p.remap_cells(Some);
-        assert!(!local.has_net_arms());
-        assert_eq!(local.render(), "panic@0x1,io@checkpointx1");
-        // ...but the strip-aborts clone (the coordinator's own retry
-        // plan) keeps them.
-        assert!(p.without_aborts().has_net_arms());
-    }
-
-    #[test]
     fn render_round_trips_the_grammar() {
         for text in [
             "panic@3,panic@4x2,abort@1,pfu@6,io@artifactx1,io@checkpointx2",
             "abort@0",
-            "net@0x2,net@1,netdrop@2,netstall@0,panic@1",
             "",
         ] {
             let p = FaultPlan::parse(text).unwrap();

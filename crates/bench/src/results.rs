@@ -390,7 +390,6 @@ pub fn write_json(run: &EngineRun, path: &std::path::Path) -> std::io::Result<()
 pub fn write_json_with_retry(
     run: &EngineRun,
     path: &std::path::Path,
-    retry: &RetryPolicy,
     faults: &FaultPlan,
 ) -> std::io::Result<()> {
     let text = to_json(run).to_string_pretty();
@@ -398,7 +397,7 @@ pub fn write_json_with_retry(
     loop {
         attempt += 1;
         if attempt > 1 {
-            std::thread::sleep(retry.backoff_before(attempt));
+            std::thread::sleep(RetryPolicy::default().backoff_before(attempt));
         }
         let result = if faults.artifact_write_fails(attempt) {
             Err(std::io::Error::other(format!(
@@ -409,7 +408,7 @@ pub fn write_json_with_retry(
         };
         match result {
             Ok(()) => return Ok(()),
-            Err(e) if attempt < retry.max_attempts => {
+            Err(e) if attempt < RetryPolicy::default().max_attempts => {
                 eprintln!("[t1000-bench] artifact write attempt {attempt} failed: {e}; retrying");
             }
             Err(e) => return Err(e),
@@ -646,9 +645,8 @@ fn split_expect(spec: &str) -> Vec<&str> {
 /// `total_sim_khz` (the aggregate simulation rate over all cells —
 /// `Σ cycles / Σ host_secs / 1000` — is at least the given value; `0`
 /// holds for `--deterministic` artifacts, whose host time is zeroed), and
-/// `shards=N` / `remotes=N` (the run's shard topology and remote endpoint
-/// count, read from the `<artifact>.shards.json` sidecar a coordinator run
-/// writes; a sidecar without a `remotes` field counts as 0),
+/// `shards=N` (the run's shard count, read from the
+/// `<artifact>.shards.json` sidecar a coordinator run writes),
 /// `schema=N` (the artifact's exact `schema_version`), and
 /// `pfu_prefetch_hits=N` (the config-plane prefetch hit count summed over
 /// all cells is at least `N` — the CI hook proving reconfiguration hiding
@@ -783,7 +781,7 @@ pub fn check_expectations_with(
                     ));
                 }
             }
-            "shards" | "remotes" => {
+            "shards" => {
                 let text = sidecar.ok_or_else(|| {
                     format!("--expect {key}: no <artifact>.shards.json sidecar found")
                 })?;
@@ -795,15 +793,10 @@ pub fn check_expectations_with(
                         return Err(format!("--expect {key}: bad sidecar kind {other:?}"));
                     }
                 }
-                // `remotes` was added in sidecar schema v2; older sidecars
-                // simply lack the field (local-only runs record 0).
-                let got = match side.get(key).and_then(Json::as_u64) {
-                    Some(n) => n,
-                    None if key == "remotes" => 0,
-                    None => {
-                        return Err(format!("--expect {key}: sidecar has no {key} field"));
-                    }
-                };
+                let got = side
+                    .get(key)
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| format!("--expect {key}: sidecar has no {key} field"))?;
                 let want: u64 = want
                     .parse()
                     .map_err(|_| format!("--expect {key}: `{want}` is not an integer"))?;
@@ -815,7 +808,7 @@ pub fn check_expectations_with(
                 return Err(format!(
                     "--expect: unknown key `{other}` \
                      (known: retries, failed_cells, cells, workloads, scale, strategy, \
-                      total_sim_khz, schema, pfu_prefetch_hits, shards, remotes)"
+                      total_sim_khz, schema, pfu_prefetch_hits, shards)"
                 ));
             }
         }
@@ -1221,15 +1214,10 @@ mod tests {
     fn topology_expectations_read_the_sidecar_and_roll_up() {
         let run = small_run();
         let text = to_json(&run).to_string_pretty();
-        let sidecar = r#"{"schema_version": 1, "kind": "t1000.bench-shards", "shards": 4}"#;
-        let v2 =
-            r#"{"schema_version": 2, "kind": "t1000.bench-shards", "shards": 4, "remotes": 2}"#;
+        let sidecar = r#"{"schema_version": 3, "kind": "t1000.bench-shards", "shards": 4}"#;
         let ok = check_expectations_with(&text, Some(sidecar), "shards=4,total_sim_khz=0")
             .expect("topology expectations hold");
         assert_eq!(ok.len(), 2);
-        check_expectations_with(&text, Some(v2), "shards=4,remotes=2").expect("remote topology");
-        // A v1 sidecar (no remotes field) reads as a local-only run.
-        check_expectations_with(&text, Some(sidecar), "remotes=0").expect("v1 defaults to 0");
         // A measured run clears a real (modest) throughput bar...
         check_expectations_with(&text, Some(sidecar), "total_sim_khz=1").expect("measured rate");
         // ...an absurd bar fails, and topology mismatches are caught.
@@ -1238,8 +1226,7 @@ mod tests {
             (Some(sidecar), "shards=2", "records 4"),
             (None, "shards=4", "sidecar"),
             (Some("{}"), "shards=4", "bad sidecar kind"),
-            (Some(v2), "remotes=3", "records 2"),
-            (None, "remotes=1", "sidecar"),
+            (Some(sidecar), "remotes=0", "unknown key"),
         ] {
             let err = check_expectations_with(&text, side, spec).unwrap_err();
             assert!(err.contains(needle), "{spec}: {err}");

@@ -41,33 +41,20 @@
 //! replacement worker (with `abort@N` injections stripped) and maps
 //! anything still missing into [`FailureCause::Panic`] on the schema-v3
 //! `failed_cells` path. See `docs/SERVING.md` and `docs/ARCHITECTURE.md`.
-//!
-//! With `--remote HOST:PORT[,…]` the same request/event stream travels
-//! over TCP to `t1000 serve --tcp` endpoints (method `run_shard`) instead
-//! of child pipes. Every network interaction is wrapped in an explicit
-//! fault-tolerance layer — connect retry with capped exponential backoff
-//! and deterministic jitter, a `ping` handshake before every dispatch,
-//! idle-stream and soft-deadline watchdogs — and unaccounted cells walk a
-//! degradation ladder: surviving remote endpoints first, then local child
-//! workers, so a bench never fails merely because the network did. The
-//! `net@`/`netdrop@`/`netstall@` [`FaultPlan`] arms make each rung
-//! testable without a real flaky network (see `docs/ROBUSTNESS.md`).
 
 use crate::checkpoint;
 use crate::engine::{
     self, CellResult, ConfSummary, EngineConfig, EngineError, EngineRun, EngineStats, FailureCause,
-    RetryPolicy, SelectionRecord,
+    SelectionRecord,
 };
 use crate::fault::FaultPlan;
 use crate::json::Json;
 use crate::plan::{Cell, Plan, SelectionSpec};
 use crate::results;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::io::{BufRead, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 use t1000_core::{stable_hash64, ExtractConfig};
 use t1000_workloads::Scale;
 
@@ -247,9 +234,6 @@ pub fn cause_from_wire(kind: &str, payload: &str) -> Result<FailureCause, String
 /// global selection-key indices the worker must compute *in addition* to
 /// the jobs its assigned cells already imply — needed under `--resume`,
 /// where a fully-restored group still owes its selection records.
-/// `retries`/`backoff_ms` forward the coordinator's [`RetryPolicy`] so
-/// every worker's in-cell retry behaviour matches (`backoff_ms` 0 means
-/// "use the default schedule").
 pub fn shard_request(
     plan_name: &str,
     scale: Scale,
@@ -278,11 +262,6 @@ pub fn shard_request(
                 ("no_fast_path", Json::Bool(config.no_fast_path)),
                 ("max_cycles", Json::UInt(config.max_cycles)),
                 ("inject", Json::Str(faults.render())),
-                ("retries", Json::UInt(u64::from(config.retry.max_attempts))),
-                (
-                    "backoff_ms",
-                    Json::UInt(config.retry.backoff_override_ms.unwrap_or(0)),
-                ),
             ]),
         ),
     ])
@@ -385,30 +364,25 @@ fn worker_serve(line: &str, output: &mut impl Write) -> Result<(), String> {
     }
     let params = req.get("params").ok_or("missing params")?;
     let job = parse_shard_params(params)?;
-    let mut emit = |doc: Json| -> Result<(), String> {
-        writeln!(output, "{}", doc.to_string_compact()).map_err(|e| e.to_string())
-    };
-    execute_shard(&job, &Json::UInt(0), &mut emit)?;
+    execute_shard(&job, output)?;
     output.flush().map_err(|e| e.to_string())
 }
 
 /// One validated `run_shard` request: the plan (rebuilt from its wire
 /// name), the assigned global cell/selection-key indices, and the engine
-/// knobs. Shared by the `t1000 worker` child-process entry point and the
-/// `t1000 serve` `run_shard` method — both parse with
-/// [`parse_shard_params`] and execute with [`execute_shard`].
-pub struct ShardJob {
-    pub plan: Plan,
-    pub scale: Scale,
-    pub indices: Vec<usize>,
-    pub key_indices: Vec<usize>,
-    pub config: EngineConfig,
+/// knobs.
+struct ShardJob {
+    plan: Plan,
+    scale: Scale,
+    indices: Vec<usize>,
+    key_indices: Vec<usize>,
+    config: EngineConfig,
 }
 
 /// Validates the `params` object of a `run_shard` request into a
 /// [`ShardJob`]. Rejects unknown plans, bad scales, and out-of-range
 /// indices with messages suitable for an error envelope.
-pub fn parse_shard_params(params: &Json) -> Result<ShardJob, String> {
+fn parse_shard_params(params: &Json) -> Result<ShardJob, String> {
     let plan_name = params
         .get("plan")
         .and_then(Json::as_str)
@@ -451,14 +425,6 @@ pub fn parse_shard_params(params: &Json) -> Result<ShardJob, String> {
         Some(text) => FaultPlan::parse(text)?,
         None => FaultPlan::none(),
     };
-    let mut retry = RetryPolicy::default();
-    if let Some(n) = params.get("retries").and_then(Json::as_u64) {
-        retry.max_attempts = (n as u32).max(1);
-    }
-    match params.get("backoff_ms").and_then(Json::as_u64) {
-        Some(0) | None => {}
-        Some(ms) => retry.backoff_override_ms = Some(ms),
-    }
     let config = EngineConfig {
         max_cycles: params.get("max_cycles").and_then(Json::as_u64).unwrap_or(0),
         deterministic: params
@@ -470,7 +436,6 @@ pub fn parse_shard_params(params: &Json) -> Result<ShardJob, String> {
             .and_then(Json::as_bool)
             .unwrap_or(false),
         faults,
-        retry,
         ..EngineConfig::default()
     };
     Ok(ShardJob {
@@ -483,15 +448,13 @@ pub fn parse_shard_params(params: &Json) -> Result<ShardJob, String> {
 }
 
 /// Executes a parsed [`ShardJob`] on an in-process engine and streams the
-/// `selection`/`cell`/`cell_failed` events plus the final result envelope
-/// (echoing `id`) through `emit` — the worker-side half of the shard wire
-/// protocol, transport-agnostic so the child-process worker and the TCP
-/// `run_shard` method share it verbatim.
-pub fn execute_shard(
-    job: &ShardJob,
-    id: &Json,
-    emit: &mut dyn FnMut(Json) -> Result<(), String>,
-) -> Result<(), String> {
+/// `selection`/`cell`/`cell_failed` events plus the final id-0 result
+/// envelope to `output` — the worker-side half of the shard wire
+/// protocol.
+fn execute_shard(job: &ShardJob, output: &mut impl Write) -> Result<(), String> {
+    let mut emit = |doc: Json| -> Result<(), String> {
+        writeln!(output, "{}", doc.to_string_compact()).map_err(|e| e.to_string())
+    };
     let cells = job.plan.cells();
     let keys = engine::selection_keys(&job.plan);
 
@@ -540,7 +503,7 @@ pub fn execute_shard(
     }
     let stats = &run.stats;
     emit(Json::obj(vec![
-        ("id", id.clone()),
+        ("id", Json::UInt(0)),
         (
             "result",
             Json::obj(vec![
@@ -883,322 +846,6 @@ impl MergeState {
 }
 
 // ---------------------------------------------------------------------
-// Remote transport
-// ---------------------------------------------------------------------
-
-/// Environment override for the idle-stream watchdog (milliseconds of
-/// silence on an open remote stream before the dispatch is abandoned and
-/// its cells fall to the next rung of the degradation ladder).
-pub const REMOTE_IDLE_ENV: &str = "T1000_REMOTE_IDLE_MS";
-/// Environment override for the per-shard soft deadline (milliseconds a
-/// whole remote dispatch may take, unset = none).
-pub const REMOTE_DEADLINE_ENV: &str = "T1000_REMOTE_DEADLINE_MS";
-
-/// Where one wave entry's work executes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WorkerTarget {
-    /// A `t1000 worker` child process on this machine.
-    Local,
-    /// The remote `t1000 serve --tcp` endpoint at `RemoteState::addrs[i]`.
-    Remote(usize),
-}
-
-/// Per-endpoint dispatch accounting, reported in the `.shards.json`
-/// sidecar's `endpoints` array.
-#[derive(Clone, Copy, Debug, Default)]
-struct EndpointStats {
-    dispatches: u64,
-    connect_retries: u64,
-    failures: u64,
-}
-
-/// The remote endpoint pool: addresses, per-endpoint counters, and the
-/// two stream watchdog knobs.
-struct RemoteState {
-    addrs: Vec<String>,
-    stats: Mutex<Vec<EndpointStats>>,
-    /// Max silence on an open stream before the dispatch is abandoned.
-    idle: Duration,
-    /// Optional soft deadline for one whole shard dispatch.
-    deadline: Option<Duration>,
-}
-
-impl RemoteState {
-    fn new(addrs: &[String]) -> RemoteState {
-        let ms = |env: &str| {
-            std::env::var(env)
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-        };
-        RemoteState {
-            addrs: addrs.to_vec(),
-            stats: Mutex::new(vec![EndpointStats::default(); addrs.len()]),
-            idle: Duration::from_millis(ms(REMOTE_IDLE_ENV).unwrap_or(120_000)),
-            deadline: ms(REMOTE_DEADLINE_ENV).map(Duration::from_millis),
-        }
-    }
-}
-
-/// A line-oriented reader over one remote dispatch's TCP stream. Reads in
-/// short timeout slices so two watchdogs can interleave: an *idle* timer
-/// (time since the last byte arrived) and an optional overall *deadline*
-/// — together they turn a hung network into a typed, retryable error
-/// instead of a stuck coordinator. Buffers raw bytes and splits on `\n`
-/// itself, so a read timeout mid-line never loses partial data.
-struct RemoteReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl RemoteReader {
-    fn new(stream: TcpStream) -> Result<RemoteReader, String> {
-        stream
-            .set_read_timeout(Some(Duration::from_millis(100)))
-            .map_err(|e| format!("setting read timeout: {e}"))?;
-        Ok(RemoteReader {
-            stream,
-            buf: Vec::new(),
-        })
-    }
-
-    fn write_line(&mut self, line: &str) -> Result<(), String> {
-        self.stream
-            .write_all(line.as_bytes())
-            .and_then(|()| self.stream.write_all(b"\n"))
-            .and_then(|()| self.stream.flush())
-            .map_err(|e| format!("writing request: {e}"))
-    }
-
-    /// Next newline-terminated line; `Ok(None)` is a clean EOF. `stalled`
-    /// simulates a `netstall@` fault: reads are skipped entirely, so the
-    /// genuine idle-watchdog branch is what fires.
-    fn read_line(
-        &mut self,
-        idle: Duration,
-        deadline: Option<Instant>,
-        stalled: bool,
-    ) -> Result<Option<String>, String> {
-        let mut last_byte = Instant::now();
-        loop {
-            if !stalled {
-                if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = self.buf.drain(..=pos).collect();
-                    return Ok(Some(String::from_utf8_lossy(&line[..pos]).into_owned()));
-                }
-            }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Err("shard soft deadline exceeded".to_string());
-                }
-            }
-            if last_byte.elapsed() >= idle {
-                return Err(format!("stream idle for {} ms", idle.as_millis()));
-            }
-            if stalled {
-                std::thread::sleep(Duration::from_millis(20));
-                continue;
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    if self.buf.is_empty() {
-                        return Ok(None);
-                    }
-                    let rest = String::from_utf8_lossy(&self.buf).into_owned();
-                    self.buf.clear();
-                    return Ok(Some(rest));
-                }
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    last_byte = Instant::now();
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
-                Err(e) => return Err(format!("reading stream: {e}")),
-            }
-        }
-    }
-}
-
-/// TCP connect + `ping` handshake against one endpoint: proves the peer
-/// is a live, accepting `t1000 serve` before any work is dispatched (and
-/// doubles as the between-waves health probe). Consumes the ping response
-/// — it must never reach the merge loop, where any `result` document
-/// reads as a final envelope — and rejects endpoints that are draining
-/// for shutdown.
-fn connect_and_handshake(addr: &str) -> Result<RemoteReader, String> {
-    let sockaddr = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("resolving {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("no address for {addr}"))?;
-    let stream = TcpStream::connect_timeout(&sockaddr, Duration::from_secs(1))
-        .map_err(|e| format!("connecting: {e}"))?;
-    let mut reader = RemoteReader::new(stream)?;
-    let ping = Json::obj(vec![
-        ("id", Json::UInt(0)),
-        ("method", Json::Str("ping".to_string())),
-    ]);
-    reader.write_line(&ping.to_string_compact())?;
-    let line = reader
-        .read_line(Duration::from_secs(5), None, false)?
-        .ok_or("connection closed during handshake")?;
-    let doc = Json::parse(&line).map_err(|e| format!("bad ping response: {e}"))?;
-    let result = doc
-        .get("result")
-        .ok_or_else(|| format!("ping rejected: {line}"))?;
-    if result.get("pong").and_then(Json::as_bool) != Some(true) {
-        return Err("peer is not a t1000 serve endpoint".to_string());
-    }
-    if result.get("shutting_down").and_then(Json::as_bool) == Some(true) {
-        return Err("endpoint is shutting down".to_string());
-    }
-    Ok(reader)
-}
-
-/// Wait before remote connect attempt `attempt` (1-based; attempt 1 never
-/// waits): the shared [`RetryPolicy`] schedule as the base, doubled per
-/// prior failure and capped at 2 s, plus *deterministic* jitter hashed
-/// from (shard, attempt) — concurrent shards never retry in lock-step,
-/// yet every run waits identically, keeping fault-injected runs
-/// reproducible.
-fn net_backoff(retry: &RetryPolicy, shard: usize, attempt: u32) -> Duration {
-    if attempt <= 1 {
-        return Duration::ZERO;
-    }
-    let base = (retry.backoff_before(attempt).as_millis() as u64).max(1);
-    let capped = base.saturating_mul(1u64 << (attempt - 2).min(6)).min(2_000);
-    let jitter =
-        stable_hash64(format!("net-backoff:{shard}:{attempt}").as_bytes()) % (capped / 2 + 1);
-    Duration::from_millis(capped + jitter)
-}
-
-/// Dispatches one shard's work to a remote endpoint and merges the
-/// streamed events — the remote counterpart of [`drive_one`], plus the
-/// fault-tolerance layer: connect retry with [`net_backoff`], the
-/// [`connect_and_handshake`] health probe, idle/deadline stream
-/// watchdogs, and the injected `net*@` arms (fired only when
-/// `inject_net`, i.e. on first-wave dispatches — retries run clean).
-#[allow(clippy::too_many_arguments)]
-fn drive_remote(
-    ctx: &WaveCtx<'_>,
-    remote: &RemoteState,
-    endpoint: usize,
-    shard: usize,
-    cells: &[usize],
-    keys: &[usize],
-    faults: &FaultPlan,
-    inject_net: bool,
-    flush: &(dyn Fn(&MergeState) + Sync),
-) -> Result<(), String> {
-    let addr = remote
-        .addrs
-        .get(endpoint)
-        .ok_or("endpoint index out of range")?;
-    let retry = ctx.config.retry;
-    let fail = |msg: String| -> Result<(), String> {
-        lock(&remote.stats)[endpoint].failures += 1;
-        Err(format!("tcp://{addr}: {msg}"))
-    };
-
-    let mut reader = None;
-    let mut last_err = String::new();
-    for attempt in 1..=retry.max_attempts {
-        let wait = net_backoff(&retry, shard, attempt);
-        if attempt > 1 {
-            std::thread::sleep(wait);
-            lock(&remote.stats)[endpoint].connect_retries += 1;
-        }
-        if inject_net && ctx.config.faults.net_connect_fails(shard, attempt) {
-            last_err = format!("injected connect refusal (attempt {attempt})");
-            continue;
-        }
-        match connect_and_handshake(addr) {
-            Ok(r) => {
-                reader = Some(r);
-                break;
-            }
-            Err(e) => last_err = e,
-        }
-    }
-    let Some(mut reader) = reader else {
-        return fail(format!(
-            "connect failed after {} attempt(s): {last_err}",
-            retry.max_attempts
-        ));
-    };
-    lock(&remote.stats)[endpoint].dispatches += 1;
-
-    let request = shard_request(ctx.plan_name, ctx.scale, cells, keys, ctx.config, faults);
-    if let Err(e) = reader.write_line(&request.to_string_compact()) {
-        return fail(e);
-    }
-
-    let drop_midstream = inject_net && ctx.config.faults.net_drop(shard);
-    let stalled = inject_net && ctx.config.faults.net_stall(shard);
-    // An injected stall still times out via the *real* watchdog branch —
-    // just quickly, so chaos tests stay fast.
-    let idle = if stalled {
-        remote.idle.min(Duration::from_millis(250))
-    } else {
-        remote.idle
-    };
-    let deadline = remote.deadline.map(|d| Instant::now() + d);
-
-    let mut done = false;
-    let mut refusal = None;
-    loop {
-        let line = match reader.read_line(idle, deadline, stalled) {
-            Ok(Some(line)) => line,
-            Ok(None) => break,
-            Err(e) => return fail(e),
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut m = lock(ctx.merge);
-        match m.on_line(&line) {
-            Ok(WireLine::Cell) => {
-                flush(&m);
-                drop(m);
-                if drop_midstream {
-                    // First cell merged; the "network" now cuts the
-                    // stream. Everything unmerged heals downstream.
-                    return fail("injected mid-stream disconnect".to_string());
-                }
-            }
-            Ok(WireLine::Event) => {}
-            Ok(WireLine::Done(s)) => {
-                drop(m);
-                let mut t = lock(ctx.totals);
-                t.retries += s.retries;
-                t.prepare_secs += s.prepare_secs;
-                t.select_secs += s.select_secs;
-                t.simulate_secs += s.simulate_secs;
-                t.selection_compute_secs += s.selection_compute_secs;
-                done = true;
-                // Unlike a child worker, the serve connection stays open
-                // after the final envelope — break, don't wait for EOF.
-                break;
-            }
-            Ok(WireLine::Failed(msg)) => {
-                refusal = Some(msg);
-                break;
-            }
-            Err(e) => eprintln!("[t1000-bench] shard {shard}: rejected remote line: {e}"),
-        }
-    }
-    if let Some(msg) = refusal {
-        return fail(format!("endpoint rejected the request: {msg}"));
-    }
-    if !done {
-        return fail("stream ended without a final response".to_string());
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
 // Coordinator
 // ---------------------------------------------------------------------
 
@@ -1223,18 +870,13 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// One shard's dispatch: its assigned global cells and selection keys,
-/// the worker-local fault plan, the execution target, and whether the
-/// coordinator-side `net*@` arms may fire (first-wave dispatches only —
-/// every retry rung runs with injection disarmed, so each network fault
-/// fires at most once and the run always heals).
+/// One shard's dispatch: its assigned global cells and selection keys
+/// and the worker-local fault plan.
 struct WaveEntry {
     shard: usize,
     cells: Vec<usize>,
     keys: Vec<usize>,
     faults: FaultPlan,
-    target: WorkerTarget,
-    inject_net: bool,
 }
 
 /// Executes `plan` (named `plan_name` on the wire) across `shards`
@@ -1245,20 +887,12 @@ struct WaveEntry {
 /// every worker. Workers run single-threaded (`T1000_THREADS=1`): the
 /// process is the unit of parallelism, so `--shards N` vs `--shards 1`
 /// is an apples-to-apples scaling comparison.
-///
-/// With a non-empty `remotes` list, first-wave shard `s` is dispatched to
-/// endpoint `s % remotes.len()` over TCP instead of a child process, and
-/// unaccounted work walks the degradation ladder: re-dispatch to each
-/// surviving (ping-healthy) remote endpoint, then fall back to a local
-/// child worker — the artifact stays byte-identical to the all-local run
-/// whichever rung completes the cells.
 pub fn run_sharded(
     plan: &Plan,
     plan_name: &str,
     scale: Scale,
     shards: usize,
     config: &EngineConfig,
-    remotes: &[String],
 ) -> Result<ShardedRun, String> {
     let shards = shards.max(1);
     if !plan.selection_only().is_empty() {
@@ -1344,101 +978,46 @@ pub fn run_sharded(
         totals: &totals,
     };
 
-    let remote = RemoteState::new(remotes);
-    let n_remotes = remote.addrs.len();
-    let mut degradations: Vec<String> = Vec::new();
-
     let wave: Vec<WaveEntry> = assignment
         .into_iter()
         .zip(key_assignment)
         .enumerate()
         .filter(|(_, (cells, keys))| !cells.is_empty() || !keys.is_empty())
-        .map(|(s, (cells, keys))| {
-            let local = local_faults(&config.faults, plan.cells(), &cells);
-            let target = if n_remotes > 0 {
-                WorkerTarget::Remote(s % n_remotes)
-            } else {
-                WorkerTarget::Local
-            };
-            WaveEntry {
-                shard: s,
-                cells,
-                keys,
-                faults: local,
-                target,
-                inject_net: n_remotes > 0,
-            }
+        .map(|(s, (cells, keys))| WaveEntry {
+            shard: s,
+            faults: local_faults(&config.faults, plan.cells(), &cells),
+            cells,
+            keys,
         })
         .collect();
-    let crashed = drive_wave(&ctx, &remote, &wave, &flush);
+    let crashed = drive_wave(&ctx, &wave, &flush);
     let mut worker_crashes = crashed.len();
 
-    // Crash recovery — the degradation ladder. Rung 1 (remote runs
-    // only): re-dispatch everything unaccounted for to each surviving
-    // endpoint in turn, health-probed first, until the run heals. Rung 2:
-    // one local replacement child worker. Both rungs strip process-abort
-    // injections and run with network injection disarmed so the retry can
-    // complete; anything still missing after the ladder is reported on
-    // the schema-v3 `failed_cells` path.
-    let mut retried: BTreeSet<usize> = BTreeSet::new();
-    let (mut missing, mut missing_sel) = {
+    // Crash recovery: every cell (and selection record) still
+    // unaccounted for is retried on one replacement worker, with
+    // process-abort injections stripped so the retry can complete.
+    // Anything missing after that is reported on the schema-v3
+    // `failed_cells` path.
+    let mut retried: Vec<usize> = Vec::new();
+    let (missing, missing_sel) = {
         let m = lock(&merge);
         (m.missing(), m.missing_selections())
     };
-    if n_remotes > 0 && (!missing.is_empty() || !missing_sel.is_empty()) {
-        let stripped = config.faults.without_aborts();
-        for endpoint in 0..n_remotes {
-            if missing.is_empty() && missing_sel.is_empty() {
-                break;
-            }
-            let addr = &remote.addrs[endpoint];
-            if let Err(e) = connect_and_handshake(addr) {
-                eprintln!("[t1000-bench] tcp://{addr}: unhealthy, skipping retry rung: {e}");
-                continue;
-            }
-            eprintln!(
-                "[t1000-bench] {} cell(s) and {} selection(s) unaccounted for; retrying on surviving endpoint tcp://{addr}",
-                missing.len(),
-                missing_sel.len()
-            );
-            degradations.push(format!("remote_retry:tcp://{addr}"));
-            let local = local_faults(&stripped, plan.cells(), &missing);
-            retried.extend(missing.iter().copied());
-            let entry = WaveEntry {
-                shard: shards,
-                cells: missing,
-                keys: missing_sel,
-                faults: local,
-                target: WorkerTarget::Remote(endpoint),
-                inject_net: false,
-            };
-            worker_crashes += drive_wave(&ctx, &remote, &[entry], &flush).len();
-            let m = lock(&merge);
-            missing = m.missing();
-            missing_sel = m.missing_selections();
-        }
-    }
     if !missing.is_empty() || !missing_sel.is_empty() {
         eprintln!(
             "[t1000-bench] {} cell(s) and {} selection(s) unaccounted for after the first wave; retrying on a fresh worker",
             missing.len(),
             missing_sel.len()
         );
-        if n_remotes > 0 {
-            degradations.push("local_fallback".to_string());
-        }
         let stripped = config.faults.without_aborts();
-        let local = local_faults(&stripped, plan.cells(), &missing);
-        retried.extend(missing.iter().copied());
+        retried = missing.clone();
         let entry = WaveEntry {
             shard: shards,
+            faults: local_faults(&stripped, plan.cells(), &missing),
             cells: missing,
             keys: missing_sel,
-            faults: local,
-            target: WorkerTarget::Local,
-            inject_net: false,
         };
-        worker_crashes += drive_wave(&ctx, &remote, &[entry], &flush).len();
+        worker_crashes += drive_wave(&ctx, &[entry], &flush).len();
         let mut m = lock(&merge);
         for i in m.missing() {
             m.fail(
@@ -1455,13 +1034,9 @@ pub fn run_sharded(
     let merge = merge
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let endpoint_stats = remote
-        .stats
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let run = merge.finish(plan, totals, config.deterministic);
     let sidecar = Json::obj(vec![
-        ("schema_version", Json::UInt(2)),
+        ("schema_version", Json::UInt(3)),
         ("kind", Json::Str("t1000.bench-shards".to_string())),
         ("shards", Json::UInt(shards as u64)),
         (
@@ -1474,39 +1049,15 @@ pub fn run_sharded(
             "retried_cells",
             Json::Arr(retried.iter().map(|&i| Json::UInt(i as u64)).collect()),
         ),
-        ("remotes", Json::UInt(n_remotes as u64)),
-        (
-            "endpoints",
-            Json::Arr(
-                remote
-                    .addrs
-                    .iter()
-                    .zip(&endpoint_stats)
-                    .map(|(addr, s)| {
-                        Json::obj(vec![
-                            ("addr", Json::Str(addr.clone())),
-                            ("dispatches", Json::UInt(s.dispatches)),
-                            ("connect_retries", Json::UInt(s.connect_retries)),
-                            ("failures", Json::UInt(s.failures)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "degradations",
-            Json::Arr(degradations.into_iter().map(Json::Str).collect()),
-        ),
     ]);
     Ok(ShardedRun { run, sidecar })
 }
 
-/// Drives one wave's entries concurrently — child workers and remote
-/// dispatches alike — and returns the shard labels that failed (crashed
-/// worker, refused connection, dropped or stalled stream).
+/// Spawns one worker per wave entry, drives them concurrently, and
+/// returns the shard labels whose workers crashed (nonzero exit, or EOF
+/// before the final response).
 fn drive_wave(
     ctx: &WaveCtx<'_>,
-    remote: &RemoteState,
     wave: &[WaveEntry],
     flush: &(dyn Fn(&MergeState) + Sync),
 ) -> Vec<usize> {
@@ -1515,22 +1066,7 @@ fn drive_wave(
             .iter()
             .map(|e| {
                 scope.spawn(move || {
-                    let result = match e.target {
-                        WorkerTarget::Local => {
-                            drive_one(ctx, e.shard, &e.cells, &e.keys, &e.faults, flush)
-                        }
-                        WorkerTarget::Remote(i) => drive_remote(
-                            ctx,
-                            remote,
-                            i,
-                            e.shard,
-                            &e.cells,
-                            &e.keys,
-                            &e.faults,
-                            e.inject_net,
-                            flush,
-                        ),
-                    };
+                    let result = drive_one(ctx, e.shard, &e.cells, &e.keys, &e.faults, flush);
                     (e.shard, result)
                 })
             })
@@ -1875,75 +1411,16 @@ mod tests {
         assert!(String::from_utf8(out).unwrap().contains("\"error\""));
     }
 
-    #[test]
-    fn net_backoff_is_deterministic_capped_and_jittered() {
-        let retry = RetryPolicy::default();
-        assert_eq!(net_backoff(&retry, 0, 1), Duration::ZERO);
-        for shard in 0..4 {
-            for attempt in 2..10 {
-                let a = net_backoff(&retry, shard, attempt);
-                let b = net_backoff(&retry, shard, attempt);
-                assert_eq!(a, b, "same inputs must wait identically");
-                // Cap 2 s + jitter ≤ half the capped base.
-                assert!(a <= Duration::from_millis(3_000), "{a:?}");
-                assert!(a > Duration::ZERO);
-            }
-        }
-        // Jitter decorrelates shards: not every shard waits the same.
-        let waits: HashSet<Duration> = (0..8).map(|s| net_backoff(&retry, s, 3)).collect();
-        assert!(waits.len() > 1, "jitter must vary across shards");
-        // A flat --backoff-ms override feeds the exponential base.
-        let flat = RetryPolicy {
-            backoff_override_ms: Some(4),
-            ..RetryPolicy::default()
-        };
-        assert!(net_backoff(&flat, 0, 2) >= Duration::from_millis(4));
-    }
-
-    #[test]
-    fn retry_policy_rides_the_shard_request() {
-        let tuned = EngineConfig {
-            retry: RetryPolicy {
-                max_attempts: 5,
-                backoff_override_ms: Some(7),
-                ..RetryPolicy::default()
-            },
-            ..det_config()
-        };
-        let req = shard_request(
-            "run_all",
-            Scale::Test,
-            &[0],
-            &[],
-            &tuned,
-            &FaultPlan::none(),
-        );
-        let job = parse_shard_params(req.get("params").unwrap()).unwrap();
-        assert_eq!(job.config.retry.max_attempts, 5);
-        assert_eq!(job.config.retry.backoff_override_ms, Some(7));
-        // A request without the fields (an older coordinator) gets the
-        // defaults — backoff_ms 0 on the wire means "default schedule".
-        let req = shard_request(
-            "run_all",
-            Scale::Test,
-            &[0],
-            &[],
-            &det_config(),
-            &FaultPlan::none(),
-        );
-        let job = parse_shard_params(req.get("params").unwrap()).unwrap();
-        assert_eq!(job.config.retry, RetryPolicy::default());
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
         // Merge accounting never loses or double-counts a cell, whatever
-        // the transport does: each shard's stream may arrive whole, be
-        // cut after its first cell (netdrop), vanish entirely (connect
-        // refusal / stall), or be delivered twice (a retry racing its
-        // supposedly-dead predecessor). Healing by re-delivering whatever
-        // is still missing always converges on the byte-identical
-        // artifact — the invariant the degradation ladder leans on.
+        // the worker pipes do: each shard's stream may arrive whole, be
+        // cut after its first cell (a mid-stream crash), vanish entirely
+        // (a crash before any output), or be delivered twice (the retry
+        // worker re-delivering cells its predecessor already streamed).
+        // Healing by re-delivering whatever is still missing always
+        // converges on the byte-identical artifact — the invariant the
+        // crash-retry wave leans on.
         #[test]
         fn merge_accounting_survives_arbitrary_transport_faults(
             outcomes in prop::collection::vec(0u8..4, 3)
@@ -2000,7 +1477,7 @@ mod tests {
                     }
                 }
             }
-            // Heal: exactly what the ladder re-dispatches.
+            // Heal: exactly what the crash-retry wave re-dispatches.
             for gi in merge.missing() {
                 merge.on_line(&cell_lines[&gi]).unwrap();
             }

@@ -27,14 +27,6 @@
 //!               [--shards N]                    partition the plan across N
 //!                                               worker processes and merge a
 //!                                               byte-identical artifact
-//!               [--remote HOST:PORT,...]        dispatch shards to remote
-//!                                               `t1000 serve --tcp` endpoints
-//!                                               (fault-tolerant: retry with
-//!                                               backoff, health probes, and
-//!                                               degradation to local workers)
-//!               [--retries N] [--backoff-ms M]  retry policy shared by cell
-//!                                               retry and remote connects
-//!                                               (env: T1000_RETRY=N[:M])
 //! t1000 bench   --validate <BENCH_results.json> [--expect KEY=VALUE,...]
 //!                                               re-check a results artifact
 //!                                               (+ declarative assertions)
@@ -42,7 +34,7 @@
 //!                                               JSON-RPC request on stdin,
 //!                                               streamed results on stdout
 //!                                               (spawned by bench --shards)
-//! t1000 serve   [--socket PATH] [--tcp HOST:PORT] [--workers N] [--queue N]
+//! t1000 serve   [--socket PATH] [--workers N] [--queue N]
 //!                                               JSON-RPC selection/simulation
 //!                                               daemon (docs/SERVING.md)
 //! ```
@@ -116,9 +108,6 @@ const BENCH_VALUE_OPTS: &[&str] = &[
     "max-cycles",
     "expect",
     "shards",
-    "remote",
-    "retries",
-    "backoff-ms",
     "pfu-planes",
     "pfu-prefetch",
     "conf-compress",
@@ -130,7 +119,7 @@ const BENCH_FLAG_OPTS: &[&str] = &[
     "strategies",
     "no-fast-path",
 ];
-pub(crate) const SERVE_VALUE_OPTS: &[&str] = &["socket", "tcp", "workers", "queue"];
+pub(crate) const SERVE_VALUE_OPTS: &[&str] = &["socket", "workers", "queue"];
 pub(crate) const SERVE_FLAGS: &[&str] = &[];
 
 /// Entry point: executes `args` and returns the text to print.
@@ -168,12 +157,11 @@ fn usage() -> String {
      \x20               [--greedy] [--threshold F] [--lut-budget N] [--reload-weight W] [--explain] [--scale test|full]\n\
      \x20 t1000 bench   <name> [--scale test|full] [--pfus N] [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
      \x20 t1000 bench   --all [--scale test|full] [--json FILE] [--resume] [--shards N]\n\
-     \x20               [--remote HOST:PORT,...] [--retries N] [--backoff-ms M]\n\
      \x20               [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
      \x20               [--deterministic] [--inject PLAN] [--max-cycles N] [--strategies] [--no-fast-path]\n\
      \x20 t1000 bench   --validate <BENCH_results.json> [--expect KEY=VALUE,...]\n\
      \x20 t1000 worker  (internal: shard worker spawned by `bench --shards`; JSON-RPC on stdio)\n\
-     \x20 t1000 serve   [--socket PATH] [--tcp HOST:PORT] [--workers N] [--queue N]  (JSON-RPC daemon; docs/SERVING.md)\n"
+     \x20 t1000 serve   [--socket PATH] [--workers N] [--queue N]  (JSON-RPC daemon; docs/SERVING.md)\n"
         .to_string()
 }
 
@@ -622,21 +610,6 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
         Some(n) => Some(n as usize),
         None => None,
     };
-    let remotes: Vec<String> = match p.get("remote") {
-        Some(spec) => {
-            let list: Vec<String> = spec
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(String::from)
-                .collect();
-            if list.is_empty() {
-                return err("bench: --remote needs at least one HOST:PORT");
-            }
-            list
-        }
-        None => Vec::new(),
-    };
     let planes = match p.get_u32("pfu-planes")? {
         Some(n) if !(1..=2).contains(&n) => return err("--pfu-planes must be 1 or 2"),
         Some(n) => n,
@@ -651,9 +624,6 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
         None => 0.0,
     };
     if p.flag("all") {
-        if !remotes.is_empty() && shards.is_none() {
-            return err("bench: --remote requires --shards N");
-        }
         let config = engine_config(&p)?;
         return bench_all(
             scale,
@@ -661,18 +631,11 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
             &config,
             p.flag("strategies"),
             shards,
-            &remotes,
             (planes, prefetch, compress),
         );
     }
     if shards.is_some() {
         return err("bench: --shards requires --all");
-    }
-    if !remotes.is_empty() {
-        return err("bench: --remote requires --all (and --shards N)");
-    }
-    if p.get("retries").is_some() || p.get("backoff-ms").is_some() {
-        return err("bench: --retries/--backoff-ms require --all");
     }
     if p.flag("strategies") {
         return err("bench: --strategies requires --all");
@@ -727,30 +690,9 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
 
 /// Assembles the engine's robustness configuration from CLI flags and
 /// their environment fallbacks (`T1000_INJECT`, `T1000_MAX_CYCLES`,
-/// `T1000_WALL_LIMIT_MS`, `T1000_RETRY`).
-///
-/// The retry policy resolves lowest-precedence first: the built-in
-/// default, then `T1000_RETRY=N[:M]`, then the explicit `--retries N`
-/// and `--backoff-ms M` flags. The same policy governs local cell
-/// retry and the remote shard transport's connect/backoff schedule.
+/// `T1000_WALL_LIMIT_MS`). Retry always follows the default
+/// [`t1000_bench::engine::RetryPolicy`].
 fn engine_config(p: &Parsed) -> Result<t1000_bench::engine::EngineConfig, CliError> {
-    let mut retry = t1000_bench::engine::RetryPolicy::default();
-    if let Ok(spec) = std::env::var(t1000_bench::engine::RETRY_ENV) {
-        retry = t1000_bench::engine::RetryPolicy::parse_spec(&spec)
-            .map_err(|e| CliError(format!("{}: {e}", t1000_bench::engine::RETRY_ENV)))?;
-    }
-    if let Some(n) = p.get_u32("retries")? {
-        if n == 0 {
-            return err("--retries must be at least 1");
-        }
-        retry.max_attempts = n;
-    }
-    if let Some(v) = p.get("backoff-ms") {
-        let ms = v
-            .parse::<u64>()
-            .map_err(|_| CliError(format!("--backoff-ms: `{v}` is not milliseconds")))?;
-        retry.backoff_override_ms = Some(ms);
-    }
     let faults = match p.get("inject") {
         Some(text) => t1000_bench::fault::FaultPlan::parse(text)
             .map_err(|e| CliError(format!("--inject: {e}")))?,
@@ -775,7 +717,6 @@ fn engine_config(p: &Parsed) -> Result<t1000_bench::engine::EngineConfig, CliErr
         Err(_) => None,
     };
     Ok(t1000_bench::engine::EngineConfig {
-        retry,
         max_cycles,
         wall_limit,
         faults,
@@ -797,7 +738,6 @@ fn bench_all(
     config: &t1000_bench::engine::EngineConfig,
     strategies: bool,
     shards: Option<usize>,
-    remotes: &[String],
     (planes, prefetch, compress): (u32, u32, f64),
 ) -> Result<String, CliError> {
     let mut config = config.clone();
@@ -824,9 +764,8 @@ fn bench_all(
     }
     let (run, sidecar) = match shards {
         Some(n) => {
-            let sharded =
-                t1000_bench::shard::run_sharded(&plan, plan_name, scale, n, &config, remotes)
-                    .map_err(|e| CliError(format!("bench: {e}")))?;
+            let sharded = t1000_bench::shard::run_sharded(&plan, plan_name, scale, n, &config)
+                .map_err(|e| CliError(format!("bench: {e}")))?;
             (sharded.run, Some(sharded.sidecar))
         }
         None => (
@@ -838,7 +777,6 @@ fn bench_all(
         t1000_bench::results::write_json_with_retry(
             &run,
             std::path::Path::new(path),
-            &config.retry,
             &config.faults,
         )
         .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
@@ -883,18 +821,6 @@ fn bench_all(
             u("worker_crashes"),
         )
         .unwrap();
-        if u("remotes") > 0 {
-            let degradations = sidecar
-                .get("degradations")
-                .and_then(t1000_bench::json::Json::as_array)
-                .map_or(0, <[t1000_bench::json::Json]>::len);
-            writeln!(
-                out,
-                "Remote: {} endpoint(s), {degradations} degradation event(s).",
-                u("remotes"),
-            )
-            .unwrap();
-        }
     }
     if let Some(path) = json {
         writeln!(
@@ -1022,12 +948,11 @@ usage:\n\
 \x20               [--greedy] [--threshold F] [--lut-budget N] [--reload-weight W] [--explain] [--scale test|full]\n\
 \x20 t1000 bench   <name> [--scale test|full] [--pfus N] [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
 \x20 t1000 bench   --all [--scale test|full] [--json FILE] [--resume] [--shards N]\n\
-\x20               [--remote HOST:PORT,...] [--retries N] [--backoff-ms M]\n\
 \x20               [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
 \x20               [--deterministic] [--inject PLAN] [--max-cycles N] [--strategies] [--no-fast-path]\n\
 \x20 t1000 bench   --validate <BENCH_results.json> [--expect KEY=VALUE,...]\n\
 \x20 t1000 worker  (internal: shard worker spawned by `bench --shards`; JSON-RPC on stdio)\n\
-\x20 t1000 serve   [--socket PATH] [--tcp HOST:PORT] [--workers N] [--queue N]  (JSON-RPC daemon; docs/SERVING.md)\n";
+\x20 t1000 serve   [--socket PATH] [--workers N] [--queue N]  (JSON-RPC daemon; docs/SERVING.md)\n";
         assert_eq!(run(&s(&["--help"])).unwrap(), golden);
         assert_eq!(run(&s(&["help"])).unwrap(), golden);
     }
@@ -1282,23 +1207,18 @@ usage:\n\
 
     #[test]
     fn bench_remote_and_retry_flags_are_guarded() {
-        // --remote rides the shard coordinator, so it needs --all --shards.
-        let e = run(&s(&["bench", "g721_enc", "--remote", "h:1"])).unwrap_err();
-        assert!(e.0.contains("--remote requires --all"), "{e}");
-        let e = run(&s(&["bench", "--all", "--remote", "h:1"])).unwrap_err();
-        assert!(e.0.contains("--remote requires --shards"), "{e}");
-        // An endpoint list of only separators/whitespace is empty.
-        let e = run(&s(&["bench", "--all", "--shards", "2", "--remote", " , "])).unwrap_err();
-        assert!(e.0.contains("at least one HOST:PORT"), "{e}");
-        // Retry knobs configure the engine, which only --all drives.
-        let e = run(&s(&["bench", "g721_enc", "--retries", "5"])).unwrap_err();
-        assert!(e.0.contains("require --all"), "{e}");
-        let e = run(&s(&["bench", "g721_enc", "--backoff-ms", "7"])).unwrap_err();
-        assert!(e.0.contains("require --all"), "{e}");
-        let e = run(&s(&["bench", "--all", "--retries", "0"])).unwrap_err();
-        assert!(e.0.contains("--retries must be at least 1"), "{e}");
-        let e = run(&s(&["bench", "--all", "--backoff-ms", "soon"])).unwrap_err();
-        assert!(e.0.contains("--backoff-ms"), "{e}");
+        // `bench` has no multi-machine or retry-tuning options: each is
+        // rejected as unknown, even alongside --all --shards.
+        for extra in [
+            ["--remote", "h:1"],
+            ["--retries", "2"],
+            ["--backoff-ms", "1"],
+        ] {
+            let mut args = vec!["bench", "--all", "--shards", "2"];
+            args.extend(extra);
+            let e: CliError = run(&s(&args)).unwrap_err();
+            assert!(e.0.contains(&format!("unknown option {}", extra[0])), "{e}");
+        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! # `t1000 serve` — selection-as-a-service
 //!
 //! A daemon that accepts concurrent selection/simulation requests over a
-//! newline-delimited JSON-RPC protocol (stdio, a Unix socket, or — with
-//! `--tcp HOST:PORT` — a TCP listener speaking the identical wire
-//! contract) and answers with schema-v6-compatible result documents. The
-//! full wire protocol — methods, schemas, error codes, shedding
+//! newline-delimited JSON-RPC protocol (stdio or a Unix socket) and
+//! answers with schema-v6-compatible result documents. The full wire
+//! protocol — methods, schemas, error codes, shedding
 //! semantics — is specified in `docs/SERVING.md`.
 //!
 //! The serving pipeline reuses the experiment engine's machinery one
@@ -22,18 +21,8 @@
 //!   behind a bounded queue — when the queue is full the request is shed
 //!   immediately with a `429`-style [`code::QUEUE_FULL`] error instead of
 //!   building an unbounded backlog. Control requests (`status`,
-//!   `cache_stats`, `ping`, `shutdown`) are answered inline by the
-//!   connection reader and are never queued or shed (`ping` answers even
-//!   while draining — it is the remote coordinator's health probe);
-//! * `run_shard` — the remote-shard method behind
-//!   `t1000 bench --shards N --remote` — executes inline on its
-//!   connection's reader thread, streaming the worker wire protocol
-//!   ([`t1000_bench::shard::execute_shard`]) back over the same
-//!   connection: `selection`/`cell`/`cell_failed` event lines, then the
-//!   final id-echoing result envelope. A dedicated connection per
-//!   dispatch keeps streams unentangled, and because the reader thread
-//!   runs inside the transport's scoped-thread join, `shutdown` drains
-//!   in-flight shard streams before the process exits.
+//!   `cache_stats`, `shutdown`) are answered inline by the connection
+//!   reader and are never queued or shed.
 //!
 //! [`Server::handle_line`] is the transport-free synchronous core, usable
 //! for tests and embedding:
@@ -64,17 +53,15 @@
 use crate::args::parse;
 use crate::CliError;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
-use t1000_bench::engine::{CellRunner, FailureCause, RetryPolicy, RunOptions, SelectionRecord};
+use t1000_bench::engine::{CellRunner, FailureCause, RunOptions, SelectionRecord};
 use t1000_bench::json::Json;
 use t1000_bench::plan::{Cell, MachineSpec, SelectionSpec};
 use t1000_bench::results::{cell_result_json, selection_json, SCHEMA_VERSION};
-use t1000_bench::shard;
 use t1000_core::{program_hash, ExtractConfig, SessionStore};
 use t1000_isa::Program;
 use t1000_workloads::Scale;
@@ -223,12 +210,6 @@ struct Job {
 enum Routed {
     Inline(Json),
     Work(Box<WorkRequest>),
-    /// A validated `run_shard` request: executed inline on the connection
-    /// reader thread, streaming its events back over the connection.
-    Shard {
-        id: Json,
-        job: Box<shard::ShardJob>,
-    },
 }
 
 fn p_get<'a>(params: Option<&'a Json>, key: &str) -> Option<&'a Json> {
@@ -481,23 +462,17 @@ pub struct Server {
     runners: Mutex<HashMap<RunnerKey, RunnerCell>>,
     queue: BoundedQueue<Job>,
     workers: usize,
-    retry: RetryPolicy,
     started: Instant,
     shutting_down: AtomicBool,
-    /// Listener to self-connect to on shutdown, waking the blocked
-    /// accept loop (set by the socket/TCP transports).
-    wake: Mutex<Option<WakeTarget>>,
+    /// Socket path to self-connect to on shutdown, waking the blocked
+    /// accept loop (set by the socket transport).
+    wake: Mutex<Option<String>>,
     received: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
     shed: AtomicU64,
     deadline_exceeded: AtomicU64,
     malformed: AtomicU64,
-    /// `run_shard` streams currently executing (the drain-on-shutdown
-    /// regression test polls this via `status`).
-    shard_active: AtomicU64,
-    /// `run_shard` streams completed successfully.
-    shard_done: AtomicU64,
 }
 
 impl Server {
@@ -507,7 +482,6 @@ impl Server {
             runners: Mutex::new(HashMap::new()),
             queue: BoundedQueue::new(cfg.queue_capacity.max(1)),
             workers: cfg.workers.max(1),
-            retry: RetryPolicy::default(),
             started: Instant::now(),
             shutting_down: AtomicBool::new(false),
             wake: Mutex::new(None),
@@ -517,8 +491,6 @@ impl Server {
             shed: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
-            shard_active: AtomicU64::new(0),
-            shard_done: AtomicU64::new(0),
         }
     }
 
@@ -535,21 +507,6 @@ impl Server {
         let resp = match self.route(line) {
             Routed::Inline(resp) => resp,
             Routed::Work(work) => self.execute(&work),
-            Routed::Shard { id, job } => {
-                // Streamed method: the "response" is the whole event
-                // stream, newline-joined, ending in the final envelope
-                // (or the error envelope).
-                let mut lines: Vec<String> = Vec::new();
-                let outcome = self.run_shard_stream(&id, &job, &mut |doc| {
-                    lines.push(doc.to_string_compact());
-                    Ok(())
-                });
-                if let Some(resp) = outcome {
-                    self.record(&resp);
-                    lines.push(resp.to_string_compact());
-                }
-                return lines.join("\n");
-            }
         };
         self.record(&resp);
         resp.to_string_compact()
@@ -584,48 +541,6 @@ impl Server {
                     write_response(out, &resp);
                 }
             }
-            Routed::Shard { id, job } => {
-                // Inline on this connection's reader thread: one dispatch
-                // per connection means events never interleave, and the
-                // transport's scoped join drains us through shutdown.
-                let mut emit = |doc: Json| -> Result<(), String> {
-                    write_response(out, &doc);
-                    Ok(())
-                };
-                if let Some(resp) = self.run_shard_stream(&id, &job, &mut emit) {
-                    self.record(&resp);
-                    write_response(out, &resp);
-                }
-            }
-        }
-    }
-
-    /// Executes a `run_shard` job, streaming the worker wire protocol
-    /// through `emit`. On success the final result envelope has already
-    /// been emitted and `None` is returned; on failure the error envelope
-    /// to send is returned instead.
-    fn run_shard_stream(
-        &self,
-        id: &Json,
-        job: &shard::ShardJob,
-        emit: &mut dyn FnMut(Json) -> Result<(), String>,
-    ) -> Option<Json> {
-        self.shard_active.fetch_add(1, Ordering::Relaxed);
-        let result = shard::execute_shard(job, id, emit);
-        self.shard_active.fetch_sub(1, Ordering::Relaxed);
-        match result {
-            Ok(()) => {
-                self.shard_done.fetch_add(1, Ordering::Relaxed);
-                self.completed.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Err(msg) => Some(error_response(
-                id,
-                code::CELL_FAILED,
-                "shard_failed",
-                &msg,
-                vec![],
-            )),
         }
     }
 
@@ -658,42 +573,6 @@ impl Server {
         let work_method = match method {
             "status" => return Routed::Inline(ok_response(&id, self.status_json())),
             "cache_stats" => return Routed::Inline(ok_response(&id, self.cache_stats_json())),
-            // The remote coordinator's health probe: answered inline,
-            // even while draining — the `shutting_down` flag is how a
-            // probing coordinator learns to dispatch elsewhere.
-            "ping" => {
-                return Routed::Inline(ok_response(
-                    &id,
-                    Json::obj(vec![
-                        ("pong", Json::Bool(true)),
-                        ("shutting_down", Json::Bool(self.is_shutting_down())),
-                    ]),
-                ))
-            }
-            "run_shard" => {
-                if self.is_shutting_down() {
-                    return Routed::Inline(error_response(
-                        &id,
-                        code::SHUTTING_DOWN,
-                        "shutting_down",
-                        "server is shutting down",
-                        vec![],
-                    ));
-                }
-                return match shard::parse_shard_params(req.get("params").unwrap_or(&Json::Null)) {
-                    Ok(job) => Routed::Shard {
-                        id,
-                        job: Box::new(job),
-                    },
-                    Err(msg) => Routed::Inline(error_response(
-                        &id,
-                        code::BAD_REQUEST,
-                        "bad_request",
-                        &msg,
-                        vec![],
-                    )),
-                };
-            }
             "shutdown" => {
                 self.begin_shutdown();
                 return Routed::Inline(ok_response(
@@ -773,7 +652,7 @@ impl Server {
             },
             WorkMethod::Run => {
                 let cell = Cell::new(work.label, work.selection, work.machine);
-                match runner.run_cell_isolated(cell, &work.opts, &self.retry, work.deadline) {
+                match runner.run_cell_isolated(cell, &work.opts, work.deadline) {
                     Ok(c) => {
                         let speedup = if c.cycles > 0 {
                             Some(runner.baseline_cycles() as f64 / c.cycles as f64)
@@ -865,16 +744,10 @@ impl Server {
     fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::Relaxed);
         self.queue.close();
-        // Wake the accept loop so the socket/TCP transport can exit; the
+        // Wake the accept loop so the socket transport can exit; the
         // dummy connection carries no requests.
-        match lock(&self.wake).clone() {
-            Some(WakeTarget::Unix(path)) => {
-                let _ = UnixStream::connect(path);
-            }
-            Some(WakeTarget::Tcp(addr)) => {
-                let _ = TcpStream::connect(addr);
-            }
-            None => {}
+        if let Some(path) = lock(&self.wake).clone() {
+            let _ = UnixStream::connect(path);
         }
     }
 
@@ -912,19 +785,6 @@ impl Server {
                     (
                         "malformed",
                         Json::UInt(self.malformed.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "shard_streams",
-                Json::obj(vec![
-                    (
-                        "active",
-                        Json::UInt(self.shard_active.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "completed",
-                        Json::UInt(self.shard_done.load(Ordering::Relaxed)),
                     ),
                 ]),
             ),
@@ -968,43 +828,6 @@ impl Server {
 // Transports
 // ---------------------------------------------------------------------
 
-/// Where `begin_shutdown` self-connects to unblock the accept loop.
-#[derive(Clone)]
-enum WakeTarget {
-    Unix(String),
-    Tcp(SocketAddr),
-}
-
-/// The two byte-stream transports, unified so `serve_connection` (and
-/// therefore the wire contract) is written exactly once. Both halves of
-/// a connection come from `try_clone`; the read timeout lets idle
-/// readers notice shutdown.
-trait ServeStream: Read + Sized + Send {
-    type Writer: Write + Send + 'static;
-    fn split_writer(&self) -> std::io::Result<Self::Writer>;
-    fn set_timeout(&self, timeout: Duration) -> std::io::Result<()>;
-}
-
-impl ServeStream for UnixStream {
-    type Writer = UnixStream;
-    fn split_writer(&self) -> std::io::Result<UnixStream> {
-        self.try_clone()
-    }
-    fn set_timeout(&self, timeout: Duration) -> std::io::Result<()> {
-        self.set_read_timeout(Some(timeout))
-    }
-}
-
-impl ServeStream for TcpStream {
-    type Writer = TcpStream;
-    fn split_writer(&self) -> std::io::Result<TcpStream> {
-        self.try_clone()
-    }
-    fn set_timeout(&self, timeout: Duration) -> std::io::Result<()> {
-        self.set_read_timeout(Some(timeout))
-    }
-}
-
 fn worker_loop(server: &Server) {
     while let Some(job) = server.queue.pop() {
         let resp = server.execute(&job.work);
@@ -1044,7 +867,7 @@ fn serve_socket(server: &Server, path: &str) -> Result<String, CliError> {
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)
         .map_err(|e| CliError(format!("serve: cannot bind {path}: {e}")))?;
-    *lock(&server.wake) = Some(WakeTarget::Unix(path.to_string()));
+    *lock(&server.wake) = Some(path.to_string());
     eprintln!(
         "[t1000-serve] listening on {path} ({} worker(s), queue capacity {})",
         server.workers, server.queue.capacity
@@ -1066,49 +889,11 @@ fn serve_socket(server: &Server, path: &str) -> Result<String, CliError> {
     Ok(format!("[t1000-serve] {}\n", server.summary()))
 }
 
-/// TCP transport: same wire contract and connection lifecycle as the Unix
-/// socket, reachable from other hosts. A bare port binds loopback
-/// (`127.0.0.1:PORT`) — exposing the daemon beyond the local machine is
-/// an explicit `HOST:PORT` choice (there is no authentication; see the
-/// security note in `docs/SERVING.md`). Port `0` asks the OS for a free
-/// port; the chosen address is in the startup banner on stderr.
-fn serve_tcp(server: &Server, spec: &str) -> Result<String, CliError> {
-    let addr = if spec.contains(':') {
-        spec.to_string()
-    } else {
-        format!("127.0.0.1:{spec}")
-    };
-    let listener = TcpListener::bind(&addr)
-        .map_err(|e| CliError(format!("serve: cannot bind tcp {addr}: {e}")))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| CliError(format!("serve: tcp {addr}: {e}")))?;
-    *lock(&server.wake) = Some(WakeTarget::Tcp(local));
-    eprintln!(
-        "[t1000-serve] listening on tcp://{local} ({} worker(s), queue capacity {})",
-        server.workers, server.queue.capacity
-    );
-    std::thread::scope(|s| {
-        for _ in 0..server.workers {
-            s.spawn(|| worker_loop(server));
-        }
-        for stream in listener.incoming() {
-            if server.is_shutting_down() {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            s.spawn(move || serve_connection(server, stream));
-        }
-        server.queue.close();
-    });
-    Ok(format!("[t1000-serve] {}\n", server.summary()))
-}
-
-fn serve_connection<S: ServeStream>(server: &Server, stream: S) {
+fn serve_connection(server: &Server, stream: UnixStream) {
     // A finite read timeout lets idle connection readers notice shutdown
     // instead of blocking the process exit forever.
-    let _ = stream.set_timeout(Duration::from_millis(200));
-    let Ok(write_half) = stream.split_writer() else {
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let out: Out = Arc::new(Mutex::new(Box::new(write_half)));
@@ -1138,7 +923,7 @@ fn serve_connection<S: ServeStream>(server: &Server, stream: S) {
     }
 }
 
-/// `t1000 serve [--socket PATH] [--tcp HOST:PORT] [--workers N] [--queue N]`.
+/// `t1000 serve [--socket PATH] [--workers N] [--queue N]`.
 pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let p = parse(args, crate::SERVE_VALUE_OPTS, crate::SERVE_FLAGS)?;
     if !p.positional.is_empty() {
@@ -1160,14 +945,9 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         workers,
         queue_capacity,
     });
-    match (p.get("socket"), p.get("tcp")) {
-        (Some(_), Some(_)) => Err(CliError(
-            "serve: --socket and --tcp are mutually exclusive (one listener per daemon)"
-                .to_string(),
-        )),
-        (Some(path), None) => serve_socket(&server, path),
-        (None, Some(addr)) => serve_tcp(&server, addr),
-        (None, None) => serve_stdio(&server),
+    match p.get("socket") {
+        Some(path) => serve_socket(&server, path),
+        None => serve_stdio(&server),
     }
 }
 
@@ -1321,45 +1101,22 @@ mod tests {
     }
 
     #[test]
-    fn ping_answers_inline_even_while_draining() {
+    fn ping_and_run_shard_are_unknown_methods() {
         let server = Server::new(&ServeConfig::default());
-        let resp = j(&server.handle_line(r#"{"id": 1, "method": "ping"}"#));
-        let r = result(&resp);
-        assert_eq!(r.get("pong").and_then(Json::as_bool), Some(true));
-        assert_eq!(r.get("shutting_down").and_then(Json::as_bool), Some(false));
-        server.handle_line(r#"{"id": 2, "method": "shutdown"}"#);
-        let resp = j(&server.handle_line(r#"{"id": 3, "method": "ping"}"#));
-        let r = result(&resp);
-        assert_eq!(r.get("pong").and_then(Json::as_bool), Some(true));
-        assert_eq!(r.get("shutting_down").and_then(Json::as_bool), Some(true));
-        // run_shard, unlike ping, is refused while draining.
-        let resp = j(&server.handle_line(
-            r#"{"id": 4, "method": "run_shard", "params": {"plan": "run_all", "scale": "test", "cells": [0]}}"#,
-        ));
-        assert_eq!(error_code(&resp), code::SHUTTING_DOWN);
-    }
-
-    #[test]
-    fn run_shard_streams_the_worker_protocol() {
-        let server = Server::new(&ServeConfig::default());
-        // Bad params earn a single typed 400 line.
-        let resp =
-            j(&server
-                .handle_line(r#"{"id": 1, "method": "run_shard", "params": {"plan": "nope"}}"#));
-        assert_eq!(error_code(&resp), code::BAD_REQUEST);
-        // A small dispatch: event lines, then an id-echoing envelope.
-        let out = server.handle_line(
-            r#"{"id": 42, "method": "run_shard", "params": {"plan": "run_all", "scale": "test", "cells": [0, 1], "deterministic": true}}"#,
-        );
-        let lines: Vec<&str> = out.lines().collect();
-        assert!(lines.len() >= 2, "{out}");
-        let last = j(lines.last().unwrap());
-        assert_eq!(last.get("id").and_then(Json::as_u64), Some(42));
-        assert!(last.get("result").is_some(), "{out}");
-        let status = j(&server.handle_line(r#"{"id": 5, "method": "status"}"#));
-        let streams = result(&status).get("shard_streams").unwrap();
-        assert_eq!(streams.get("completed").and_then(Json::as_u64), Some(1));
-        assert_eq!(streams.get("active").and_then(Json::as_u64), Some(0));
+        for method in ["ping", "run_shard"] {
+            let resp = j(&server.handle_line(&format!(
+                r#"{{"id": 1, "method": "{method}", "params": {{"plan": "run_all", "scale": "test", "cells": [0]}}}}"#
+            )));
+            assert_eq!(error_code(&resp), code::BAD_REQUEST, "{method}");
+            let message = resp
+                .get("error")
+                .unwrap()
+                .get("message")
+                .and_then(Json::as_str);
+            assert_eq!(message, Some(format!("unknown method `{method}`").as_str()));
+        }
+        let e = cmd_serve(&["--tcp".to_string(), "9000".to_string()]).unwrap_err();
+        assert!(e.0.contains("unknown option --tcp"), "{e}");
     }
 
     #[test]

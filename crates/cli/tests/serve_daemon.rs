@@ -249,157 +249,6 @@ fn shutdown_drains_and_exits() {
     assert!(daemon.wait_for_exit(Duration::from_secs(10)), "no exit");
 }
 
-/// Regression test for shutdown-vs-`run_shard` draining: a `shutdown`
-/// received while a shard stream is mid-flight must let the stream run to
-/// its final result envelope before the process exits (the coordinator
-/// would otherwise see a torn stream and burn a retry wave).
-#[test]
-fn shutdown_drains_inflight_run_shard() {
-    let mut daemon = Daemon::spawn("drain");
-
-    // Connection A carries the shard stream; we deliberately do not read
-    // from it until after shutdown has been requested elsewhere.
-    let mut shard_conn = UnixStream::connect(&daemon.path).expect("connect shard stream");
-    writeln!(
-        shard_conn,
-        r#"{{"id": 7, "method": "run_shard", "params": {{"plan": "run_all", "scale": "test", "cells": [0, 1, 2, 3, 4, 5], "deterministic": true}}}}"#
-    )
-    .expect("send run_shard");
-    shard_conn.flush().expect("flush");
-
-    // Wait until the daemon reports the stream as in-flight (or, if the
-    // machine is fast enough to finish it already, as completed).
-    let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    loop {
-        let status = daemon.request(r#"{"id": 1, "method": "status"}"#);
-        let streams = result(&status).get("shard_streams").expect("shard_streams");
-        let active = streams.get("active").and_then(Json::as_u64).unwrap_or(0);
-        let done = streams.get("completed").and_then(Json::as_u64).unwrap_or(0);
-        if active > 0 || done > 0 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "run_shard never showed up in status: {}",
-            status.to_string_compact()
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-
-    // Health probe still answers inline, then order the shutdown.
-    let pong = daemon.request(r#"{"id": 2, "method": "ping"}"#);
-    assert_eq!(
-        result(&pong).get("pong").and_then(Json::as_bool),
-        Some(true)
-    );
-    let down = daemon.request(r#"{"id": 3, "method": "shutdown"}"#);
-    assert_eq!(
-        result(&down).get("shutting_down").and_then(Json::as_bool),
-        Some(true)
-    );
-
-    // The in-flight stream must still deliver every event line and the
-    // final id-echoing envelope.
-    let mut reader = BufReader::new(shard_conn);
-    let mut cells = 0u64;
-    let envelope = loop {
-        let mut line = String::new();
-        assert!(
-            reader.read_line(&mut line).expect("stream read") > 0,
-            "shard stream was torn by shutdown after {cells} cell(s)"
-        );
-        let doc = Json::parse(line.trim()).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
-        if doc.get("method").and_then(Json::as_str) == Some("cell") {
-            cells += 1;
-        }
-        if doc.get("result").is_some() {
-            break doc;
-        }
-    };
-    assert_eq!(envelope.get("id").and_then(Json::as_u64), Some(7));
-    assert_eq!(
-        result(&envelope).get("cells").and_then(Json::as_u64),
-        Some(6)
-    );
-    assert_eq!(cells, 6, "every assigned cell streams an event line");
-
-    assert!(
-        daemon.wait_for_exit(Duration::from_secs(30)),
-        "daemon did not exit after draining the shard stream"
-    );
-}
-
-/// The TCP transport speaks the identical wire contract as the Unix
-/// socket: bind loopback on an OS-assigned port (parsed from the startup
-/// banner), run a scripted session over `TcpStream`, shut down cleanly.
-#[test]
-fn tcp_transport_speaks_the_same_wire_contract() {
-    let mut child = Command::new(bin())
-        .args(["serve", "--tcp", "127.0.0.1:0", "--workers", "2"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn tcp daemon");
-    // The banner carries the OS-chosen port: "... listening on tcp://ADDR ...".
-    let mut stderr = BufReader::new(child.stderr.take().unwrap());
-    let addr = loop {
-        let mut line = String::new();
-        if stderr.read_line(&mut line).expect("banner") == 0 {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("daemon exited before announcing its TCP address");
-        }
-        if let Some(rest) = line.split("listening on tcp://").nth(1) {
-            break rest.split_whitespace().next().expect("addr").to_string();
-        }
-    };
-
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut ask = |line: &str| -> Json {
-        writeln!(stream, "{line}").expect("send");
-        stream.flush().expect("flush");
-        let mut resp = String::new();
-        reader.read_line(&mut resp).expect("recv");
-        Json::parse(resp.trim()).unwrap_or_else(|e| panic!("bad response `{resp}`: {e}"))
-    };
-
-    let status = ask(r#"{"id": 1, "method": "status"}"#);
-    assert!(result(&status).get("uptime_ms").is_some());
-
-    let run = ask(
-        r#"{"id": 2, "method": "run", "params": {"workload": "gsm_dec", "strategy": "selective", "pfus": 2}}"#,
-    );
-    let cell = result(&run).get("cell").expect("cell");
-    assert!(cell.get("cycles").and_then(Json::as_u64).unwrap() > 0);
-    assert_eq!(
-        cell.get("checksum").and_then(Json::as_str).map(str::len),
-        Some(18)
-    );
-
-    let resp = ask("{not json");
-    assert_eq!(error_code(&resp), 400);
-
-    let down = ask(r#"{"id": 3, "method": "shutdown"}"#);
-    assert_eq!(
-        result(&down).get("shutting_down").and_then(Json::as_bool),
-        Some(true)
-    );
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            break status;
-        }
-        if std::time::Instant::now() > deadline {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("tcp daemon did not exit after shutdown");
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    };
-    assert!(status.success());
-}
-
 #[test]
 fn stdio_transport_runs_a_scripted_session() {
     let mut child = Command::new(bin())
