@@ -8,13 +8,12 @@
 //! prediction* for free: fetch simply follows the architecturally executed
 //! path.
 //!
-//! Fusion is applied here: when the PC lands on a
-//! [`FusedSite`](t1000_isa::ext::FusedSite), the whole
+//! Fusion is applied here: when the PC lands on a [`FusedSite`], the whole
 //! sequence executes architecturally (bit-identical results) but a single
 //! `DynInstr` of class `Pfu` is emitted.
 
 use crate::syscall::SyscallState;
-use t1000_isa::{FusionMap, Instr, Op, OpClass, Program, Reg};
+use t1000_isa::{decode, DecodeError, FusedSite, FusionMap, Instr, Op, OpClass, Program, Reg};
 use t1000_mem::Memory;
 
 /// One dynamic (committed-path) instruction record.
@@ -51,6 +50,31 @@ pub struct DynInstr {
     pub taken: Option<bool>,
     /// Whether this instruction terminated the program.
     pub exits: bool,
+}
+
+impl DynInstr {
+    /// The static part of the record of `i` at `pc`: everything but the
+    /// operand values, result, memory access and branch outcome.
+    fn of(pc: u32, i: Instr) -> DynInstr {
+        let mut uses = i.uses();
+        DynInstr {
+            pc,
+            instr: i,
+            fused_len: 1,
+            conf: None,
+            class: i.op.class(),
+            latency: i.op.latency(),
+            gpr_def: i.def(),
+            gpr_uses: [uses.next(), uses.next()],
+            hilo_def: i.writes_hilo(),
+            hilo_use: i.reads_hilo(),
+            mem: None,
+            src_vals: [0; 2],
+            result: None,
+            taken: None,
+            exits: false,
+        }
+    }
 }
 
 /// Functional execution error.
@@ -97,6 +121,12 @@ impl std::error::Error for ExecError {}
 pub struct FuncCore<'a> {
     program: &'a Program,
     fusion: &'a FusionMap,
+    /// The text segment decoded once, by word index, into records whose
+    /// static fields are filled in. An undecodable word is an error only
+    /// if it executes.
+    text: Vec<Result<DynInstr, DecodeError>>,
+    /// The fused site starting at each word index, if any.
+    sites: Vec<Option<&'a FusedSite>>,
     /// General-purpose registers.
     pub regs: [u32; 32],
     pub hi: u32,
@@ -125,9 +155,22 @@ impl<'a> FuncCore<'a> {
         let mut regs = [0u32; 32];
         regs[Reg::SP.index()] = t1000_isa::program::STACK_TOP;
         regs[Reg::GP.index()] = program.data_base;
+        let text = (0..)
+            .step_by(4)
+            .zip(&program.text)
+            .map(|(off, &w)| decode(w).map(|i| DynInstr::of(program.text_base + off, i)))
+            .collect();
+        let mut sites = vec![None; program.text.len()];
+        for site in fusion.sites() {
+            if let Some(i) = text_index(program, site.pc) {
+                sites[i] = Some(site);
+            }
+        }
         FuncCore {
             program,
             fusion,
+            text,
+            sites,
             regs,
             hi: 0,
             lo: 0,
@@ -167,6 +210,15 @@ impl<'a> FuncCore<'a> {
         }
     }
 
+    /// The pre-decoded record at word index `idx` (at address `pc`).
+    fn decoded(&self, idx: usize, pc: u32) -> Result<&DynInstr, ExecError> {
+        match self.text.get(idx) {
+            Some(Ok(rec)) => Ok(rec),
+            Some(Err(e)) => Err(ExecError::Decode(pc, e.word)),
+            None => Err(ExecError::PcOutOfRange(pc)),
+        }
+    }
+
     /// Executes one *dynamic* instruction: either a single base instruction
     /// or, when the PC starts a fused site, the whole fused sequence.
     /// Returns `None` once the program has finished.
@@ -174,20 +226,18 @@ impl<'a> FuncCore<'a> {
         if self.finished {
             return Ok(None);
         }
-        if let Some(site) = self.fusion.site_at(self.pc) {
+        let Some(idx) = text_index(self.program, self.pc) else {
+            return Err(ExecError::PcOutOfRange(self.pc));
+        };
+        if let Some(site) = self.sites[idx] {
             if self.faulted_confs.contains(&site.conf) {
                 // The site's configuration failed to load: execute the
                 // first constituent unfused. The following PCs are not
                 // site starts, so the rest of the sequence also runs
                 // scalar, at its true latency.
                 self.conf_fault_fallbacks += 1;
-                return self.step_one().map(Some);
+                return self.exec_one(idx).map(Some);
             }
-            // Sites come from the selector, which only fuses runs inside a
-            // basic block of the same program; a hand-built FusionMap whose
-            // site extends past the text segment is a programming error and
-            // panics in `instr_at` rather than returning an ExecError.
-            let site = site.clone();
             let start_pc = self.pc;
             let in0 = site.inputs.first().copied();
             let in1 = site.inputs.get(1).copied();
@@ -195,26 +245,22 @@ impl<'a> FuncCore<'a> {
                 in0.map_or(0, |r| self.reg(r)),
                 in1.map_or(0, |r| self.reg(r)),
             ];
-            let first = self
-                .program
-                .instr_at(start_pc)
-                .map_err(|e| ExecError::Decode(start_pc, e.word))?;
+            let first = self.decoded(idx, start_pc)?.instr;
             // Execute every constituent architecturally. The selector
             // guarantees the sequence is pure ALU straight-line code, so
-            // control cannot leave it mid-way.
+            // control cannot leave it mid-way; a hand-built site running
+            // past the text segment reports the PC that left it.
             for k in 0..site.len {
                 let pc = start_pc + 4 * k;
-                let i = self
-                    .program
-                    .instr_at(pc)
-                    .map_err(|e| ExecError::Decode(pc, e.word))?;
+                let rec = self.decoded(idx + k as usize, pc)?;
+                let (i, def) = (rec.instr, rec.gpr_def);
                 debug_assert!(
                     i.op.is_pfu_candidate(),
                     "fused site at 0x{start_pc:x} contains non-ALU op {:?}",
                     i.op
                 );
                 let r = self.exec_alu(&i);
-                self.set_reg(i.def().unwrap_or(Reg::ZERO), r);
+                self.set_reg(def.unwrap_or(Reg::ZERO), r);
                 self.icount += 1;
             }
             self.pc = site.end_pc();
@@ -237,43 +283,25 @@ impl<'a> FuncCore<'a> {
                 exits: false,
             }));
         }
-        self.step_one().map(Some)
+        self.exec_one(idx).map(Some)
     }
 
     /// Executes exactly one base instruction (no fusion).
     pub fn step_one(&mut self) -> Result<DynInstr, ExecError> {
-        if !self.program.contains_pc(self.pc) {
-            return Err(ExecError::PcOutOfRange(self.pc));
+        match text_index(self.program, self.pc) {
+            Some(idx) => self.exec_one(idx),
+            None => Err(ExecError::PcOutOfRange(self.pc)),
         }
+    }
+
+    /// Executes the base instruction at word index `idx` (the current PC).
+    fn exec_one(&mut self, idx: usize) -> Result<DynInstr, ExecError> {
         let pc = self.pc;
-        let i = self
-            .program
-            .instr_at(pc)
-            .map_err(|e| ExecError::Decode(pc, e.word))?;
+        let mut rec = self.decoded(idx, pc)?.clone();
+        let i = rec.instr;
         self.icount += 1;
-
-        let mut uses_iter = i.uses();
-        let u0 = uses_iter.next();
-        let u1 = uses_iter.next();
-        let src_vals = [u0.map_or(0, |r| self.reg(r)), u1.map_or(0, |r| self.reg(r))];
-
-        let mut rec = DynInstr {
-            pc,
-            instr: i,
-            fused_len: 1,
-            conf: None,
-            class: i.op.class(),
-            latency: i.op.latency(),
-            gpr_def: i.def(),
-            gpr_uses: [u0, u1],
-            hilo_def: i.writes_hilo(),
-            hilo_use: i.reads_hilo(),
-            mem: None,
-            src_vals,
-            result: None,
-            taken: None,
-            exits: false,
-        };
+        let [u0, u1] = rec.gpr_uses;
+        rec.src_vals = [u0.map_or(0, |r| self.reg(r)), u1.map_or(0, |r| self.reg(r))];
 
         let mut next_pc = pc.wrapping_add(4);
         use Op::*;
@@ -281,7 +309,7 @@ impl<'a> FuncCore<'a> {
             // ---- ALU ----
             op if op.is_pfu_candidate() => {
                 let v = self.exec_alu(&i);
-                self.set_reg(i.def().unwrap_or(Reg::ZERO), v);
+                self.set_reg(rec.gpr_def.unwrap_or(Reg::ZERO), v);
                 rec.result = Some(v);
             }
             // ---- multiply / divide / HI-LO ----
@@ -500,6 +528,13 @@ impl<'a> FuncCore<'a> {
     }
 }
 
+/// Word index of `pc` in the program's text segment, if it lies there.
+fn text_index(program: &Program, pc: u32) -> Option<usize> {
+    program
+        .contains_pc(pc)
+        .then(|| ((pc - program.text_base) / 4) as usize)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -701,6 +736,72 @@ main:
         );
         assert_eq!(core.icount, plain.icount, "base icount is fusion-invariant");
         assert_eq!(dyn_count, plain.icount - 2, "three ops became one slot");
+    }
+
+    #[test]
+    fn undecodable_words_fail_only_when_executed() {
+        // REGIMM with an rt selector that names no branch.
+        const BAD: u32 = (1 << 26) | (5 << 16);
+        assert!(t1000_isa::decode(BAD).is_err());
+        let mut p = assemble("main:\n li $v0, 10\n syscall\n").unwrap();
+        p.text.push(BAD);
+        let fusion = FusionMap::new();
+        let mut c = FuncCore::new(&p, &fusion);
+        while c.step().unwrap().is_some() {}
+        assert!(c.finished());
+        assert_eq!(c.icount, 2);
+
+        // Jump straight onto the bad word.
+        let bad_pc = p.text_base + 4 * (p.text.len() as u32 - 1);
+        let mut c = FuncCore::new(&p, &fusion);
+        c.pc = bad_pc;
+        assert_eq!(c.step().unwrap_err(), ExecError::Decode(bad_pc, BAD));
+        assert_eq!(c.step_one().unwrap_err(), ExecError::Decode(bad_pc, BAD));
+        assert_eq!(c.icount, 0);
+    }
+
+    #[test]
+    fn fused_site_counts_its_full_length() {
+        let src = "
+main:
+    li   $t0, 5
+    sll  $t1, $t0, 2
+    addu $t1, $t1, $t0
+    xori $t1, $t1, 3
+    subu $t1, $t1, $t0
+    li   $v0, 10
+    syscall
+";
+        let p = assemble(src).unwrap();
+        let start = p.text_base + 4;
+        let mut fusion = FusionMap::new();
+        let skeleton: Vec<Instr> = (0..4).map(|k| p.instr_at(start + 4 * k).unwrap()).collect();
+        fusion.define(t1000_isa::ConfDef {
+            conf: 3,
+            skeleton,
+            base_cycles: 4,
+            pfu_latency: 2,
+        });
+        fusion.add_site(t1000_isa::FusedSite {
+            pc: start,
+            len: 4,
+            conf: 3,
+            inputs: vec![Reg::parse("t0").unwrap()],
+            output: Reg::parse("t1").unwrap(),
+        });
+        let mut c = FuncCore::new(&p, &fusion);
+        c.step().unwrap(); // li
+        let rec = c.step().unwrap().unwrap();
+        assert_eq!(rec.pc, start);
+        assert_eq!(rec.instr, p.instr_at(start).unwrap());
+        assert_eq!((rec.fused_len, rec.conf, rec.latency), (4, Some(3), 2));
+        assert_eq!(rec.class, OpClass::Pfu);
+        assert_eq!(rec.src_vals, [5, 0]);
+        assert_eq!(rec.result, Some((((5 << 2) + 5) ^ 3) - 5));
+        assert_eq!(c.icount, 5, "one li plus the four fused instructions");
+        assert_eq!(c.pc, start + 16);
+        while c.step().unwrap().is_some() {}
+        assert_eq!(c.icount, 7);
     }
 
     #[test]

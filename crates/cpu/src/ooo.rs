@@ -14,13 +14,32 @@
 //! Pipeline per cycle (processed in reverse order so a stage sees the
 //! previous cycle's downstream state): commit → issue/execute → dispatch
 //! (rename + PFU tag check) → fetch.
+//!
+//! Issue is wakeup-driven rather than a scan of the whole window. At
+//! dispatch each RUU entry links itself to its unissued in-window
+//! producers (its data dependences plus the previous memory operation)
+//! and counts them; producers that already issued fold their
+//! `complete_at` into the entry's `ready_at`, which starts at its PFU
+//! configuration's ready cycle. Issuing an entry walks its consumer links:
+//! each consumer folds in the producer's completion cycle and drops its
+//! pending count. An entry with nothing pending waits in a time-ordered
+//! queue until `ready_at` arrives, then joins an age-ordered candidate
+//! list. The issue stage walks only that list, oldest first, under the
+//! per-class functional-unit limits and the issue width. A consumer woken
+//! mid-walk whose `ready_at` has already arrived (a 0-latency producer, or
+//! a memory operation whose predecessor just issued) joins the list behind
+//! its producer and can issue in the same cycle, exactly as a whole-window
+//! scan would find it. The wakeup state is derived from the window: the
+//! replay fast path neither snapshots nor compares it, and rebuilds it
+//! after fast-forwarding (see `ooo/fast_path.rs`).
 
 use crate::branch::{BranchStats, Predictor};
 use crate::config::CpuConfig;
 use crate::func::{DynInstr, ExecError};
 use crate::observe::{CycleClass, NullSink, StallCause, TraceEvent, TraceSink};
 use crate::pfu::{PfuArray, PfuOutcome, PfuStats};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 #[cfg(test)]
 use t1000_isa::Reg;
 use t1000_isa::{ConfId, OpClass};
@@ -78,7 +97,31 @@ struct RuuEntry {
     /// Sequence number of the previous memory operation (memory ops issue
     /// in program order relative to each other).
     prev_mem: Option<u64>,
+    /// What this entry still waits for, derived from the window by
+    /// [`OooCore::link`].
+    wakeup: Wakeup,
+    /// First link of this entry's consumer list ([`NO_LINK`] if empty).
+    wake_head: u64,
 }
+
+/// The wakeup state of a waiting RUU entry.
+struct Wakeup {
+    /// Links to unissued in-window producers not yet walked: one per
+    /// data dep and one for `prev_mem`.
+    pending: u8,
+    /// Earliest issue cycle given the producers issued so far: the max of
+    /// their `complete_at` and `pfu_ready_at`.
+    ready_at: u64,
+    /// Next link of a producer's consumer list, per link slot of this
+    /// entry: `deps[0..3]`, then [`MEM_SLOT`] for `prev_mem`.
+    next: [u64; 4],
+}
+
+/// End of a consumer list. A link id is `consumer_seq * 4 + slot`.
+const NO_LINK: u64 = u64::MAX;
+/// Link slot of the program-order link to `prev_mem`, which needs its
+/// producer issued but not completed.
+const MEM_SLOT: usize = 3;
 
 /// The out-of-order engine. Feed it dynamic records via [`OooCore::run`].
 pub struct OooCore {
@@ -96,6 +139,12 @@ pub struct OooCore {
     hilo_producer: Option<u64>,
     /// Seq of the most recently dispatched memory op.
     last_mem_seq: Option<u64>,
+    /// Issue candidates, oldest first: waiting entries with no pending
+    /// producer whose `ready_at` has arrived.
+    ready: Vec<u64>,
+    /// Waiting entries with no pending producer and a future `ready_at`,
+    /// as `(ready_at, seq)`.
+    timed: BinaryHeap<Reverse<(u64, u64)>>,
     /// Number of load/store entries currently in the window (LSQ occupancy).
     lsq_used: usize,
     /// Fetch queue between the fetcher and dispatch.
@@ -141,6 +190,8 @@ impl OooCore {
             reg_producer: [None; 32],
             hilo_producer: None,
             last_mem_seq: None,
+            ready: Vec::new(),
+            timed: BinaryHeap::new(),
             lsq_used: 0,
             fetch_queue: VecDeque::new(),
             dispatch_ready_at: 0,
@@ -358,8 +409,16 @@ impl OooCore {
         CycleClass::Stall { cause, pc }
     }
 
-    /// Issue ready entries oldest-first, respecting FU counts.
+    /// Issue candidates oldest-first, respecting FU counts and the issue
+    /// width, and wake the consumers of every issued entry.
     fn issue<S: TraceSink>(&mut self, sink: &mut S) {
+        while let Some(&Reverse((at, seq))) = self.timed.peek() {
+            if at > self.cycle {
+                break;
+            }
+            self.timed.pop();
+            self.enqueue(seq);
+        }
         let mut issued = 0;
         let mut alu_used = 0;
         let mut mult_used = 0;
@@ -367,65 +426,24 @@ impl OooCore {
         let mut pfu_used = 0;
         let pfu_ports = self.cfg.pfus.limit().unwrap_or(usize::MAX) as u32;
 
-        for idx in 0..self.window.len() {
-            if issued >= self.cfg.issue_width {
-                break;
-            }
-            let e = &self.window[idx];
-            if e.state != EntryState::Waiting {
-                continue;
-            }
-            // Operand readiness: all producers done by now.
-            let mut ready = true;
-            for dep in e.deps.iter().flatten() {
-                // Producer still in the window must have completed; a
-                // producer already committed has its value available.
-                if let Some(p) = self.entry(*dep) {
-                    if p.state == EntryState::Waiting || p.complete_at > self.cycle {
-                        ready = false;
-                        break;
-                    }
-                }
-            }
-            if !ready {
-                continue;
-            }
-            let rec_class = e.rec.class;
+        let mut i = 0;
+        while i < self.ready.len() && issued < self.cfg.issue_width {
+            let idx = (self.ready[i] - self.head_seq) as usize;
+            debug_assert_eq!(self.window[idx].state, EntryState::Waiting);
+            let rec_class = self.window[idx].rec.class;
             // Structural hazards.
-            match rec_class {
-                OpClass::IntAlu | OpClass::Ctrl | OpClass::Sys => {
-                    if alu_used >= self.cfg.int_alus {
-                        continue;
-                    }
-                }
-                OpClass::IntMult => {
-                    if mult_used >= self.cfg.mult_units {
-                        continue;
-                    }
-                }
-                OpClass::Load | OpClass::Store => {
-                    if mem_used >= self.cfg.mem_ports {
-                        continue;
-                    }
-                    // Memory ops begin execution in program order.
-                    if let Some(prev) = self.window[idx].prev_mem {
-                        match self.entry(prev) {
-                            Some(p) if p.state == EntryState::Waiting => continue,
-                            Some(p) if p.issued_at > self.cycle => continue,
-                            _ => {}
-                        }
-                    }
-                }
-                OpClass::Pfu => {
-                    if pfu_used >= pfu_ports {
-                        continue;
-                    }
-                    if self.window[idx].pfu_ready_at > self.cycle {
-                        continue;
-                    }
-                }
+            let free = match rec_class {
+                OpClass::IntAlu | OpClass::Ctrl | OpClass::Sys => alu_used < self.cfg.int_alus,
+                OpClass::IntMult => mult_used < self.cfg.mult_units,
+                OpClass::Load | OpClass::Store => mem_used < self.cfg.mem_ports,
+                OpClass::Pfu => pfu_used < pfu_ports,
+            };
+            if !free {
+                i += 1;
+                continue;
             }
             // Issue it.
+            self.ready.remove(i);
             let latency = match rec_class {
                 OpClass::Load | OpClass::Store => {
                     let Some((addr, is_write)) = self.window[idx].rec.mem else {
@@ -459,6 +477,103 @@ impl OooCore {
                 OpClass::Load | OpClass::Store => mem_used += 1,
                 OpClass::Pfu => pfu_used += 1,
             }
+            self.wake(idx);
+        }
+    }
+
+    /// Walks the consumer list of the just-issued entry at window index
+    /// `idx`. A consumer left with nothing pending is scheduled for this
+    /// cycle's remaining walk if its `ready_at` has arrived: it is younger
+    /// than its producer, so it lands behind the walk's position.
+    fn wake(&mut self, idx: usize) {
+        let complete_at = self.window[idx].complete_at;
+        let mut link = std::mem::replace(&mut self.window[idx].wake_head, NO_LINK);
+        while link != NO_LINK {
+            let (seq, slot) = (link / 4, (link % 4) as usize);
+            let c = &mut self.window[(seq - self.head_seq) as usize].wakeup;
+            link = c.next[slot];
+            if slot != MEM_SLOT {
+                c.ready_at = c.ready_at.max(complete_at);
+            }
+            c.pending -= 1;
+            if c.pending == 0 {
+                let ready_at = c.ready_at;
+                self.schedule(seq, ready_at, self.cycle);
+            }
+        }
+    }
+
+    /// Derives the wakeup state of waiting entry `seq` from the older
+    /// entries: links it to each unissued in-window producer among
+    /// `producers` (its `deps`, then its `prev_mem`) and folds issued
+    /// producers' completion cycles into `ready_at`, which starts at
+    /// `pfu_ready_at`.
+    fn link(&mut self, seq: u64, producers: [Option<u64>; 4], pfu_ready_at: u64) -> Wakeup {
+        let mut w = Wakeup {
+            pending: 0,
+            ready_at: pfu_ready_at,
+            next: [NO_LINK; 4],
+        };
+        for (slot, p) in producers.into_iter().enumerate() {
+            // Committed producers have their results available.
+            let Some(pi) = p.and_then(|p| p.checked_sub(self.head_seq)) else {
+                continue;
+            };
+            let prod = &mut self.window[pi as usize];
+            if prod.state == EntryState::Done {
+                if slot != MEM_SLOT {
+                    w.ready_at = w.ready_at.max(prod.complete_at);
+                }
+            } else {
+                // A producer in two slots (a store of the value its
+                // predecessor loaded) gets two links, one per slot, and
+                // issuing it walks both.
+                w.next[slot] = prod.wake_head;
+                prod.wake_head = seq * 4 + slot as u64;
+                w.pending += 1;
+            }
+        }
+        w
+    }
+
+    /// Queues an entry with nothing pending: into the candidate list if
+    /// `ready_at` has arrived by the issue stage of cycle `now`, else into
+    /// the time-ordered queue.
+    fn schedule(&mut self, seq: u64, ready_at: u64, now: u64) {
+        if ready_at <= now {
+            self.enqueue(seq);
+        } else {
+            self.timed.push(Reverse((ready_at, seq)));
+        }
+    }
+
+    /// Inserts `seq` into the candidate list in age order.
+    fn enqueue(&mut self, seq: u64) {
+        let pos = self.ready.partition_point(|&s| s < seq);
+        self.ready.insert(pos, seq);
+    }
+
+    /// Recomputes the whole wakeup state from the window (after the fast
+    /// path has shifted its sequence numbers and clocks). Called between
+    /// cycles, so the next issue stage is this cycle's.
+    fn rebuild_wakeup(&mut self) {
+        self.ready.clear();
+        self.timed.clear();
+        for e in self.window.iter_mut() {
+            e.wake_head = NO_LINK;
+        }
+        for idx in 0..self.window.len() {
+            let e = &self.window[idx];
+            if e.state == EntryState::Done {
+                continue;
+            }
+            let seq = self.head_seq + idx as u64;
+            let producers = [e.deps[0], e.deps[1], e.deps[2], e.prev_mem];
+            let w = self.link(seq, producers, e.pfu_ready_at);
+            if w.pending == 0 {
+                self.schedule(seq, w.ready_at, self.cycle);
+            }
+            self.window[idx].wakeup = w;
         }
     }
 
@@ -599,6 +714,11 @@ impl OooCore {
                 self.hilo_producer = Some(seq);
             }
             let is_sys = rec.class == OpClass::Sys;
+            let wakeup = self.link(seq, [deps[0], deps[1], deps[2], prev_mem], pfu_ready_at);
+            if wakeup.pending == 0 {
+                // First considered by next cycle's issue stage.
+                self.schedule(seq, wakeup.ready_at, self.cycle + 1);
+            }
             self.window.push_back(RuuEntry {
                 rec,
                 state: EntryState::Waiting,
@@ -607,6 +727,8 @@ impl OooCore {
                 complete_at: 0,
                 issued_at: 0,
                 prev_mem,
+                wakeup,
+                wake_head: NO_LINK,
             });
             if is_sys || self.cycle < self.dispatch_ready_at {
                 break;
@@ -1511,6 +1633,75 @@ loop:
         );
         let plain = time(&p, &FusionMap::new(), CpuConfig::baseline());
         assert_eq!(stats.cycles, plain.cycles);
+    }
+
+    #[test]
+    fn same_cycle_wakeups_match_the_window_scan() {
+        // A fused site with a 0-cycle PFU latency feeds an ALU chain, and
+        // back-to-back loads and stores each wait only on their
+        // predecessor's issue: consumers of both kinds become ready in
+        // the cycle their producer issues. Cycle counts and attribution
+        // were captured from the whole-window issue scan.
+        let src = "
+main:
+    li   $s0, 300
+    li   $t0, 3
+    li   $t1, 5
+    la   $s1, buf
+loop:
+    sll  $t2, $t0, 4
+    addu $t2, $t2, $t1
+    xor  $t2, $t2, $t0
+    addu $t3, $t2, $t1
+    addu $t4, $t3, $t2
+    sw   $t4, 0($s1)
+    lw   $t5, 4($s1)
+    sw   $t5, 8($s1)
+    lw   $t6, 0($s1)
+    addu $t1, $t1, $t6
+    andi $t1, $t1, 1023
+    addiu $s0, $s0, -1
+    bgtz $s0, loop
+    li   $v0, 10
+    syscall
+.data
+buf: .space 64
+";
+        let p = assemble(src).unwrap();
+        let start = p.symbol("loop").unwrap();
+        let skeleton: Vec<_> = (0..3).map(|k| p.instr_at(start + 4 * k).unwrap()).collect();
+        let mut fusion = FusionMap::new();
+        fusion.define(t1000_isa::ConfDef {
+            conf: 0,
+            skeleton,
+            base_cycles: 3,
+            pfu_latency: 0,
+        });
+        fusion.add_site(t1000_isa::FusedSite {
+            pc: start,
+            len: 3,
+            conf: 0,
+            inputs: vec![Reg::parse("t0").unwrap(), Reg::parse("t1").unwrap()],
+            output: Reg::parse("t2").unwrap(),
+        });
+        // (issue_width, cycles, busy cycles, stalls by cause)
+        let golden = [
+            (1, 3426, 3265, [72, 0, 2, 7, 0, 4, 0, 57, 19, 0]),
+            (2, 1935, 1772, [74, 0, 2, 7, 0, 4, 0, 57, 19, 0]),
+            (4, 1935, 1771, [75, 0, 2, 7, 0, 4, 0, 57, 19, 0]),
+        ];
+        for (width, cycles, busy, stalls) in golden {
+            for fast_path in [false, true] {
+                let mut cfg = CpuConfig::with_pfus(1);
+                cfg.issue_width = width;
+                cfg.fast_path = fast_path;
+                let (stats, attr) = time_attr(&p, &fusion, cfg);
+                let ctx = format!("issue_width {width}, fast_path {fast_path}");
+                assert_eq!(stats.cycles, cycles, "{ctx}");
+                assert_eq!(attr.busy_cycles, busy, "{ctx}");
+                assert_eq!(attr.stalls, stalls, "{ctx}");
+            }
+        }
     }
 
     #[test]

@@ -608,5 +608,8 @@ impl OooCore {
         self.mem.fast_forward(&snap.mem, iters);
         self.pfus.fast_forward(&snap.pfus, iters, d.dc, stale);
         self.predictor.fast_forward(&snap.predictor, iters);
+        // The scheduler's wakeup state is not snapshotted: the window
+        // determines it, so it is derived afresh from the shifted window.
+        self.rebuild_wakeup();
     }
 }

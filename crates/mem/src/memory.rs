@@ -5,15 +5,49 @@
 //! separated text/data/stack segments stay cheap to host.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use t1000_isa::Program;
 
 /// Size of one backing page in bytes.
 pub const PAGE_SIZE: u32 = 4096;
 
+/// Hasher for page numbers: one multiply by an odd 64-bit constant
+/// (Fibonacci hashing). Distinct page numbers keep distinct low bits, and
+/// the high bits mix every input bit. The keys are simulator addresses, not
+/// adversarial input, so a keyed hash buys nothing here.
+#[derive(Default)]
+struct PageHasher(u64);
+
+/// 2^64 divided by the golden ratio, rounded to odd.
+const FIB: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FIB);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(FIB);
+    }
+}
+
 /// Sparse little-endian memory.
 #[derive(Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u32, Box<[u8; PAGE_SIZE as usize]>>,
+    pages: HashMap<u32, Box<[u8; PAGE_SIZE as usize]>, BuildHasherDefault<PageHasher>>,
+}
+
+/// Byte offset of `addr` in its page if a `len`-byte access there stays
+/// inside that page.
+fn in_page(addr: u32, len: u32) -> Option<usize> {
+    let off = addr % PAGE_SIZE;
+    (off <= PAGE_SIZE - len).then_some(off as usize)
 }
 
 impl Memory {
@@ -28,8 +62,15 @@ impl Memory {
         for (i, &w) in p.text.iter().enumerate() {
             m.write_u32(p.text_base + 4 * i as u32, w);
         }
-        for (i, &b) in p.data.iter().enumerate() {
-            m.write_u8(p.data_base + i as u32, b);
+        // Page-sized copies; every page the segment touches is allocated,
+        // as byte-by-byte stores would.
+        let (mut addr, mut rest) = (p.data_base, p.data.as_slice());
+        while !rest.is_empty() {
+            let off = (addr % PAGE_SIZE) as usize;
+            let n = rest.len().min(PAGE_SIZE as usize - off);
+            m.page(addr)[off..off + n].copy_from_slice(&rest[..n]);
+            addr = addr.wrapping_add(n as u32);
+            rest = &rest[n..];
         }
         m
     }
@@ -66,8 +107,15 @@ impl Memory {
         self.write_u8(addr.wrapping_add(1), b);
     }
 
-    /// Reads a little-endian word.
+    /// Reads a little-endian word. A word inside one page costs one page
+    /// lookup; one spanning two pages is read byte by byte.
     pub fn read_u32(&self, addr: u32) -> u32 {
+        if let Some(off) = in_page(addr, 4) {
+            return match self.pages.get(&(addr / PAGE_SIZE)) {
+                Some(p) => u32::from_le_bytes([p[off], p[off + 1], p[off + 2], p[off + 3]]),
+                None => 0,
+            };
+        }
         u32::from_le_bytes([
             self.read_u8(addr),
             self.read_u8(addr.wrapping_add(1)),
@@ -76,8 +124,13 @@ impl Memory {
         ])
     }
 
-    /// Writes a little-endian word.
+    /// Writes a little-endian word, with one page lookup when it stays
+    /// inside one page.
     pub fn write_u32(&mut self, addr: u32, v: u32) {
+        if let Some(off) = in_page(addr, 4) {
+            self.page(addr)[off..off + 4].copy_from_slice(&v.to_le_bytes());
+            return;
+        }
         for (i, b) in v.to_le_bytes().into_iter().enumerate() {
             self.write_u8(addr.wrapping_add(i as u32), b);
         }
@@ -115,7 +168,57 @@ mod tests {
         let mut m = Memory::new();
         m.write_u32(PAGE_SIZE - 2, 0x0102_0304);
         assert_eq!(m.read_u32(PAGE_SIZE - 2), 0x0102_0304);
+        assert_eq!(m.read_u16(PAGE_SIZE - 2), 0x0304);
+        assert_eq!(m.read_u16(PAGE_SIZE), 0x0102);
         assert_eq!(m.allocated_pages(), 2);
+    }
+
+    #[test]
+    fn unaligned_words_round_trip_inside_a_page() {
+        let mut m = Memory::new();
+        m.write_u32(0x2001, 0xa1b2_c3d4);
+        assert_eq!(m.read_u32(0x2001), 0xa1b2_c3d4);
+        assert_eq!(m.read_u8(0x2001), 0xd4);
+        assert_eq!(m.read_u8(0x2004), 0xa1);
+        assert_eq!(m.read_u32(0x2000), 0xb2c3_d400);
+        assert_eq!(m.allocated_pages(), 1);
+        // The last word that fits in the page, and the first that spans.
+        m.write_u32(0x2ffc, 0x1122_3344);
+        m.write_u32(0x2ffd, 0x5566_7788);
+        assert_eq!(m.read_u32(0x2ffc), 0x6677_8844);
+        assert_eq!(m.read_u32(0x2ffd), 0x5566_7788);
+        assert_eq!(m.read_u8(0x3000), 0x55);
+        assert_eq!(m.allocated_pages(), 2);
+    }
+
+    #[test]
+    fn reading_unallocated_memory_allocates_nothing() {
+        let mut m = Memory::new();
+        m.write_u8(0x4000, 7);
+        assert_eq!(m.allocated_pages(), 1);
+        for addr in [0x8000, 0x8001, PAGE_SIZE * 9 - 2, u32::MAX - 3, u32::MAX] {
+            assert_eq!(m.read_u32(addr), 0);
+        }
+        assert_eq!(m.read_u16(0x9000), 0);
+        assert_eq!(m.allocated_pages(), 1);
+    }
+
+    #[test]
+    fn data_segment_copy_matches_byte_stores() {
+        // A data segment that starts mid-page and spans three pages.
+        let mut p = Program::from_words(vec![0]);
+        p.data_base = 3 * PAGE_SIZE - 5;
+        p.data = (0..2 * PAGE_SIZE + 9).map(|i| (i * 7 + 1) as u8).collect();
+        let m = Memory::with_program(&p);
+        let mut bytes = Memory::new();
+        bytes.write_u32(p.text_base, 0);
+        for (i, &b) in p.data.iter().enumerate() {
+            bytes.write_u8(p.data_base + i as u32, b);
+        }
+        assert_eq!(m.allocated_pages(), bytes.allocated_pages());
+        for addr in p.data_base - 8..p.data_base + p.data.len() as u32 + 8 {
+            assert_eq!(m.read_u8(addr), bytes.read_u8(addr), "at 0x{addr:x}");
+        }
     }
 
     #[test]
