@@ -8,6 +8,14 @@
 //! prediction* for free: fetch simply follows the architecturally executed
 //! path.
 //!
+//! A record carries only what the timing model reads, packed into 24
+//! bytes: it is copied from the core through the fetch queue into the RUU,
+//! so its size is paid on every hand-off. The text segment is decoded once
+//! into per-word record templates; a step copies its template and fills in
+//! the memory address and the branch outcome. Operand and result values
+//! stay in the core ([`FuncCore::values`]), where bitwidth profiling reads
+//! them.
+//!
 //! Fusion is applied here: when the PC lands on a [`FusedSite`], the whole
 //! sequence executes architecturally (bit-identical results) but a single
 //! `DynInstr` of class `Pfu` is emitted.
@@ -16,65 +24,178 @@ use crate::syscall::SyscallState;
 use t1000_isa::{decode, DecodeError, FusedSite, FusionMap, Instr, Op, OpClass, Program, Reg};
 use t1000_mem::Memory;
 
-/// One dynamic (committed-path) instruction record.
-#[derive(Clone, Debug)]
+/// One dynamic (committed-path) instruction record: the timing-relevant
+/// facts of one instruction or fused sequence. Records are compared as
+/// plain values, so every field not in use holds a fixed filler (address
+/// 0, conf 0, a no-register byte) and two records are equal exactly when
+/// the timing model cannot tell them apart.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DynInstr {
     /// PC of the (first) instruction.
     pub pc: u32,
-    /// The decoded instruction (for fused records, the *first* of the
-    /// sequence; `fused_len > 1` marks fusion).
-    pub instr: Instr,
-    /// Number of base instructions this record covers (1 = not fused).
-    pub fused_len: u32,
-    /// PFU configuration id for fused records.
-    pub conf: Option<u16>,
-    /// Functional-unit class used by the timing model.
-    pub class: OpClass,
+    /// Byte address of the memory access (0 when there is none).
+    addr: u32,
     /// Execution latency on its functional unit.
     pub latency: u32,
-    /// Destination general-purpose register, if any.
-    pub gpr_def: Option<Reg>,
-    /// Source general-purpose registers (≤ 2).
-    pub gpr_uses: [Option<Reg>; 2],
-    /// Whether HI/LO is written / read.
-    pub hilo_def: bool,
-    pub hilo_use: bool,
-    /// Memory reference, if any: (byte address, is_write).
-    pub mem: Option<(u32, bool)>,
-    /// Source operand values (for bitwidth profiling).
-    pub src_vals: [u32; 2],
-    /// Result value written to `gpr_def` (for bitwidth profiling).
-    pub result: Option<u32>,
-    /// For conditional branches: whether the branch was taken. `None`
-    /// for everything else.
-    pub taken: Option<bool>,
-    /// Whether this instruction terminated the program.
-    pub exits: bool,
+    /// Number of base instructions this record covers (1 = not fused).
+    pub fused_len: u32,
+    /// PFU configuration id (0 unless [`HAS_CONF`] is set).
+    conf: u16,
+    /// Functional-unit class used by the timing model.
+    pub class: OpClass,
+    /// Destination general-purpose register index, or [`NO_REG`].
+    def: u8,
+    /// Source general-purpose register indices (packed to the front), or
+    /// [`NO_REG`].
+    uses: [u8; 2],
+    /// [`MEM`], [`WRITE`], [`HILO_DEF`], [`HILO_USE`], [`BRANCH`],
+    /// [`TAKEN`], [`BACKWARD`] and [`HAS_CONF`].
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<DynInstr>() <= 24);
+
+/// Register byte meaning "no register".
+const NO_REG: u8 = u8::MAX;
+/// The record accesses memory at `addr`.
+const MEM: u8 = 1 << 0;
+/// The memory access is a store.
+const WRITE: u8 = 1 << 1;
+/// HI/LO is written.
+const HILO_DEF: u8 = 1 << 2;
+/// HI/LO is read.
+const HILO_USE: u8 = 1 << 3;
+/// A conditional branch.
+const BRANCH: u8 = 1 << 4;
+/// The conditional branch was taken.
+const TAKEN: u8 = 1 << 5;
+/// The immediate is negative (for a branch: a backward displacement).
+const BACKWARD: u8 = 1 << 6;
+/// `conf` holds a PFU configuration id.
+const HAS_CONF: u8 = 1 << 7;
+
+fn reg_byte(r: Option<Reg>) -> u8 {
+    r.map_or(NO_REG, |r| r.index() as u8)
+}
+
+fn byte_reg(b: u8) -> Option<Reg> {
+    (b != NO_REG).then(|| Reg::from_field(u32::from(b)))
 }
 
 impl DynInstr {
-    /// The static part of the record of `i` at `pc`: everything but the
-    /// operand values, result, memory access and branch outcome.
-    fn of(pc: u32, i: Instr) -> DynInstr {
+    /// The template of base instruction `i` at `pc`: everything but the
+    /// memory address and the branch outcome.
+    pub(crate) fn of(pc: u32, i: &Instr) -> DynInstr {
         let mut uses = i.uses();
+        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+        let class = i.op.class();
+        let is_mem = matches!(class, OpClass::Load | OpClass::Store);
         DynInstr {
             pc,
-            instr: i,
-            fused_len: 1,
-            conf: None,
-            class: i.op.class(),
+            addr: 0,
             latency: i.op.latency(),
-            gpr_def: i.def(),
-            gpr_uses: [uses.next(), uses.next()],
-            hilo_def: i.writes_hilo(),
-            hilo_use: i.reads_hilo(),
-            mem: None,
-            src_vals: [0; 2],
-            result: None,
-            taken: None,
-            exits: false,
+            fused_len: 1,
+            conf: 0,
+            class,
+            def: reg_byte(i.def()),
+            uses: [reg_byte(uses.next()), reg_byte(uses.next())],
+            flags: flag(is_mem, MEM)
+                | flag(class == OpClass::Store, WRITE)
+                | flag(i.writes_hilo(), HILO_DEF)
+                | flag(i.reads_hilo(), HILO_USE)
+                | flag(i.op.is_branch(), BRANCH)
+                | flag(i.imm < 0, BACKWARD),
         }
     }
+
+    /// The record of fused site `site`, whose PFU takes `latency` cycles.
+    fn fused(site: &FusedSite, latency: u32) -> DynInstr {
+        DynInstr {
+            pc: site.pc,
+            addr: 0,
+            latency,
+            fused_len: site.len,
+            conf: site.conf,
+            class: OpClass::Pfu,
+            def: reg_byte(Some(site.output)),
+            uses: [
+                reg_byte(site.inputs.first().copied()),
+                reg_byte(site.inputs.get(1).copied()),
+            ],
+            flags: HAS_CONF,
+        }
+    }
+
+    /// Memory reference, if any: (byte address, is_write).
+    #[inline]
+    pub fn mem(&self) -> Option<(u32, bool)> {
+        (self.flags & MEM != 0).then_some((self.addr, self.flags & WRITE != 0))
+    }
+
+    /// PFU configuration id for fused records.
+    #[inline]
+    pub fn conf(&self) -> Option<u16> {
+        (self.flags & HAS_CONF != 0).then_some(self.conf)
+    }
+
+    /// Destination general-purpose register, if any.
+    #[inline]
+    pub fn gpr_def(&self) -> Option<Reg> {
+        byte_reg(self.def)
+    }
+
+    /// Source general-purpose registers (≤ 2, packed to the front).
+    #[inline]
+    pub fn gpr_uses(&self) -> [Option<Reg>; 2] {
+        self.uses.map(byte_reg)
+    }
+
+    /// Whether HI/LO is written.
+    #[inline]
+    pub fn hilo_def(&self) -> bool {
+        self.flags & HILO_DEF != 0
+    }
+
+    /// Whether HI/LO is read.
+    #[inline]
+    pub fn hilo_use(&self) -> bool {
+        self.flags & HILO_USE != 0
+    }
+
+    /// For conditional branches: whether the branch was taken. `None` for
+    /// everything else.
+    #[inline]
+    pub fn taken(&self) -> Option<bool> {
+        (self.flags & BRANCH != 0).then_some(self.flags & TAKEN != 0)
+    }
+
+    /// Whether the instruction's immediate is negative: for a branch, a
+    /// backward (loop-closing) displacement. Always false for fused
+    /// records.
+    #[inline]
+    pub fn backward(&self) -> bool {
+        self.flags & BACKWARD != 0
+    }
+}
+
+/// Operand and result values of the most recent step, for bitwidth
+/// profiling.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StepValues {
+    /// Values of the record's source registers, in
+    /// [`DynInstr::gpr_uses`] order (0 where there is none), read before
+    /// the step.
+    pub srcs: [u32; 2],
+    /// The value the step computed for its destination register, if it
+    /// computes one. Written even when the destination is `$zero`; `None`
+    /// for `jal`/`jalr`, whose link address is not a computed value.
+    pub result: Option<u32>,
+}
+
+/// A text word decoded once: the instruction and its record template.
+struct Decoded {
+    instr: Instr,
+    rec: DynInstr,
 }
 
 /// Functional execution error.
@@ -120,13 +241,14 @@ impl std::error::Error for ExecError {}
 /// Architectural machine state plus the program it runs.
 pub struct FuncCore<'a> {
     program: &'a Program,
-    fusion: &'a FusionMap,
-    /// The text segment decoded once, by word index, into records whose
-    /// static fields are filled in. An undecodable word is an error only
-    /// if it executes.
-    text: Vec<Result<DynInstr, DecodeError>>,
-    /// The fused site starting at each word index, if any.
-    sites: Vec<Option<&'a FusedSite>>,
+    /// The text segment decoded once, by word index. An undecodable word
+    /// is an error only if it executes.
+    text: Vec<Result<Decoded, DecodeError>>,
+    /// The fused site starting at each word index, if any, with its
+    /// record.
+    sites: Vec<Option<(&'a FusedSite, DynInstr)>>,
+    /// Operand and result values of the last step.
+    values: StepValues,
     /// General-purpose registers.
     pub regs: [u32; 32],
     pub hi: u32,
@@ -158,19 +280,25 @@ impl<'a> FuncCore<'a> {
         let text = (0..)
             .step_by(4)
             .zip(&program.text)
-            .map(|(off, &w)| decode(w).map(|i| DynInstr::of(program.text_base + off, i)))
+            .map(|(off, &w)| {
+                decode(w).map(|instr| Decoded {
+                    instr,
+                    rec: DynInstr::of(program.text_base + off, &instr),
+                })
+            })
             .collect();
         let mut sites = vec![None; program.text.len()];
         for site in fusion.sites() {
             if let Some(i) = text_index(program, site.pc) {
-                sites[i] = Some(site);
+                let latency = fusion.def(site.conf).map_or(1, |d| d.pfu_latency);
+                sites[i] = Some((site, DynInstr::fused(site, latency)));
             }
         }
         FuncCore {
             program,
-            fusion,
             text,
             sites,
+            values: StepValues::default(),
             regs,
             hi: 0,
             lo: 0,
@@ -200,6 +328,12 @@ impl<'a> FuncCore<'a> {
         self.finished
     }
 
+    /// Operand and result values of the most recent successful
+    /// [`step`](FuncCore::step).
+    pub fn values(&self) -> StepValues {
+        self.values
+    }
+
     fn reg(&self, r: Reg) -> u32 {
         self.regs[r.index()]
     }
@@ -210,10 +344,10 @@ impl<'a> FuncCore<'a> {
         }
     }
 
-    /// The pre-decoded record at word index `idx` (at address `pc`).
-    fn decoded(&self, idx: usize, pc: u32) -> Result<&DynInstr, ExecError> {
+    /// The pre-decoded word at index `idx` (at address `pc`).
+    fn decoded(&self, idx: usize, pc: u32) -> Result<&Decoded, ExecError> {
         match self.text.get(idx) {
-            Some(Ok(rec)) => Ok(rec),
+            Some(Ok(d)) => Ok(d),
             Some(Err(e)) => Err(ExecError::Decode(pc, e.word)),
             None => Err(ExecError::PcOutOfRange(pc)),
         }
@@ -229,79 +363,53 @@ impl<'a> FuncCore<'a> {
         let Some(idx) = text_index(self.program, self.pc) else {
             return Err(ExecError::PcOutOfRange(self.pc));
         };
-        if let Some(site) = self.sites[idx] {
-            if self.faulted_confs.contains(&site.conf) {
-                // The site's configuration failed to load: execute the
-                // first constituent unfused. The following PCs are not
-                // site starts, so the rest of the sequence also runs
-                // scalar, at its true latency.
-                self.conf_fault_fallbacks += 1;
-                return self.exec_one(idx).map(Some);
-            }
-            let start_pc = self.pc;
-            let in0 = site.inputs.first().copied();
-            let in1 = site.inputs.get(1).copied();
-            let src_vals = [
-                in0.map_or(0, |r| self.reg(r)),
-                in1.map_or(0, |r| self.reg(r)),
-            ];
-            let first = self.decoded(idx, start_pc)?.instr;
-            // Execute every constituent architecturally. The selector
-            // guarantees the sequence is pure ALU straight-line code, so
-            // control cannot leave it mid-way; a hand-built site running
-            // past the text segment reports the PC that left it.
-            for k in 0..site.len {
-                let pc = start_pc + 4 * k;
-                let rec = self.decoded(idx + k as usize, pc)?;
-                let (i, def) = (rec.instr, rec.gpr_def);
-                debug_assert!(
-                    i.op.is_pfu_candidate(),
-                    "fused site at 0x{start_pc:x} contains non-ALU op {:?}",
-                    i.op
-                );
-                let r = self.exec_alu(&i);
-                self.set_reg(def.unwrap_or(Reg::ZERO), r);
-                self.icount += 1;
-            }
-            self.pc = site.end_pc();
-            let latency = self.fusion.def(site.conf).map_or(1, |d| d.pfu_latency);
-            return Ok(Some(DynInstr {
-                pc: start_pc,
-                instr: first,
-                fused_len: site.len,
-                conf: Some(site.conf),
-                class: OpClass::Pfu,
-                latency,
-                gpr_def: Some(site.output),
-                gpr_uses: [in0, in1],
-                hilo_def: false,
-                hilo_use: false,
-                mem: None,
-                src_vals,
-                result: Some(self.reg(site.output)),
-                taken: None,
-                exits: false,
-            }));
+        let Some((site, rec)) = self.sites[idx] else {
+            return self.exec_one(idx).map(Some);
+        };
+        if self.faulted_confs.contains(&site.conf) {
+            // The site's configuration failed to load: execute the first
+            // constituent unfused. The following PCs are not site starts,
+            // so the rest of the sequence also runs scalar, at its true
+            // latency.
+            self.conf_fault_fallbacks += 1;
+            return self.exec_one(idx).map(Some);
         }
-        self.exec_one(idx).map(Some)
-    }
-
-    /// Executes exactly one base instruction (no fusion).
-    pub fn step_one(&mut self) -> Result<DynInstr, ExecError> {
-        match text_index(self.program, self.pc) {
-            Some(idx) => self.exec_one(idx),
-            None => Err(ExecError::PcOutOfRange(self.pc)),
+        let input = |k: usize| site.inputs.get(k).map_or(0, |&r| self.reg(r));
+        let srcs = [input(0), input(1)];
+        // Execute every constituent architecturally. The selector
+        // guarantees the sequence is pure ALU straight-line code, so
+        // control cannot leave it mid-way; a hand-built site running past
+        // the text segment reports the PC that left it.
+        for k in 0..site.len {
+            let d = self.decoded(idx + k as usize, rec.pc + 4 * k)?;
+            let (i, def) = (d.instr, d.rec.gpr_def());
+            debug_assert!(
+                i.op.is_pfu_candidate(),
+                "fused site at 0x{:x} contains non-ALU op {:?}",
+                rec.pc,
+                i.op
+            );
+            let r = self.exec_alu(&i);
+            self.set_reg(def.unwrap_or(Reg::ZERO), r);
+            self.icount += 1;
         }
+        self.pc = site.end_pc();
+        self.values = StepValues {
+            srcs,
+            result: Some(self.reg(site.output)),
+        };
+        Ok(Some(rec))
     }
 
     /// Executes the base instruction at word index `idx` (the current PC).
     fn exec_one(&mut self, idx: usize) -> Result<DynInstr, ExecError> {
         let pc = self.pc;
-        let mut rec = self.decoded(idx, pc)?.clone();
-        let i = rec.instr;
+        let d = self.decoded(idx, pc)?;
+        let (i, mut rec) = (d.instr, d.rec);
         self.icount += 1;
-        let [u0, u1] = rec.gpr_uses;
-        rec.src_vals = [u0.map_or(0, |r| self.reg(r)), u1.map_or(0, |r| self.reg(r))];
+        let [u0, u1] = rec.gpr_uses();
+        let srcs = [u0.map_or(0, |r| self.reg(r)), u1.map_or(0, |r| self.reg(r))];
+        let mut result = None;
 
         let mut next_pc = pc.wrapping_add(4);
         use Op::*;
@@ -309,8 +417,8 @@ impl<'a> FuncCore<'a> {
             // ---- ALU ----
             op if op.is_pfu_candidate() => {
                 let v = self.exec_alu(&i);
-                self.set_reg(rec.gpr_def.unwrap_or(Reg::ZERO), v);
-                rec.result = Some(v);
+                self.set_reg(rec.gpr_def().unwrap_or(Reg::ZERO), v);
+                result = Some(v);
             }
             // ---- multiply / divide / HI-LO ----
             Mult => {
@@ -351,12 +459,12 @@ impl<'a> FuncCore<'a> {
             Mfhi => {
                 let v = self.hi;
                 self.set_reg(i.rd, v);
-                rec.result = Some(v);
+                result = Some(v);
             }
             Mflo => {
                 let v = self.lo;
                 self.set_reg(i.rd, v);
-                rec.result = Some(v);
+                result = Some(v);
             }
             Mthi => self.hi = self.reg(i.rs),
             Mtlo => self.lo = self.reg(i.rs),
@@ -365,13 +473,13 @@ impl<'a> FuncCore<'a> {
                 let addr = self.reg(i.rs).wrapping_add(i.imm as u32);
                 let v = self.load(pc, i.op, addr)?;
                 self.set_reg(i.rt, v);
-                rec.mem = Some((addr, false));
-                rec.result = Some(v);
+                rec.addr = addr;
+                result = Some(v);
             }
             Sb | Sh | Sw => {
                 let addr = self.reg(i.rs).wrapping_add(i.imm as u32);
                 self.store(pc, i.op, addr, self.reg(i.rt))?;
-                rec.mem = Some((addr, true));
+                rec.addr = addr;
             }
             // ---- control ----
             Beq => {
@@ -423,15 +531,9 @@ impl<'a> FuncCore<'a> {
                     .sys
                     .execute(code, arg)
                     .map_err(|e| ExecError::BadSyscall { pc, code: e.code })?;
-                if done {
-                    self.finished = true;
-                    rec.exits = true;
-                }
+                self.finished = done;
             }
-            Break => {
-                self.finished = true;
-                rec.exits = true;
-            }
+            Break => self.finished = true,
             Ext => {
                 // A literal `ext` opcode in the text (as opposed to a
                 // fusion-map site) has no skeleton to execute; treat as a
@@ -441,10 +543,11 @@ impl<'a> FuncCore<'a> {
             _ => unreachable!("op {:?} not covered", i.op),
         }
 
-        if i.op.is_branch() {
-            rec.taken = Some(next_pc != pc.wrapping_add(4));
+        if rec.flags & BRANCH != 0 && next_pc != pc.wrapping_add(4) {
+            rec.flags |= TAKEN;
         }
         self.pc = next_pc;
+        self.values = StepValues { srcs, result };
         Ok(rec)
     }
 
@@ -725,7 +828,7 @@ main:
             if rec.class == OpClass::Pfu {
                 saw_pfu = true;
                 assert_eq!(rec.fused_len, 3);
-                assert_eq!(rec.conf, Some(0));
+                assert_eq!(rec.conf(), Some(0));
             }
             dyn_count += 1;
         }
@@ -756,7 +859,7 @@ main:
         let mut c = FuncCore::new(&p, &fusion);
         c.pc = bad_pc;
         assert_eq!(c.step().unwrap_err(), ExecError::Decode(bad_pc, BAD));
-        assert_eq!(c.step_one().unwrap_err(), ExecError::Decode(bad_pc, BAD));
+        assert_eq!(c.step().unwrap_err(), ExecError::Decode(bad_pc, BAD));
         assert_eq!(c.icount, 0);
     }
 
@@ -792,16 +895,109 @@ main:
         let mut c = FuncCore::new(&p, &fusion);
         c.step().unwrap(); // li
         let rec = c.step().unwrap().unwrap();
+        let (t0, t1) = (Reg::parse("t0").unwrap(), Reg::parse("t1").unwrap());
         assert_eq!(rec.pc, start);
-        assert_eq!(rec.instr, p.instr_at(start).unwrap());
-        assert_eq!((rec.fused_len, rec.conf, rec.latency), (4, Some(3), 2));
+        assert_eq!((rec.fused_len, rec.conf(), rec.latency), (4, Some(3), 2));
         assert_eq!(rec.class, OpClass::Pfu);
-        assert_eq!(rec.src_vals, [5, 0]);
-        assert_eq!(rec.result, Some((((5 << 2) + 5) ^ 3) - 5));
+        assert_eq!(
+            (rec.gpr_def(), rec.gpr_uses()),
+            (Some(t1), [Some(t0), None])
+        );
+        assert_eq!(
+            (rec.mem(), rec.taken(), rec.backward()),
+            (None, None, false)
+        );
+        assert_eq!((rec.hilo_def(), rec.hilo_use()), (false, false));
+        assert_eq!(
+            c.values(),
+            StepValues {
+                srcs: [5, 0],
+                result: Some((((5 << 2) + 5) ^ 3) - 5),
+            }
+        );
         assert_eq!(c.icount, 5, "one li plus the four fused instructions");
         assert_eq!(c.pc, start + 16);
         while c.step().unwrap().is_some() {}
         assert_eq!(c.icount, 7);
+    }
+
+    #[test]
+    fn templates_agree_with_their_instructions_on_every_kernel() {
+        use t1000_workloads::{Scale, NAMES};
+        for name in NAMES {
+            let w = t1000_workloads::by_name(name, Scale::Test).unwrap();
+            let p = w.program().unwrap();
+            let fusion = FusionMap::new();
+            let c = FuncCore::new(&p, &fusion);
+            let mut checked = 0;
+            for (k, d) in c.text.iter().enumerate() {
+                let Ok(Decoded { instr: i, rec }) = d else {
+                    continue;
+                };
+                let ctx = format!("{name} word {k}: {i:?}");
+                let mut uses = i.uses();
+                let class = i.op.class();
+                assert_eq!(rec.pc, p.text_base + 4 * k as u32, "{ctx}");
+                assert_eq!(rec.gpr_def(), i.def(), "{ctx}");
+                assert_eq!(rec.gpr_uses(), [uses.next(), uses.next()], "{ctx}");
+                assert_eq!(rec.hilo_def(), i.writes_hilo(), "{ctx}");
+                assert_eq!(rec.hilo_use(), i.reads_hilo(), "{ctx}");
+                assert_eq!(rec.class, class, "{ctx}");
+                assert_eq!(rec.latency, i.op.latency(), "{ctx}");
+                assert_eq!(rec.backward(), i.imm < 0, "{ctx}");
+                assert_eq!((rec.fused_len, rec.conf()), (1, None), "{ctx}");
+                // Until a step fills them in: no address, not taken.
+                let mem = matches!(class, OpClass::Load | OpClass::Store);
+                let want_mem = mem.then_some((0, class == OpClass::Store));
+                assert_eq!(rec.mem(), want_mem, "{ctx}");
+                assert_eq!(rec.taken(), i.op.is_branch().then_some(false), "{ctx}");
+                checked += 1;
+            }
+            assert!(
+                checked * 2 > p.len(),
+                "{name}: only {checked} words decoded"
+            );
+        }
+    }
+
+    #[test]
+    fn records_carry_addresses_and_branch_outcomes() {
+        let p = assemble(
+            "
+.data
+buf: .word 7, 9
+.text
+main:
+    la   $t0, buf
+    li   $t2, 2
+loop:
+    lw   $t1, 4($t0)
+    sh   $t1, 0($t0)
+    addiu $t2, $t2, -1
+    bgtz $t2, loop
+    li   $v0, 10
+    syscall
+",
+        )
+        .unwrap();
+        let fusion = FusionMap::new();
+        let mut c = FuncCore::new(&p, &fusion);
+        let buf = p.symbol("buf").unwrap();
+        let mut seen = Vec::new();
+        while let Some(rec) = c.step().unwrap() {
+            seen.push((rec.mem(), rec.taken(), c.values().result));
+        }
+        let lw = (Some((buf + 4, false)), None, Some(9));
+        let sh = (Some((buf, true)), None, None);
+        #[rustfmt::skip]
+        let want = [
+            (None, None, Some(buf & 0xffff_0000)), (None, None, Some(buf)), (None, None, Some(2)),
+            lw, sh, (None, None, Some(1)), (None, Some(true), None),
+            lw, sh, (None, None, Some(0)), (None, Some(false), None),
+            (None, None, Some(10)), (None, None, None),
+        ];
+        assert_eq!(seen, want);
+        assert_eq!(c.mem.read_u32(buf), 9);
     }
 
     #[test]
@@ -810,7 +1006,7 @@ main:
         let fusion = FusionMap::new();
         let mut c = FuncCore::new(&p, &fusion);
         c.step().unwrap();
-        assert!(matches!(c.step_one(), Err(ExecError::PcOutOfRange(_))));
+        assert!(matches!(c.step(), Err(ExecError::PcOutOfRange(_))));
     }
 
     #[test]
@@ -819,7 +1015,7 @@ main:
         let fusion = FusionMap::new();
         let mut c = FuncCore::new(&p, &fusion);
         c.step().unwrap(); // li
-        let e = c.step_one().unwrap_err();
+        let e = c.step().unwrap_err();
         assert!(matches!(e, ExecError::Unaligned { width: 4, .. }));
     }
 }

@@ -44,7 +44,7 @@ pub mod syscall;
 
 pub use branch::{BranchModel, BranchStats, Predictor};
 pub use config::{CpuConfig, PfuCount};
-pub use func::{DynInstr, ExecError, FuncCore};
+pub use func::{DynInstr, ExecError, FuncCore, StepValues};
 pub use machine::{execute, simulate, simulate_with, simulate_with_faults, RunResult};
 pub use observe::{
     AttrCollector, CycleAttribution, CycleClass, NullSink, PcStalls, StallCause, TraceEvent,

@@ -32,6 +32,14 @@
 //! scan would find it. The wakeup state is derived from the window: the
 //! replay fast path neither snapshots nor compares it, and rebuilds it
 //! after fast-forwarding (see `ooo/fast_path.rs`).
+//!
+//! The RUU window is a ring allocated once, its capacity `ruu_size`
+//! rounded up to a power of two, and indexed by age through the mask.
+//! Dispatch writes each new entry field by field into the tail slot and
+//! commit advances the head, so an entry is never moved while it is in
+//! flight. Occupancy is still limited by `ruu_size`, not by the ring's
+//! capacity. Records arrive from the functional core as 24-byte
+//! [`DynInstr`] values and are copied, not re-encoded, at each stage.
 
 use crate::branch::{BranchStats, Predictor};
 use crate::config::CpuConfig;
@@ -40,9 +48,10 @@ use crate::observe::{CycleClass, NullSink, StallCause, TraceEvent, TraceSink};
 use crate::pfu::{PfuArray, PfuOutcome, PfuStats};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::{Index, IndexMut};
 #[cfg(test)]
 use t1000_isa::Reg;
-use t1000_isa::{ConfId, OpClass};
+use t1000_isa::{ConfId, Instr, OpClass};
 use t1000_mem::{MemHierarchy, MemStats};
 
 mod fast_path;
@@ -117,6 +126,115 @@ struct Wakeup {
     next: [u64; 4],
 }
 
+impl RuuEntry {
+    /// The contents of a ring slot that has never been filled.
+    fn vacant() -> RuuEntry {
+        RuuEntry {
+            rec: DynInstr::of(0, &Instr::NOP),
+            state: EntryState::Done,
+            deps: [None; 3],
+            pfu_ready_at: 0,
+            complete_at: 0,
+            issued_at: 0,
+            prev_mem: None,
+            wakeup: Wakeup {
+                pending: 0,
+                ready_at: 0,
+                next: [NO_LINK; 4],
+            },
+            wake_head: NO_LINK,
+        }
+    }
+}
+
+/// The RUU window: a ring of slots allocated once, its capacity
+/// `ruu_size` rounded up to a power of two, and indexed by age (0 is the
+/// oldest entry, at `seq == head_seq`) through the mask. Dispatch fills
+/// the tail slot in place and commit advances the head, so no entry is
+/// moved while it is in flight.
+struct Ruu {
+    slots: Box<[RuuEntry]>,
+    mask: usize,
+    /// Slot of the oldest entry.
+    head: usize,
+    len: usize,
+}
+
+impl Ruu {
+    fn new(ruu_size: usize) -> Ruu {
+        let cap = ruu_size.max(1).next_power_of_two();
+        Ruu {
+            slots: (0..cap).map(|_| RuuEntry::vacant()).collect(),
+            mask: cap - 1,
+            head: 0,
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The entry of age `age`, if the window holds that many.
+    fn get(&self, age: usize) -> Option<&RuuEntry> {
+        (age < self.len).then(|| &self.slots[(self.head + age) & self.mask])
+    }
+
+    fn front(&self) -> Option<&RuuEntry> {
+        self.get(0)
+    }
+
+    /// Retires the oldest entry.
+    fn pop_front(&mut self) {
+        debug_assert!(self.len > 0);
+        self.head = (self.head + 1) & self.mask;
+        self.len -= 1;
+    }
+
+    /// Appends an entry and returns its slot for the caller to fill. The
+    /// caller checks occupancy against `ruu_size` first.
+    fn push_back(&mut self) -> &mut RuuEntry {
+        debug_assert!(self.len <= self.mask);
+        let slot = (self.head + self.len) & self.mask;
+        self.len += 1;
+        &mut self.slots[slot]
+    }
+
+    /// The entries oldest first: the run from the head to the end of the
+    /// ring, then the run that wrapped to its start.
+    fn iter(&self) -> impl Iterator<Item = &RuuEntry> {
+        let (wrapped, tail) = self.slots.split_at(self.head);
+        let n = self.len.min(tail.len());
+        tail[..n].iter().chain(&wrapped[..self.len - n])
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut RuuEntry> {
+        let (wrapped, tail) = self.slots.split_at_mut(self.head);
+        let n = self.len.min(tail.len());
+        tail[..n].iter_mut().chain(&mut wrapped[..self.len - n])
+    }
+}
+
+impl Index<usize> for Ruu {
+    type Output = RuuEntry;
+
+    fn index(&self, age: usize) -> &RuuEntry {
+        debug_assert!(age < self.len);
+        &self.slots[(self.head + age) & self.mask]
+    }
+}
+
+impl IndexMut<usize> for Ruu {
+    fn index_mut(&mut self, age: usize) -> &mut RuuEntry {
+        debug_assert!(age < self.len);
+        &mut self.slots[(self.head + age) & self.mask]
+    }
+}
+
 /// End of a consumer list. A link id is `consumer_seq * 4 + slot`.
 const NO_LINK: u64 = u64::MAX;
 /// Link slot of the program-order link to `prev_mem`, which needs its
@@ -131,7 +249,7 @@ pub struct OooCore {
     predictor: Predictor,
     cycle: u64,
     /// RUU window: entries indexed by `seq - head_seq`.
-    window: VecDeque<RuuEntry>,
+    window: Ruu,
     head_seq: u64,
     next_seq: u64,
     /// Latest producer seq per architectural register.
@@ -182,9 +300,9 @@ impl OooCore {
             pfus,
             predictor: Predictor::new(cfg.branch),
             fast: fast_path::FastPath::new(cfg.fast_path),
+            window: Ruu::new(cfg.ruu_size),
             cfg,
             cycle: 0,
-            window: VecDeque::new(),
             head_seq: 0,
             next_seq: 0,
             reg_producer: [None; 32],
@@ -304,18 +422,16 @@ impl OooCore {
     /// Commit up to `commit_width` completed entries in order.
     fn commit(&mut self) {
         for _ in 0..self.cfg.commit_width {
-            match self.window.front() {
-                Some(e) if e.state == EntryState::Done && e.complete_at <= self.cycle => {}
+            let e = match self.window.front() {
+                Some(e) if e.state == EntryState::Done && e.complete_at <= self.cycle => e,
                 _ => break,
-            }
-            let Some(e) = self.window.pop_front() else {
-                break;
             };
-            if e.rec.mem.is_some() {
+            if e.rec.mem().is_some() {
                 self.lsq_used -= 1;
             }
-            self.slots += 1;
             self.base_instructions += u64::from(e.rec.fused_len);
+            self.window.pop_front();
+            self.slots += 1;
             self.head_seq += 1;
         }
     }
@@ -379,7 +495,7 @@ impl OooCore {
             // Done with complete_at > cycle, else commit would have
             // retired it.
             EntryState::Done => {
-                if head.rec.mem.is_some() {
+                if head.rec.mem().is_some() {
                     // A memory access blocks the head. Backpressure
                     // outranks the access latency: a full LSQ/window means
                     // dispatch is also blocked behind this op.
@@ -446,7 +562,7 @@ impl OooCore {
             self.ready.remove(i);
             let latency = match rec_class {
                 OpClass::Load | OpClass::Store => {
-                    let Some((addr, is_write)) = self.window[idx].rec.mem else {
+                    let Some((addr, is_write)) = self.window[idx].rec.mem() else {
                         unreachable!("load/store records carry a memory access");
                     };
                     let lat = self.mem.data(addr, is_write);
@@ -597,7 +713,7 @@ impl OooCore {
         let depth = self.cfg.pfu_prefetch as usize;
         let mut upcoming: Vec<ConfId> = Vec::with_capacity(depth);
         for rec in &self.fetch_queue {
-            if let Some(conf) = rec.conf {
+            if let Some(conf) = rec.conf() {
                 if !upcoming.contains(&conf) {
                     upcoming.push(conf);
                     if upcoming.len() >= depth {
@@ -629,31 +745,31 @@ impl OooCore {
             return;
         }
         for _ in 0..self.cfg.dispatch_width {
-            let Some(rec) = self.fetch_queue.front() else {
+            let Some(&rec) = self.fetch_queue.front() else {
                 break;
             };
             if self.window.len() >= self.cfg.ruu_size {
                 break;
             }
-            if rec.mem.is_some() && self.lsq_used >= self.cfg.lsq_size {
+            let is_mem = rec.mem().is_some();
+            if is_mem && self.lsq_used >= self.cfg.lsq_size {
                 break;
             }
             // Syscalls serialize: they dispatch into an empty window and
             // nothing dispatches behind them this cycle.
-            if rec.class == OpClass::Sys && !self.window.is_empty() {
+            let is_sys = rec.class == OpClass::Sys;
+            if is_sys && !self.window.is_empty() {
                 break;
             }
-            let Some(rec) = self.fetch_queue.pop_front() else {
-                break;
-            };
+            self.fetch_queue.pop_front();
             let seq = self.next_seq;
             self.next_seq += 1;
 
             let mut deps = [None, None, None];
-            for (k, r) in rec.gpr_uses.iter().flatten().enumerate() {
+            for (k, r) in rec.gpr_uses().into_iter().flatten().enumerate() {
                 deps[k] = self.reg_producer[r.index()];
             }
-            if rec.hilo_use {
+            if rec.hilo_use() {
                 deps[2] = self.hilo_producer;
             }
 
@@ -662,7 +778,7 @@ impl OooCore {
             // instruction issues, we do not re-charge a reload — a small
             // optimism shared by trace-driven models; the dispatch stall
             // below keeps it rare.
-            let pfu_ready_at = if let Some(conf) = rec.conf {
+            let pfu_ready_at = if let Some(conf) = rec.conf() {
                 let outcome = self.pfus.request_outcome(conf, self.cycle);
                 if S::EVENTS {
                     match outcome {
@@ -698,7 +814,7 @@ impl OooCore {
                 0
             };
 
-            let prev_mem = if rec.mem.is_some() {
+            let prev_mem = if is_mem {
                 let p = self.last_mem_seq;
                 self.last_mem_seq = Some(seq);
                 self.lsq_used += 1;
@@ -707,29 +823,27 @@ impl OooCore {
                 None
             };
 
-            if let Some(d) = rec.gpr_def {
+            if let Some(d) = rec.gpr_def() {
                 self.reg_producer[d.index()] = Some(seq);
             }
-            if rec.hilo_def {
+            if rec.hilo_def() {
                 self.hilo_producer = Some(seq);
             }
-            let is_sys = rec.class == OpClass::Sys;
             let wakeup = self.link(seq, [deps[0], deps[1], deps[2], prev_mem], pfu_ready_at);
             if wakeup.pending == 0 {
                 // First considered by next cycle's issue stage.
                 self.schedule(seq, wakeup.ready_at, self.cycle + 1);
             }
-            self.window.push_back(RuuEntry {
-                rec,
-                state: EntryState::Waiting,
-                deps,
-                pfu_ready_at,
-                complete_at: 0,
-                issued_at: 0,
-                prev_mem,
-                wakeup,
-                wake_head: NO_LINK,
-            });
+            let e = self.window.push_back();
+            e.rec = rec;
+            e.state = EntryState::Waiting;
+            e.deps = deps;
+            e.pfu_ready_at = pfu_ready_at;
+            e.complete_at = 0;
+            e.issued_at = 0;
+            e.prev_mem = prev_mem;
+            e.wakeup = wakeup;
+            e.wake_head = NO_LINK;
             if is_sys || self.cycle < self.dispatch_ready_at {
                 break;
             }
@@ -789,11 +903,10 @@ impl OooCore {
             // stalls fetch for the redirect penalty (the trace itself stays
             // on the committed path — wrong-path fetch is modelled as lost
             // fetch cycles, the standard trace-driven approximation).
-            if let Some(taken) = rec.taken {
+            if let Some(taken) = rec.taken() {
                 // Direction heuristics key on the branch displacement:
                 // negative = backward (loop-closing).
-                let backward = rec.instr.imm < 0;
-                let penalty = self.predictor.observe(rec.pc, taken, backward);
+                let penalty = self.predictor.observe(rec.pc, taken, rec.backward());
                 if penalty > 0 {
                     let redirect_until = self.cycle + 1 + u64::from(penalty);
                     if S::ATTR && redirect_until > self.fetch_ready_at {

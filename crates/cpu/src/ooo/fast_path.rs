@@ -20,13 +20,13 @@
 //! If the state at boundary *B* equals the state at boundary *A* advanced
 //! by one iteration's uniform clock shifts ([`Snapshot`] comparison, plus
 //! the component checks `MemHierarchy::steady_eq`, `PfuArray::steady_eq`
-//! and `Predictor::steady_eq`), and the records pulled after *B* carry
-//! the same timing-relevant fields as the recorded segment *A→B*
-//! ([`TimingKey`], verified record-by-record during replay), then by
+//! and `Predictor::steady_eq`), and the records pulled after *B* equal
+//! the recorded segment *A→B* (verified record-by-record during replay;
+//! a [`DynInstr`] holds only timing-relevant fields), then by
 //! induction the simulation from *B* reproduces the simulation from *A*
 //! shifted by one period — so cycles, every stall-cause classification,
 //! and all statistics advance by exactly the recorded deltas. The moment
-//! a pulled record's key deviates (loop exit, a faulted configuration
+//! a pulled record deviates (loop exit, a faulted configuration
 //! falling back to scalar code, any control change), the pulled records
 //! are queued for the accurate fetch path and the frozen state is
 //! advanced by the replayed iteration count ([`OooCore`] fix-up below),
@@ -45,7 +45,6 @@ use crate::func::DynInstr;
 use crate::observe::{CycleClass, StallCause};
 use crate::pfu::PfuArray;
 use std::collections::{HashMap, VecDeque};
-use t1000_isa::{OpClass, Reg};
 use t1000_mem::MemHierarchy;
 
 /// Boundary visits before a loop is considered hot enough to observe.
@@ -76,42 +75,6 @@ pub struct FastPathStats {
     pub deopts: u64,
 }
 
-/// The timing-relevant fields of a [`DynInstr`]. Two records with equal
-/// keys are indistinguishable to the timing model: architectural values
-/// (`src_vals`, `result`) never influence *when* anything happens.
-#[derive(Clone, PartialEq)]
-pub(crate) struct TimingKey {
-    pc: u32,
-    class: OpClass,
-    latency: u32,
-    fused_len: u32,
-    conf: Option<u16>,
-    gpr_def: Option<Reg>,
-    gpr_uses: [Option<Reg>; 2],
-    hilo_def: bool,
-    hilo_use: bool,
-    mem: Option<(u32, bool)>,
-    taken: Option<bool>,
-}
-
-impl TimingKey {
-    fn of(r: &DynInstr) -> TimingKey {
-        TimingKey {
-            pc: r.pc,
-            class: r.class,
-            latency: r.latency,
-            fused_len: r.fused_len,
-            conf: r.conf,
-            gpr_def: r.gpr_def,
-            gpr_uses: r.gpr_uses,
-            hilo_def: r.hilo_def,
-            hilo_use: r.hilo_use,
-            mem: r.mem,
-            taken: r.taken,
-        }
-    }
-}
-
 /// A producer reference canonicalized against the window head: committed
 /// producers all behave identically (their results are available, and
 /// `entry()` resolves them to `None`), so only in-window offsets matter.
@@ -132,7 +95,7 @@ fn seq_ref(seq: Option<u64>, head: u64) -> SeqRef {
 
 /// Canonical form of one RUU entry at a boundary.
 struct EntrySnap {
-    key: TimingKey,
+    rec: DynInstr,
     done: bool,
     deps: [SeqRef; 3],
     prev_mem: SeqRef,
@@ -144,7 +107,7 @@ struct EntrySnap {
 impl EntrySnap {
     fn of(e: &RuuEntry, head: u64) -> EntrySnap {
         EntrySnap {
-            key: TimingKey::of(&e.rec),
+            rec: e.rec,
             done: e.state == EntryState::Done,
             deps: [
                 seq_ref(e.deps[0], head),
@@ -170,7 +133,7 @@ impl EntrySnap {
             && ts(e.pfu_ready_at, self.pfu_ready_at)
             && ts(e.complete_at, self.complete_at)
             && ts(e.issued_at, self.issued_at)
-            && self.key == TimingKey::of(&e.rec)
+            && self.rec == e.rec
     }
 }
 
@@ -189,7 +152,7 @@ struct Snapshot {
     fetch_stall_pc: u32,
     last_fetch_line: Option<u32>,
     window: Vec<EntrySnap>,
-    fetch_queue: Vec<TimingKey>,
+    fetch_queue: Vec<DynInstr>,
     reg_producer: [SeqRef; 32],
     hilo_producer: SeqRef,
     last_mem_seq: SeqRef,
@@ -214,7 +177,7 @@ struct Obs {
     slides: u32,
     overflow: bool,
     snap: Box<Snapshot>,
-    seg: Vec<TimingKey>,
+    seg: Vec<DynInstr>,
     classes: Vec<CycleClass>,
 }
 
@@ -241,6 +204,9 @@ pub(crate) struct FastPath {
     pub(super) done: bool,
     loops: HashMap<u32, LoopInfo>,
     active: Option<Obs>,
+    /// The last discarded observation's snapshot, whose buffers the next
+    /// snapshot reuses.
+    spare: Option<Box<Snapshot>>,
     stats: FastPathStats,
 }
 
@@ -253,6 +219,7 @@ impl FastPath {
             done: false,
             loops: HashMap::new(),
             active: None,
+            spare: None,
             stats: FastPathStats::default(),
         }
     }
@@ -269,10 +236,10 @@ impl FastPath {
             if obs.seg.len() >= MAX_SEG {
                 obs.overflow = true;
             } else {
-                obs.seg.push(TimingKey::of(rec));
+                obs.seg.push(*rec);
             }
         }
-        if rec.taken == Some(true) {
+        if rec.taken() == Some(true) {
             self.pending_boundary = Some(rec.pc);
         }
     }
@@ -292,7 +259,7 @@ impl FastPath {
     /// exponentially, so a loop that keeps almost-converging does not
     /// keep paying for snapshots.
     fn fail(&mut self, loop_pc: u32) {
-        self.active = None;
+        self.spare = self.active.take().map(|obs| obs.snap);
         if let Some(info) = self.loops.get_mut(&loop_pc) {
             info.failures += 1;
             let backoff = 16u32 << info.failures.min(10);
@@ -353,7 +320,8 @@ impl OooCore {
             }
             None => {
                 if self.bump_loop(loop_pc) {
-                    let snap = Box::new(self.snapshot());
+                    let spare = self.fast.spare.take();
+                    let snap = self.snapshot(spare);
                     self.fast.active = Some(Obs {
                         loop_pc,
                         slides: 0,
@@ -398,21 +366,40 @@ impl OooCore {
             self.fast.fail(loop_pc);
             return;
         }
-        let snap = Box::new(self.snapshot());
-        if let Some(obs) = self.fast.active.as_mut() {
-            obs.snap = snap;
+        if let Some(mut obs) = self.fast.active.take() {
+            obs.snap = self.snapshot(Some(obs.snap));
             obs.seg.clear();
             obs.classes.clear();
+            self.fast.active = Some(obs);
         }
     }
 
-    fn snapshot(&self) -> Snapshot {
+    /// Captures the current boundary state, reusing the buffers of `old`
+    /// (a discarded snapshot) when there is one.
+    fn snapshot(&self, old: Option<Box<Snapshot>>) -> Box<Snapshot> {
         let head = self.head_seq;
         let mut reg_producer = [SeqRef::None; 32];
         for (r, p) in reg_producer.iter_mut().zip(&self.reg_producer) {
             *r = seq_ref(*p, head);
         }
-        Snapshot {
+        let (mut window, mut fetch_queue, mem) = match old {
+            Some(old) => {
+                let Snapshot {
+                    mut window,
+                    mut fetch_queue,
+                    mut mem,
+                    ..
+                } = *old;
+                window.clear();
+                fetch_queue.clear();
+                mem.clone_from(&self.mem);
+                (window, fetch_queue, mem)
+            }
+            None => (Vec::new(), Vec::new(), self.mem.clone()),
+        };
+        window.extend(self.window.iter().map(|e| EntrySnap::of(e, head)));
+        fetch_queue.extend(self.fetch_queue.iter().copied());
+        Box::new(Snapshot {
             cycle: self.cycle,
             next_seq: self.next_seq,
             slots: self.slots,
@@ -424,15 +411,15 @@ impl OooCore {
             fetch_stall_cause: self.fetch_stall_cause,
             fetch_stall_pc: self.fetch_stall_pc,
             last_fetch_line: self.last_fetch_line,
-            window: self.window.iter().map(|e| EntrySnap::of(e, head)).collect(),
-            fetch_queue: self.fetch_queue.iter().map(TimingKey::of).collect(),
+            window,
+            fetch_queue,
             reg_producer,
             hilo_producer: seq_ref(self.hilo_producer, head),
             last_mem_seq: seq_ref(self.last_mem_seq, head),
-            mem: self.mem.clone(),
+            mem,
             pfus: self.pfus.clone(),
             predictor: self.predictor.clone(),
-        }
+        })
     }
 
     /// Compares the live state against the active observation's snapshot
@@ -472,11 +459,7 @@ impl OooCore {
                 .iter()
                 .zip(&s.window)
                 .all(|(e, b)| b.matches(e, head, dc, stale))
-            && self
-                .fetch_queue
-                .iter()
-                .zip(&s.fetch_queue)
-                .all(|(r, b)| TimingKey::of(r) == *b)
+            && self.fetch_queue.iter().eq(&s.fetch_queue)
             && self.mem.steady_eq(&s.mem)
             && self.pfus.steady_eq(&s.pfus, dc, stale)
             && self.predictor.steady_eq(&s.predictor);
@@ -523,7 +506,7 @@ impl OooCore {
                     self.fast.done = true;
                     break 'replay;
                 };
-                let matches = TimingKey::of(&rec) == *expect;
+                let matches = rec == *expect;
                 self.fast.pending.push_back(rec);
                 if !matches {
                     break 'replay;
@@ -549,6 +532,7 @@ impl OooCore {
         if iters > 0 {
             self.fast_forward_state(&obs.snap, &d, iters);
         }
+        self.fast.spare = Some(obs.snap);
         if let Some(info) = self.fast.loops.get_mut(&obs.loop_pc) {
             // The loop is known-good: re-observe at the next boundary
             // (one accurately-simulated iteration re-anchors the snapshot

@@ -78,13 +78,32 @@ struct Line {
 }
 
 /// A set-associative cache.
-#[derive(Clone)]
 pub struct Cache {
     cfg: CacheConfig,
     lines: Vec<Line>,
     stats: CacheStats,
     tick: u64,
     rng: u64,
+}
+
+impl Clone for Cache {
+    fn clone(&self) -> Cache {
+        Cache {
+            lines: self.lines.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies into the existing line array: the replay fast path
+    /// re-snapshots the caches at observed loop boundaries, and reusing
+    /// the allocation keeps that from churning the allocator.
+    fn clone_from(&mut self, src: &Cache) {
+        self.lines.clone_from(&src.lines);
+        self.cfg = src.cfg;
+        self.stats = src.stats;
+        self.tick = src.tick;
+        self.rng = src.rng;
+    }
 }
 
 impl Cache {

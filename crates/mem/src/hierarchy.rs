@@ -79,7 +79,6 @@ pub struct MemStats {
 /// `Clone` exists so the CPU's hot-loop replay fast path can snapshot the
 /// timing state at a loop boundary and later compare/advance it
 /// ([`MemHierarchy::steady_eq`], [`MemHierarchy::fast_forward`]).
-#[derive(Clone)]
 pub struct MemHierarchy {
     cfg: MemConfig,
     il1: Cache,
@@ -87,6 +86,29 @@ pub struct MemHierarchy {
     ul2: Cache,
     itlb: Tlb,
     dtlb: Tlb,
+}
+
+impl Clone for MemHierarchy {
+    fn clone(&self) -> MemHierarchy {
+        MemHierarchy {
+            cfg: self.cfg,
+            il1: self.il1.clone(),
+            dl1: self.dl1.clone(),
+            ul2: self.ul2.clone(),
+            itlb: self.itlb.clone(),
+            dtlb: self.dtlb.clone(),
+        }
+    }
+
+    /// Reuses the caches' line arrays (see [`Cache`]'s `clone_from`).
+    fn clone_from(&mut self, src: &MemHierarchy) {
+        self.cfg = src.cfg;
+        self.il1.clone_from(&src.il1);
+        self.dl1.clone_from(&src.dl1);
+        self.ul2.clone_from(&src.ul2);
+        self.itlb.clone_from(&src.itlb);
+        self.dtlb.clone_from(&src.dtlb);
+    }
 }
 
 impl MemHierarchy {

@@ -95,13 +95,25 @@ impl Memory {
     }
 
     /// Reads a little-endian halfword (no alignment requirement here;
-    /// alignment faults are the CPU's concern).
+    /// alignment faults are the CPU's concern). A halfword inside one page
+    /// costs one page lookup; one spanning two pages is read byte by byte.
     pub fn read_u16(&self, addr: u32) -> u16 {
+        if let Some(off) = in_page(addr, 2) {
+            return match self.pages.get(&(addr / PAGE_SIZE)) {
+                Some(p) => u16::from_le_bytes([p[off], p[off + 1]]),
+                None => 0,
+            };
+        }
         u16::from_le_bytes([self.read_u8(addr), self.read_u8(addr.wrapping_add(1))])
     }
 
-    /// Writes a little-endian halfword.
+    /// Writes a little-endian halfword, with one page lookup when it stays
+    /// inside one page.
     pub fn write_u16(&mut self, addr: u32, v: u16) {
+        if let Some(off) = in_page(addr, 2) {
+            self.page(addr)[off..off + 2].copy_from_slice(&v.to_le_bytes());
+            return;
+        }
         let [a, b] = v.to_le_bytes();
         self.write_u8(addr, a);
         self.write_u8(addr.wrapping_add(1), b);
@@ -189,6 +201,35 @@ mod tests {
         assert_eq!(m.read_u32(0x2ffd), 0x5566_7788);
         assert_eq!(m.read_u8(0x3000), 0x55);
         assert_eq!(m.allocated_pages(), 2);
+    }
+
+    #[test]
+    fn halfwords_round_trip_inside_and_across_pages() {
+        let mut m = Memory::new();
+        // In-page, including the last halfword that fits and an odd
+        // address inside the page.
+        m.write_u16(0x5000, 0xbeef);
+        m.write_u16(0x5ffe, 0x1234);
+        m.write_u16(0x5801, 0xa55a);
+        assert_eq!(m.read_u16(0x5000), 0xbeef);
+        assert_eq!(m.read_u8(0x5000), 0xef);
+        assert_eq!(m.read_u16(0x5ffe), 0x1234);
+        assert_eq!(m.read_u8(0x5fff), 0x12);
+        assert_eq!(m.read_u16(0x5801), 0xa55a);
+        assert_eq!(m.read_u32(0x5800), 0x00a5_5a00);
+        assert_eq!(m.allocated_pages(), 1);
+        // Page-crossing: one byte on each side of the boundary.
+        m.write_u16(0x6fff, 0xc0de);
+        assert_eq!(m.read_u8(0x6fff), 0xde);
+        assert_eq!(m.read_u8(0x7000), 0xc0);
+        assert_eq!(m.read_u16(0x6fff), 0xc0de);
+        assert_eq!(m.allocated_pages(), 3);
+        // Unallocated halfwords read as zero, in-page or straddling, and
+        // allocate nothing.
+        for addr in [0x9000, 0x9ffe, 0x9fff, u32::MAX] {
+            assert_eq!(m.read_u16(addr), 0, "at 0x{addr:x}");
+        }
+        assert_eq!(m.allocated_pages(), 3);
     }
 
     #[test]

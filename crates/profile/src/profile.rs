@@ -55,13 +55,14 @@ impl ExecProfile {
             debug_assert_eq!(rec.fused_len, 1, "profiling runs without fusion");
             let idx = ((rec.pc - program.text_base) / 4) as usize;
             counts[idx] += 1;
+            let vals = core.values();
             let mut w = 0u8;
-            for (k, r) in rec.gpr_uses.iter().enumerate() {
+            for (r, v) in rec.gpr_uses().iter().zip(vals.srcs) {
                 if r.is_some() {
-                    w = w.max(signed_width(rec.src_vals[k]));
+                    w = w.max(signed_width(v));
                 }
             }
-            if let Some(res) = rec.result {
+            if let Some(res) = vals.result {
                 w = w.max(signed_width(res));
             }
             widths[idx] = widths[idx].max(w);
