@@ -51,10 +51,10 @@
 use crate::checkpoint;
 use crate::fault::FaultPlan;
 use crate::plan::{Cell, MachineSpec, Plan, SelectionSpec};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use t1000_core::{ExtractConfig, Selection, Session};
 use t1000_cpu::{AttrCollector, CycleAttribution, ExecError};
@@ -336,7 +336,8 @@ pub struct EngineConfig {
     /// this knob exists to measure the accurate path's host throughput
     /// (`--no-fast-path`).
     pub no_fast_path: bool,
-    /// Flush completed cells to this checkpoint file as they finish.
+    /// Append completed cells to this checkpoint file as they finish
+    /// (see [`crate::checkpoint`]).
     pub checkpoint: Option<PathBuf>,
     /// Restore completed cells from the checkpoint instead of
     /// re-simulating them.
@@ -366,11 +367,7 @@ pub struct SelectionRecord {
     pub num_confs: usize,
     pub num_sites: usize,
     pub confs: Vec<ConfSummary>,
-    /// The materialized selection. `Some` when this process ran the
-    /// selection job itself; `None` when the record was reconstructed
-    /// from another process's summaries (the shard-merge path), where
-    /// only the summary fields are needed to render the artifact.
-    selection: Option<Arc<Selection>>,
+    selection: Arc<Selection>,
 }
 
 impl SelectionRecord {
@@ -402,31 +399,7 @@ impl SelectionRecord {
             num_confs: selection.num_confs(),
             num_sites: selection.fusion.num_sites(),
             confs,
-            selection: Some(selection),
-        }
-    }
-
-    /// Rebuilds a record from summary data alone — the shard-merge path,
-    /// where the selection job ran in a worker process and only its
-    /// summaries travelled over the wire. The record renders into the
-    /// artifact identically to one built by [`SelectionRecord::summarize`]
-    /// in-process; [`SelectionRecord::selection`] returns `None`.
-    pub fn from_summaries(
-        workload: &'static str,
-        extract: ExtractConfig,
-        spec: SelectionSpec,
-        num_confs: usize,
-        num_sites: usize,
-        confs: Vec<ConfSummary>,
-    ) -> SelectionRecord {
-        SelectionRecord {
-            workload,
-            extract,
-            spec,
-            num_confs,
-            num_sites,
-            confs,
-            selection: None,
+            selection,
         }
     }
 
@@ -442,10 +415,9 @@ impl SelectionRecord {
         self.confs.iter().map(|c| c.total_gain).sum()
     }
 
-    /// The underlying selection, when this process materialized it
-    /// (`None` for records rebuilt from wire summaries).
-    pub fn selection(&self) -> Option<&Selection> {
-        self.selection.as_deref()
+    /// The underlying selection.
+    pub fn selection(&self) -> &Selection {
+        &self.selection
     }
 }
 
@@ -490,34 +462,6 @@ pub struct CellResult {
     /// `attr.busy_cycles + Σ attr.stalls == cycles` for every cell —
     /// the schema artifact's mechanism check.
     pub attr: CycleAttribution,
-}
-
-impl CellResult {
-    /// Re-attaches `cell` to measurements restored from a checkpoint —
-    /// shared by the engine's `--resume` path and the shard
-    /// coordinator's resume-under-sharding path.
-    pub fn from_restored(cell: Cell, r: &checkpoint::RestoredCell) -> CellResult {
-        CellResult {
-            cell,
-            cycles: r.cycles,
-            base_instructions: r.base_instructions,
-            base_ipc: r.base_ipc,
-            reconfigurations: r.reconfigurations,
-            conf_hits: r.conf_hits,
-            ext_executed: r.ext_executed,
-            pfu_load_faults: r.pfu_load_faults,
-            pfu_prefetch_hits: r.pfu_prefetch_hits,
-            pfu_hidden_reload_cycles: r.pfu_hidden_reload_cycles,
-            pfu_exposed_reload_cycles: r.pfu_exposed_reload_cycles,
-            pfu_stream_words: r.pfu_stream_words,
-            branch_accuracy: r.branch_accuracy,
-            checksum: r.checksum,
-            host_ns: r.host_ns,
-            sim_khz: r.sim_khz,
-            fast: r.fast,
-            attr: r.attr.clone(),
-        }
-    }
 }
 
 /// Simulated kilocycles per host second (`cycles / host_secs / 1000`);
@@ -582,41 +526,6 @@ pub struct WorkloadInfo {
 }
 
 impl EngineRun {
-    /// Assembles a run from parts produced elsewhere — the shard
-    /// coordinator's merge path, where cells and selection summaries
-    /// arrive from worker processes. Indexes are rebuilt here, so the
-    /// assembled run answers [`EngineRun::cell`]/[`EngineRun::speedup`]/
-    /// [`EngineRun::selection`] exactly like one produced by
-    /// [`execute_with`]; callers are responsible for supplying `cells`,
-    /// `selections` and `failures` in the same (plan/canonical) order an
-    /// in-process run would, which is what makes merged artifacts
-    /// byte-identical.
-    pub fn assemble(
-        scale: Scale,
-        workloads: Vec<WorkloadInfo>,
-        selections: Vec<SelectionRecord>,
-        cells: Vec<CellResult>,
-        failures: Vec<EngineError>,
-        stats: EngineStats,
-    ) -> EngineRun {
-        let cell_index = cells.iter().enumerate().map(|(i, c)| (c.cell, i)).collect();
-        let selection_index = selections
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ((s.workload, s.extract, s.spec), i))
-            .collect();
-        EngineRun {
-            scale,
-            workloads,
-            selections,
-            cells,
-            failures,
-            stats,
-            cell_index,
-            selection_index,
-        }
-    }
-
     /// The measurements for `cell`, or `None` if the cell was not in the
     /// executed plan or failed.
     pub fn cell(&self, cell: Cell) -> Option<&CellResult> {
@@ -669,10 +578,8 @@ pub fn execute(plan: &Plan, scale: Scale) -> EngineRun {
 
 /// The plan's distinct selection jobs in canonical order: first
 /// appearance over the cells, then the selection-only extras, baseline
-/// specs excluded. Both the engine's select phase and the shard
-/// coordinator/worker wire protocol index selection jobs by position in
-/// this list, which is why it is derived from the plan alone.
-pub fn selection_keys(plan: &Plan) -> Vec<(&'static str, ExtractConfig, SelectionSpec)> {
+/// specs excluded.
+fn selection_keys(plan: &Plan) -> Vec<(&'static str, ExtractConfig, SelectionSpec)> {
     let mut keys: Vec<(&'static str, ExtractConfig, SelectionSpec)> = Vec::new();
     let mut seen = std::collections::HashSet::new();
     let cell_keys = plan
@@ -758,49 +665,35 @@ pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineR
 
     // ---- Phase 3: simulate every cell, isolated and checkpointed. ------
     let t0 = Instant::now();
-    let restored: HashMap<String, checkpoint::RestoredCell> = match &config.checkpoint {
-        Some(path) if config.resume && path.exists() => match checkpoint::load(path, scale) {
-            Ok(map) => map,
-            Err(e) => {
-                eprintln!("[t1000-bench] ignoring unusable checkpoint: {e}");
-                HashMap::new()
-            }
-        },
-        _ => HashMap::new(),
+    let (restored, log) = match &config.checkpoint {
+        Some(path) => checkpoint::open(path, scale, config.resume, cells),
+        None => (HashMap::new(), None),
     };
-    let completed: Mutex<BTreeMap<usize, CellResult>> = Mutex::new(BTreeMap::new());
     let retries = AtomicU64::new(0);
-    let cells_restored = AtomicUsize::new(0);
     let checkpoint_writes = AtomicU32::new(0);
     let deadline = config.wall_limit.map(|d| Instant::now() + d);
 
-    // After each completion, flush the whole completed set atomically —
-    // a kill at any instant leaves a loadable checkpoint.
-    let record_completed = |idx: usize, result: &CellResult| {
-        let mut done = completed
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        done.insert(idx, result.clone());
-        if let Some(path) = &config.checkpoint {
-            let attempt = checkpoint_writes.fetch_add(1, Ordering::Relaxed) + 1;
-            if config.faults.checkpoint_write_fails(attempt) {
-                eprintln!(
-                    "[t1000-bench] injected checkpoint I/O failure (write {attempt}); continuing"
-                );
-            } else if let Err(e) = checkpoint::write(path, scale, &done) {
-                // A failed flush loses resume granularity, never results.
-                eprintln!("[t1000-bench] checkpoint write failed: {e}; continuing");
-            }
+    // Each completion appends one line to the checkpoint; restored cells
+    // are already in it.
+    let record_completed = |result: &CellResult| {
+        let Some(log) = &log else { return };
+        let attempt = checkpoint_writes.fetch_add(1, Ordering::Relaxed) + 1;
+        if config.faults.checkpoint_write_fails(attempt) {
+            eprintln!(
+                "[t1000-bench] injected checkpoint I/O failure (write {attempt}); continuing"
+            );
+        } else if let Err(e) = log.append(result) {
+            // A failed write loses resume granularity, never results.
+            eprintln!(
+                "[t1000-bench] checkpoint write failed: {e}; no further cells are checkpointed"
+            );
         }
     };
 
     let indexed: Vec<(usize, Cell)> = cells.iter().copied().enumerate().collect();
     let outcomes: Vec<CellOutcome> = parallel_map(&indexed, threads, |&(idx, cell)| {
-        if let Some(r) = restored.get(&checkpoint::cell_key(&cell)) {
-            cells_restored.fetch_add(1, Ordering::Relaxed);
-            let result = CellResult::from_restored(cell, r);
-            record_completed(idx, &result);
-            return CellOutcome::Completed(Box::new(result));
+        if let Some(r) = restored.get(&cell) {
+            return CellOutcome::Completed(Box::new(r.clone()));
         }
         let fail = |cause: FailureCause, attempts: u32| {
             CellOutcome::Failed(EngineError {
@@ -842,7 +735,7 @@ pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineR
             });
             let cause = match result {
                 Ok(Ok(result)) => {
-                    record_completed(idx, &result);
+                    record_completed(&result);
                     return CellOutcome::Completed(Box::new(result));
                 }
                 Ok(Err(cause)) => cause,
@@ -893,7 +786,7 @@ pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineR
         cells_deduped: plan.deduped(),
         retries: retries.load(Ordering::Relaxed),
         failed_cells: failures.len(),
-        cells_restored: cells_restored.load(Ordering::Relaxed),
+        cells_restored: restored.len(),
     };
     if config.deterministic {
         // Wall-clock is the only nondeterministic content in the
@@ -1279,21 +1172,10 @@ fn simulate_cell(
     if config.faults.cell_panics(idx, attempt) {
         panic!("injected fault: cell {idx} attempt {attempt}");
     }
-    if config.faults.cell_aborts(idx) {
-        // A real crash, not an unwind: `catch_unwind` cannot see this.
-        // The shard coordinator's worker-respawn path is what survives it.
-        eprintln!("[t1000-bench] injected abort: cell {idx}");
-        std::process::abort();
-    }
     let opts = config.run_options();
     match selection_index.get(&(cell.workload, cell.extract, cell.selection)) {
         Some(&i) => {
-            let record = &selections[i];
-            let Some(selection) = record.selection() else {
-                return Err(FailureCause::Selection(
-                    "selection record has no materialized selection".into(),
-                ));
-            };
+            let selection = selections[i].selection();
             if config.faults.pfu_fault(idx) {
                 runner.run_cell_degraded(cell, selection, &opts)
             } else {
@@ -1305,10 +1187,8 @@ fn simulate_cell(
 }
 
 /// Identity/reference rows for every registry workload `cells` touches,
-/// in registry order — the artifact's `workloads` array. Public so the
-/// shard coordinator can compute it from the plan without running
-/// anything.
-pub fn workload_infos(scale: Scale, cells: &[Cell]) -> Vec<WorkloadInfo> {
+/// in registry order — the artifact's `workloads` array.
+fn workload_infos(scale: Scale, cells: &[Cell]) -> Vec<WorkloadInfo> {
     let mut seen = std::collections::HashSet::new();
     let mut infos = Vec::new();
     for name in t1000_workloads::NAMES {

@@ -28,7 +28,6 @@ pub mod json;
 pub mod plan;
 pub mod results;
 pub mod runstats;
-pub mod shard;
 
 use std::time::Instant;
 use t1000_core::{Error, Selection, Session};

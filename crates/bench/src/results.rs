@@ -243,14 +243,13 @@ pub fn cell_result_json(c: &CellResult, speedup: Option<f64>) -> Json {
 }
 
 /// Parses a schema-v6 `cells[]` document back into a [`CellResult`] for
-/// `cell` — the inverse of [`cell_result_json`], used by the shard
-/// coordinator to merge per-cell documents streamed from worker
-/// processes. The caller supplies the expected [`Cell`] (the coordinator
-/// knows it from the cell's global plan index), so only the measurement
-/// fields and the attribution are read; `speedup` is ignored (the merged
-/// run recomputes it against its own baseline). Every numeric field
-/// round-trips exactly: integers are exact in the JSON layer and floats
-/// are printed shortest-round-trip.
+/// `cell` — the inverse of [`cell_result_json`], used by `--resume` to
+/// restore the cell lines of a checkpoint. The caller supplies the
+/// expected [`Cell`] (the checkpoint keys each line by it), so only the
+/// measurement fields and the attribution are read; `speedup` is ignored
+/// (the resumed run recomputes it against its own baseline). Every
+/// numeric field round-trips exactly: integers are exact in the JSON
+/// layer and floats are printed shortest-round-trip.
 pub fn cell_result_from_json(doc: &Json, cell: Cell) -> Result<CellResult, String> {
     let u64f = |key: &str| -> Result<u64, String> {
         doc.get(key)
@@ -644,9 +643,7 @@ fn split_expect(spec: &str) -> Vec<&str> {
 /// `strategy` (at least one cell was produced by that strategy id),
 /// `total_sim_khz` (the aggregate simulation rate over all cells —
 /// `Σ cycles / Σ host_secs / 1000` — is at least the given value; `0`
-/// holds for `--deterministic` artifacts, whose host time is zeroed), and
-/// `shards=N` (the run's shard count, read from the
-/// `<artifact>.shards.json` sidecar a coordinator run writes),
+/// holds for `--deterministic` artifacts, whose host time is zeroed),
 /// `schema=N` (the artifact's exact `schema_version`), and
 /// `pfu_prefetch_hits=N` (the config-plane prefetch hit count summed over
 /// all cells is at least `N` — the CI hook proving reconfiguration hiding
@@ -654,16 +651,6 @@ fn split_expect(spec: &str) -> Vec<&str> {
 /// Returns the satisfied assertions for reporting; the first unmet or
 /// malformed assertion is the error.
 pub fn check_expectations(text: &str, spec: &str) -> Result<Vec<String>, String> {
-    check_expectations_with(text, None, spec)
-}
-
-/// [`check_expectations`] with the shard sidecar document (the contents of
-/// `<artifact>.shards.json`, when present) for topology keys.
-pub fn check_expectations_with(
-    text: &str,
-    sidecar: Option<&str>,
-    spec: &str,
-) -> Result<Vec<String>, String> {
     let doc = Json::parse(text).map_err(|e| e.to_string())?;
     let mut satisfied = Vec::new();
     for part in split_expect(spec) {
@@ -781,34 +768,11 @@ pub fn check_expectations_with(
                     ));
                 }
             }
-            "shards" => {
-                let text = sidecar.ok_or_else(|| {
-                    format!("--expect {key}: no <artifact>.shards.json sidecar found")
-                })?;
-                let side =
-                    Json::parse(text).map_err(|e| format!("--expect {key}: bad sidecar: {e}"))?;
-                match side.get("kind").and_then(Json::as_str) {
-                    Some("t1000.bench-shards") => {}
-                    other => {
-                        return Err(format!("--expect {key}: bad sidecar kind {other:?}"));
-                    }
-                }
-                let got = side
-                    .get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("--expect {key}: sidecar has no {key} field"))?;
-                let want: u64 = want
-                    .parse()
-                    .map_err(|_| format!("--expect {key}: `{want}` is not an integer"))?;
-                if got != want {
-                    return Err(format!("--expect {key}={want}: sidecar records {got}"));
-                }
-            }
             other => {
                 return Err(format!(
                     "--expect: unknown key `{other}` \
                      (known: retries, failed_cells, cells, workloads, scale, strategy, \
-                      total_sim_khz, schema, pfu_prefetch_hits, shards)"
+                      total_sim_khz, schema, pfu_prefetch_hits)"
                 ));
             }
         }
@@ -1168,10 +1132,11 @@ mod tests {
         let ok = check_expectations(
             &text,
             "scale=test,cells=3,workloads=1,retries=0,failed_cells=0,\
-             strategy=selective(pfus=2,threshold=0.005),schema=6,pfu_prefetch_hits=0",
+             strategy=selective(pfus=2,threshold=0.005),schema=6,pfu_prefetch_hits=0,\
+             total_sim_khz=1",
         )
         .expect("all expectations hold");
-        assert_eq!(ok.len(), 8);
+        assert_eq!(ok.len(), 9);
         // The parenthesised strategy id survived the comma split.
         assert!(ok.contains(&"strategy=selective(pfus=2,threshold=0.005)".to_string()));
 
@@ -1183,6 +1148,8 @@ mod tests {
             // A default (prefetch-off) run records zero hits, so any
             // positive floor must fail.
             ("pfu_prefetch_hits=1", "record only 0"),
+            ("total_sim_khz=1e18", "aggregate rate"),
+            ("shards=4", "unknown key"),
             ("bogus=1", "unknown key"),
             ("cells", "expected key=value"),
         ] {
@@ -1192,11 +1159,11 @@ mod tests {
     }
 
     #[test]
-    fn cell_documents_round_trip_through_the_wire_parser() {
+    fn cell_documents_round_trip_through_the_checkpoint_parser() {
         let run = small_run();
         for c in &run.cells {
             let doc = cell_result_json(c, None);
-            let back = cell_result_from_json(&doc, c.cell).expect("wire parse");
+            let back = cell_result_from_json(&doc, c.cell).expect("checkpoint parse");
             // Re-rendering proves every field round-tripped exactly.
             assert_eq!(
                 cell_result_json(&back, None).to_string_compact(),
@@ -1208,29 +1175,6 @@ mod tests {
         let doc = cell_result_json(&run.cells[0], None);
         let other = Cell::new("epic", SelectionSpec::Greedy, MachineSpec::unlimited(0));
         assert!(cell_result_from_json(&doc, other).is_err());
-    }
-
-    #[test]
-    fn topology_expectations_read_the_sidecar_and_roll_up() {
-        let run = small_run();
-        let text = to_json(&run).to_string_pretty();
-        let sidecar = r#"{"schema_version": 3, "kind": "t1000.bench-shards", "shards": 4}"#;
-        let ok = check_expectations_with(&text, Some(sidecar), "shards=4,total_sim_khz=0")
-            .expect("topology expectations hold");
-        assert_eq!(ok.len(), 2);
-        // A measured run clears a real (modest) throughput bar...
-        check_expectations_with(&text, Some(sidecar), "total_sim_khz=1").expect("measured rate");
-        // ...an absurd bar fails, and topology mismatches are caught.
-        for (side, spec, needle) in [
-            (Some(sidecar), "total_sim_khz=1e18", "aggregate rate"),
-            (Some(sidecar), "shards=2", "records 4"),
-            (None, "shards=4", "sidecar"),
-            (Some("{}"), "shards=4", "bad sidecar kind"),
-            (Some(sidecar), "remotes=0", "unknown key"),
-        ] {
-            let err = check_expectations_with(&text, side, spec).unwrap_err();
-            assert!(err.contains(needle), "{spec}: {err}");
-        }
     }
 
     #[test]

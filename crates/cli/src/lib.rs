@@ -24,16 +24,9 @@
 //!                                               --strategies adds the knapsack
 //!                                               sweep cells; --no-fast-path
 //!                                               disables hot-loop replay)
-//!               [--shards N]                    partition the plan across N
-//!                                               worker processes and merge a
-//!                                               byte-identical artifact
 //! t1000 bench   --validate <BENCH_results.json> [--expect KEY=VALUE,...]
 //!                                               re-check a results artifact
 //!                                               (+ declarative assertions)
-//! t1000 worker                                  shard worker: one run_shard
-//!                                               JSON-RPC request on stdin,
-//!                                               streamed results on stdout
-//!                                               (spawned by bench --shards)
 //! t1000 serve   [--socket PATH] [--workers N] [--queue N]
 //!                                               JSON-RPC selection/simulation
 //!                                               daemon (docs/SERVING.md)
@@ -107,7 +100,6 @@ const BENCH_VALUE_OPTS: &[&str] = &[
     "inject",
     "max-cycles",
     "expect",
-    "shards",
     "pfu-planes",
     "pfu-prefetch",
     "conf-compress",
@@ -136,7 +128,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "profile" => cmd_profile(rest),
         "select" => cmd_select(rest),
         "bench" => cmd_bench(rest),
-        "worker" => cmd_worker(rest),
         "serve" => serve::cmd_serve(rest),
         "help" | "--help" | "-h" => Ok(usage()),
         other => err(format!("unknown command `{other}` (try `t1000 help`)")),
@@ -156,11 +147,10 @@ fn usage() -> String {
      \x20 t1000 select  <file|bench:name> [--strategy greedy|selective|knapsack] [--pfus N]\n\
      \x20               [--greedy] [--threshold F] [--lut-budget N] [--reload-weight W] [--explain] [--scale test|full]\n\
      \x20 t1000 bench   <name> [--scale test|full] [--pfus N] [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
-     \x20 t1000 bench   --all [--scale test|full] [--json FILE] [--resume] [--shards N]\n\
+     \x20 t1000 bench   --all [--scale test|full] [--json FILE] [--resume]\n\
      \x20               [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
      \x20               [--deterministic] [--inject PLAN] [--max-cycles N] [--strategies] [--no-fast-path]\n\
      \x20 t1000 bench   --validate <BENCH_results.json> [--expect KEY=VALUE,...]\n\
-     \x20 t1000 worker  (internal: shard worker spawned by `bench --shards`; JSON-RPC on stdio)\n\
      \x20 t1000 serve   [--socket PATH] [--workers N] [--queue N]  (JSON-RPC daemon; docs/SERVING.md)\n"
         .to_string()
 }
@@ -577,21 +567,6 @@ fn cmd_select(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `t1000 worker`: the shard-worker half of `bench --all --shards N`.
-/// Reads one `run_shard` JSON-RPC request on stdin and streams per-cell
-/// results on stdout; spawned (never typed by hand) by the coordinator.
-fn cmd_worker(args: &[String]) -> Result<String, CliError> {
-    if !args.is_empty() {
-        return err("worker: takes no arguments (it reads one JSON-RPC request on stdin)");
-    }
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout();
-    match t1000_bench::shard::run_worker(stdin.lock(), &mut stdout) {
-        0 => Ok(String::new()),
-        _ => err("worker: bad request (error envelope written to stdout)"),
-    }
-}
-
 fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     let p = parse(args, BENCH_VALUE_OPTS, BENCH_FLAG_OPTS)?;
     let scale = match p.get("scale") {
@@ -605,11 +580,6 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     if p.get("expect").is_some() {
         return err("bench: --expect requires --validate FILE");
     }
-    let shards = match p.get_u32("shards")? {
-        Some(0) => return err("bench: --shards must be at least 1"),
-        Some(n) => Some(n as usize),
-        None => None,
-    };
     let planes = match p.get_u32("pfu-planes")? {
         Some(n) if !(1..=2).contains(&n) => return err("--pfu-planes must be 1 or 2"),
         Some(n) => n,
@@ -630,12 +600,8 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
             p.get("json"),
             &config,
             p.flag("strategies"),
-            shards,
             (planes, prefetch, compress),
         );
-    }
-    if shards.is_some() {
-        return err("bench: --shards requires --all");
     }
     if p.flag("strategies") {
         return err("bench: --strategies requires --all");
@@ -737,7 +703,6 @@ fn bench_all(
     json: Option<&str>,
     config: &t1000_bench::engine::EngineConfig,
     strategies: bool,
-    shards: Option<usize>,
     (planes, prefetch, compress): (u32, u32, f64),
 ) -> Result<String, CliError> {
     let mut config = config.clone();
@@ -747,11 +712,6 @@ fn bench_all(
     }
     config.checkpoint = checkpoint.clone();
 
-    let plan_name = if strategies {
-        "run_all_strategies"
-    } else {
-        "run_all"
-    };
     let mut plan = if strategies {
         t1000_bench::plan::run_all_plan_with_strategies()
     } else {
@@ -762,17 +722,7 @@ fn bench_all(
     if (planes, prefetch, compress) != (1, 0, 0.0) {
         plan = plan.with_config_plane(planes, prefetch, compress);
     }
-    let (run, sidecar) = match shards {
-        Some(n) => {
-            let sharded = t1000_bench::shard::run_sharded(&plan, plan_name, scale, n, &config)
-                .map_err(|e| CliError(format!("bench: {e}")))?;
-            (sharded.run, Some(sharded.sidecar))
-        }
-        None => (
-            t1000_bench::engine::execute_with(&plan, scale, &config),
-            None,
-        ),
-    };
+    let run = t1000_bench::engine::execute_with(&plan, scale, &config);
     if let Some(path) = json {
         t1000_bench::results::write_json_with_retry(
             &run,
@@ -780,11 +730,6 @@ fn bench_all(
             &config.faults,
         )
         .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-        if let Some(sidecar) = &sidecar {
-            let sidecar_path = format!("{path}.shards.json");
-            std::fs::write(&sidecar_path, sidecar.to_string_pretty())
-                .map_err(|e| CliError(format!("cannot write {sidecar_path}: {e}")))?;
-        }
     }
     let mut out = t1000_bench::results::render_markdown(&run);
     let s = &run.stats;
@@ -803,25 +748,6 @@ fn bench_all(
         )
         .unwrap();
     }
-    if let Some(sidecar) = &sidecar {
-        let u = |k: &str| {
-            sidecar
-                .get(k)
-                .and_then(t1000_bench::json::Json::as_u64)
-                .unwrap_or(0)
-        };
-        let retried = sidecar
-            .get("retried_cells")
-            .and_then(t1000_bench::json::Json::as_array)
-            .map_or(0, <[t1000_bench::json::Json]>::len);
-        writeln!(
-            out,
-            "Sharded: {} worker process(es), {} crash(es), {retried} cell(s) retried.",
-            u("shards"),
-            u("worker_crashes"),
-        )
-        .unwrap();
-    }
     if let Some(path) = json {
         writeln!(
             out,
@@ -829,9 +755,6 @@ fn bench_all(
             t1000_bench::results::SCHEMA_VERSION
         )
         .unwrap();
-        if sidecar.is_some() {
-            writeln!(out, "Wrote {path}.shards.json (shard topology).").unwrap();
-        }
     }
     if run.failures.is_empty() {
         // Healthy run: the artifact is complete, so the checkpoint is
@@ -872,12 +795,8 @@ fn bench_validate(path: &str, expect: Option<&str>) -> Result<String, CliError> 
         summary.cells
     );
     if let Some(spec) = expect {
-        // Topology keys (`shards=N`) assert on the coordinator's sidecar,
-        // written next to the artifact by `bench --all --shards N`.
-        let sidecar = std::fs::read_to_string(format!("{path}.shards.json")).ok();
-        let satisfied =
-            t1000_bench::results::check_expectations_with(&text, sidecar.as_deref(), spec)
-                .map_err(|e| CliError(format!("{path}: EXPECTATION FAILED: {e}")))?;
+        let satisfied = t1000_bench::results::check_expectations(&text, spec)
+            .map_err(|e| CliError(format!("{path}: EXPECTATION FAILED: {e}")))?;
         writeln!(
             out,
             "expectations: {} satisfied ({})",
@@ -947,11 +866,10 @@ usage:\n\
 \x20 t1000 select  <file|bench:name> [--strategy greedy|selective|knapsack] [--pfus N]\n\
 \x20               [--greedy] [--threshold F] [--lut-budget N] [--reload-weight W] [--explain] [--scale test|full]\n\
 \x20 t1000 bench   <name> [--scale test|full] [--pfus N] [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
-\x20 t1000 bench   --all [--scale test|full] [--json FILE] [--resume] [--shards N]\n\
+\x20 t1000 bench   --all [--scale test|full] [--json FILE] [--resume]\n\
 \x20               [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
 \x20               [--deterministic] [--inject PLAN] [--max-cycles N] [--strategies] [--no-fast-path]\n\
 \x20 t1000 bench   --validate <BENCH_results.json> [--expect KEY=VALUE,...]\n\
-\x20 t1000 worker  (internal: shard worker spawned by `bench --shards`; JSON-RPC on stdio)\n\
 \x20 t1000 serve   [--socket PATH] [--workers N] [--queue N]  (JSON-RPC daemon; docs/SERVING.md)\n";
         assert_eq!(run(&s(&["--help"])).unwrap(), golden);
         assert_eq!(run(&s(&["help"])).unwrap(), golden);
@@ -987,6 +905,8 @@ usage:\n\
     #[test]
     fn unknown_command_errors() {
         assert!(run(&s(&["frobnicate"])).is_err());
+        let e = run(&s(&["worker"])).unwrap_err();
+        assert!(e.0.contains("unknown command `worker`"), "{e}");
     }
 
     #[test]
@@ -1193,28 +1113,16 @@ usage:\n\
     }
 
     #[test]
-    fn bench_shards_requires_all_and_a_positive_count() {
-        let e = run(&s(&["bench", "g721_enc", "--shards", "2"])).unwrap_err();
-        assert!(e.0.contains("--shards requires --all"), "{e}");
-        let e = run(&s(&["bench", "--all", "--shards", "0"])).unwrap_err();
-        assert!(e.0.contains("at least 1"), "{e}");
-        let e = run(&s(&["bench", "--all", "--shards", "many"])).unwrap_err();
-        assert!(e.0.contains("--shards"), "{e}");
-        // `worker` is stdin-driven and takes no arguments.
-        let e = run(&s(&["worker", "extra"])).unwrap_err();
-        assert!(e.0.contains("worker"), "{e}");
-    }
-
-    #[test]
     fn bench_remote_and_retry_flags_are_guarded() {
-        // `bench` has no multi-machine or retry-tuning options: each is
-        // rejected as unknown, even alongside --all --shards.
+        // `bench` has no multi-process, multi-machine or retry-tuning
+        // options: each is rejected as unknown alongside --all.
         for extra in [
+            ["--shards", "2"],
             ["--remote", "h:1"],
             ["--retries", "2"],
             ["--backoff-ms", "1"],
         ] {
-            let mut args = vec!["bench", "--all", "--shards", "2"];
+            let mut args = vec!["bench", "--all"];
             args.extend(extra);
             let e: CliError = run(&s(&args)).unwrap_err();
             assert!(e.0.contains(&format!("unknown option {}", extra[0])), "{e}");

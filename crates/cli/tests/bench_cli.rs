@@ -1,0 +1,80 @@
+//! End-to-end test of `t1000 bench --all --resume` through the real
+//! binary: an interrupted run leaves its `FILE.partial` checkpoint, the
+//! resumed run reproduces the uninterrupted artifact byte-for-byte, and a
+//! healthy exit deletes the checkpoint.
+
+use std::path::Path;
+use std::process::Command;
+
+fn tmp(name: &str) -> String {
+    std::env::temp_dir()
+        .join(format!("t1000_bench_cli_{}_{name}", std::process::id()))
+        .to_string_lossy()
+        .into_owned()
+}
+
+/// Runs `t1000 bench --all --scale test --deterministic --json <path>`
+/// with `extra` appended; returns (success, stdout+stderr).
+fn bench_all(path: &str, extra: &[&str]) -> (bool, String) {
+    let mut args = vec![
+        "bench",
+        "--all",
+        "--scale",
+        "test",
+        "--deterministic",
+        "--json",
+        path,
+    ];
+    args.extend_from_slice(extra);
+    let out = Command::new(env!("CARGO_BIN_EXE_t1000"))
+        .args(&args)
+        .output()
+        .expect("run bench");
+    let text = format!(
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    (out.status.success(), text)
+}
+
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+}
+
+#[test]
+fn resume_skips_checkpointed_cells_and_reproduces_the_artifact() {
+    let clean = tmp("clean.json");
+    let (ok, log) = bench_all(&clean, &[]);
+    assert!(ok, "clean run failed:\n{log}");
+    assert!(
+        !Path::new(&format!("{clean}.partial")).exists(),
+        "a healthy run must delete its checkpoint"
+    );
+
+    // Interrupted run: cell 2 panics on every attempt, so the command
+    // exits nonzero but leaves every other cell in the checkpoint.
+    let path = tmp("resume.json");
+    let partial = format!("{path}.partial");
+    let (ok, log) = bench_all(&path, &["--inject", "panic@2x3"]);
+    assert!(!ok, "injected run should report the failure:\n{log}");
+    assert!(
+        Path::new(&partial).exists(),
+        "interrupted run must leave its checkpoint"
+    );
+
+    let (ok, log) = bench_all(&path, &["--resume"]);
+    assert!(ok, "resumed run failed:\n{log}");
+    assert!(
+        log.contains("cell(s) restored from checkpoint"),
+        "resume restored nothing:\n{log}"
+    );
+    assert_eq!(read(&path), read(&clean), "resumed artifact diverges");
+    assert!(
+        !Path::new(&partial).exists(),
+        "a healthy resumed run must delete its checkpoint"
+    );
+    for p in [clean, path] {
+        let _ = std::fs::remove_file(p);
+    }
+}

@@ -127,10 +127,9 @@ impl SelectionCache {
 /// The workspace's stable 64-bit content hash: FNV-1a over `bytes`.
 /// Deliberately *not* `std::hash::Hasher` — `DefaultHasher` is free to
 /// change between Rust releases and between processes, while every key
-/// derived from this function (program identities, shard wire
-/// checksums) must agree across independently started worker processes
-/// and across builds. The constants are the standard FNV-1a offset
-/// basis and prime.
+/// derived from this function (program identities) must agree across
+/// processes and across builds. The constants are the standard FNV-1a
+/// offset basis and prime.
 ///
 /// ```
 /// use t1000_core::stable_hash64;
