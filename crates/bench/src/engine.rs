@@ -330,7 +330,7 @@ pub struct EngineConfig {
     /// per-cell `host_ns`/`sim_khz` measurements — so repeated runs
     /// produce byte-identical artifacts (used by `--resume` tests).
     pub deterministic: bool,
-    /// Disable the steady-state hot-loop replay fast path
+    /// Disable the pipeline-memo replay fast path
     /// ([`t1000_cpu::CpuConfig::fast_path`], on by default) for every
     /// simulation in this run. The results are bit-identical either way;
     /// this knob exists to measure the accurate path's host throughput
@@ -454,8 +454,8 @@ pub struct CellResult {
     /// Host throughput in simulated kilocycles per host second (schema
     /// v5): `cycles / host_seconds / 1000`. The CI-tracked metric.
     pub sim_khz: f64,
-    /// Hot-loop replay fast-path counters (schema v5; all zero when the
-    /// fast path is disabled).
+    /// Replay fast-path counters (schema v5, `replayed_cycles` v7; all
+    /// zero when the fast path is disabled).
     pub fast: t1000_cpu::FastPathStats,
     /// Where the cell's cycles went: every simulation runs under an
     /// aggregate [`AttrCollector`], so
@@ -822,7 +822,7 @@ pub struct RunOptions {
     /// Cycle fuel per simulation (0 = unlimited); exhaustion fails the
     /// cell with [`FailureCause::Timeout`].
     pub max_cycles: u64,
-    /// Disable the hot-loop replay fast path (results are bit-identical
+    /// Disable the replay fast path (results are bit-identical
     /// either way; see `docs/FASTPATH.md`).
     pub no_fast_path: bool,
 }

@@ -31,8 +31,8 @@ use t1000_workloads::Scale;
 ///   `lut_budget`. See `docs/PIPELINE.md`.
 /// * v5 — host throughput: every cell records the wall-clock nanoseconds
 ///   its simulation took (`host_ns`), the derived simulation rate
-///   (`sim_khz`, simulated kilocycles per host second), and the hot-loop
-///   replay fast-path counters under `fast_path`
+///   (`sim_khz`, simulated kilocycles per host second), and the replay
+///   fast-path counters under `fast_path`
 ///   (`steady_loops`/`replayed_iters`/`deopts`). See `docs/FASTPATH.md`.
 ///   `--deterministic` runs zero `host_ns`/`sim_khz` so artifacts stay
 ///   byte-reproducible.
@@ -43,7 +43,12 @@ use t1000_workloads::Scale;
 ///   `pfu_prefetch`, `conf_compress`) and understands the `static` and
 ///   `gshare` branch models. Default knobs measure identically to v5 —
 ///   the new counters are simply zero. See `docs/METRICS.md`.
-pub const SCHEMA_VERSION: u64 = 6;
+/// * v7 — replay coverage in cycles: `fast_path` gains `replayed_cycles`,
+///   the simulated cycles the pipeline-memo fast path replayed instead of
+///   simulating. `steady_loops`/`replayed_iters`/`deopts` now count
+///   entries into replay, replayed segments and returns to the accurate
+///   path. See `docs/FASTPATH.md`.
+pub const SCHEMA_VERSION: u64 = 7;
 
 fn scale_str(scale: Scale) -> &'static str {
     match scale {
@@ -235,6 +240,7 @@ pub fn cell_result_json(c: &CellResult, speedup: Option<f64>) -> Json {
                 ("steady_loops", Json::UInt(c.fast.steady_loops)),
                 ("replayed_iters", Json::UInt(c.fast.replayed_iters)),
                 ("deopts", Json::UInt(c.fast.deopts)),
+                ("replayed_cycles", Json::UInt(c.fast.replayed_cycles)),
             ]),
         ),
         ("attribution", crate::runstats::attr_json(&c.attr)),
@@ -305,6 +311,7 @@ pub fn cell_result_from_json(doc: &Json, cell: Cell) -> Result<CellResult, Strin
             steady_loops: fastf("steady_loops")?,
             replayed_iters: fastf("replayed_iters")?,
             deopts: fastf("deopts")?,
+            replayed_cycles: fastf("replayed_cycles")?,
         },
         attr: crate::runstats::attr_from_json(attr, Some(cycles))?,
     })
@@ -591,7 +598,12 @@ pub fn validate_artifact(text: &str) -> Result<ArtifactSummary, String> {
         let fast = c
             .get("fast_path")
             .ok_or_else(|| format!("cell {i} ({name}): missing fast_path"))?;
-        for key in ["steady_loops", "replayed_iters", "deopts"] {
+        for key in [
+            "steady_loops",
+            "replayed_iters",
+            "deopts",
+            "replayed_cycles",
+        ] {
             if fast.get(key).and_then(Json::as_u64).is_none() {
                 return Err(format!("cell {i} ({name}): bad fast_path.{key}"));
             }
@@ -1075,7 +1087,7 @@ mod tests {
         let good = to_json(&run).to_string_pretty();
 
         // Wrong schema version.
-        let bad = good.replacen("\"schema_version\": 6", "\"schema_version\": 99", 1);
+        let bad = good.replacen("\"schema_version\": 7", "\"schema_version\": 99", 1);
         assert!(validate_artifact(&bad)
             .unwrap_err()
             .contains("schema_version"));
@@ -1132,7 +1144,7 @@ mod tests {
         let ok = check_expectations(
             &text,
             "scale=test,cells=3,workloads=1,retries=0,failed_cells=0,\
-             strategy=selective(pfus=2,threshold=0.005),schema=6,pfu_prefetch_hits=0,\
+             strategy=selective(pfus=2,threshold=0.005),schema=7,pfu_prefetch_hits=0,\
              total_sim_khz=1",
         )
         .expect("all expectations hold");
@@ -1144,7 +1156,7 @@ mod tests {
             ("cells=99", "artifact has 3"),
             ("strategy=knapsack(luts=1)", "no cell uses it"),
             ("scale=full", "records test"),
-            ("schema=5", "records 6"),
+            ("schema=5", "records 7"),
             // A default (prefetch-off) run records zero hits, so any
             // positive floor must fail.
             ("pfu_prefetch_hits=1", "record only 0"),

@@ -23,7 +23,7 @@
 //!               [--strategies] [--no-fast-path] full experiment suite (engine;
 //!                                               --strategies adds the knapsack
 //!                                               sweep cells; --no-fast-path
-//!                                               disables hot-loop replay)
+//!                                               disables memo replay)
 //! t1000 bench   --validate <BENCH_results.json> [--expect KEY=VALUE,...]
 //!                                               re-check a results artifact
 //!                                               (+ declarative assertions)

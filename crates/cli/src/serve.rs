@@ -2,7 +2,7 @@
 //!
 //! A daemon that accepts concurrent selection/simulation requests over a
 //! newline-delimited JSON-RPC protocol (stdio or a Unix socket) and
-//! answers with schema-v6-compatible result documents. The full wire
+//! answers with schema-v7-compatible result documents. The full wire
 //! protocol — methods, schemas, error codes, shedding
 //! semantics — is specified in `docs/SERVING.md`.
 //!

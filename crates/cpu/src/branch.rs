@@ -150,23 +150,6 @@ impl Predictor {
     pub fn stats(&self) -> BranchStats {
         self.stats
     }
-
-    /// Steady-state equivalence with a snapshot `base` for the hot-loop
-    /// replay fast path: the counter table and global history are
-    /// unchanged (a loop's branch pattern shifts the history back to the
-    /// same value each iteration once periodic) and the period produced
-    /// no mispredictions, so repeating it only advances the branch count.
-    pub(crate) fn steady_eq(&self, base: &Predictor) -> bool {
-        self.stats.mispredictions == base.stats.mispredictions
-            && self.history == base.history
-            && self.counters == base.counters
-    }
-
-    /// Advances by `iters` repetitions of the redirect-free period
-    /// between `base` and `self` (requires [`Predictor::steady_eq`]).
-    pub(crate) fn fast_forward(&mut self, base: &Predictor, iters: u64) {
-        self.stats.branches += (self.stats.branches - base.stats.branches) * iters;
-    }
 }
 
 #[cfg(test)]

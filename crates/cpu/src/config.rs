@@ -78,14 +78,14 @@ pub struct CpuConfig {
     /// Safety valve: abort simulation after this many committed
     /// instructions (0 = no limit).
     pub max_instructions: u64,
-    /// Steady-state hot-loop replay fast path (see `docs/FASTPATH.md`):
-    /// once a loop's per-iteration pipeline behaviour converges, replay
-    /// recorded per-iteration deltas instead of re-simulating every
-    /// stage, de-opting back to the cycle-accurate path the moment the
-    /// behaviour changes. Bit-identical to the accurate path by
-    /// construction; on by default. Disable (`--no-fast-path`) to force
-    /// every cycle through the full pipeline, e.g. when benchmarking the
-    /// accurate path itself.
+    /// Pipeline-memo replay fast path (see `docs/FASTPATH.md`): replay
+    /// memoized pipeline segments, taken branch to taken branch, while
+    /// still performing every cache, TLB, PFU and predictor access, and
+    /// return to the cycle-accurate path whenever the memo has not seen
+    /// a segment or an access outcome. Bit-identical to the accurate
+    /// path by construction; on by default. Disable (`--no-fast-path`)
+    /// to force every cycle through the full pipeline, e.g. when
+    /// benchmarking the accurate path itself.
     pub fast_path: bool,
     /// Simulation fuel: abort the timing model after this many cycles
     /// (0 = no limit). Unlike `max_instructions`, which bounds

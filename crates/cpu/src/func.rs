@@ -28,8 +28,11 @@ use t1000_mem::Memory;
 /// facts of one instruction or fused sequence. Records are compared as
 /// plain values, so every field not in use holds a fixed filler (address
 /// 0, conf 0, a no-register byte) and two records are equal exactly when
-/// the timing model cannot tell them apart.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// the timing model cannot tell them apart. The pipeline itself reads the
+/// memory address only to hand it to the memory hierarchy; the replay
+/// fast path compares records with the address masked out
+/// (`DynInstr::shape`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct DynInstr {
     /// PC of the (first) instruction.
     pub pc: u32,
@@ -124,6 +127,13 @@ impl DynInstr {
             ],
             flags: HAS_CONF,
         }
+    }
+
+    /// This record without its memory address: everything the pipeline
+    /// uses other than the argument it passes to the memory hierarchy.
+    #[inline]
+    pub(crate) fn shape(self) -> DynInstr {
+        DynInstr { addr: 0, ..self }
     }
 
     /// Memory reference, if any: (byte address, is_write).

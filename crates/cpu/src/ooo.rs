@@ -30,8 +30,16 @@
 //! a memory operation whose predecessor just issued) joins the list behind
 //! its producer and can issue in the same cycle, exactly as a whole-window
 //! scan would find it. The wakeup state is derived from the window: the
-//! replay fast path neither snapshots nor compares it, and rebuilds it
-//! after fast-forwarding (see `ooo/fast_path.rs`).
+//! replay fast path leaves it out of its memo key and rebuilds it when it
+//! hands a memoized state back to this model (see `ooo/fast_path.rs`).
+//!
+//! Every call into the memory hierarchy, the PFU array and the branch
+//! predictor goes through a thin wrapper in `ooo/fast_path.rs`
+//! (`mem_fetch`, `mem_data`, `pfu_request`, `pfu_prefetch`,
+//! `branch_observe`). With the fast path off each is the plain call. With
+//! it on, the wrapper also records the call and its outcome for the memo,
+//! and first hands back any results that replay already obtained from the
+//! component, so no access is ever performed twice.
 //!
 //! The RUU window is a ring allocated once, its capacity `ruu_size`
 //! rounded up to a power of two, and indexed by age through the mask.
@@ -78,7 +86,7 @@ pub struct TimingStats {
     pub fetch_stall_cycles: u64,
     /// Branch prediction statistics.
     pub branch: BranchStats,
-    /// Hot-loop replay fast-path counters (all zero when disabled).
+    /// Replay fast-path counters (all zero when disabled).
     pub fast: FastPathStats,
 }
 
@@ -101,8 +109,6 @@ struct RuuEntry {
     pfu_ready_at: u64,
     /// Completion cycle (valid once issued).
     complete_at: u64,
-    /// Issue cycle (valid once issued).
-    issued_at: u64,
     /// Sequence number of the previous memory operation (memory ops issue
     /// in program order relative to each other).
     prev_mem: Option<u64>,
@@ -135,7 +141,6 @@ impl RuuEntry {
             deps: [None; 3],
             pfu_ready_at: 0,
             complete_at: 0,
-            issued_at: 0,
             prev_mem: None,
             wakeup: Wakeup {
                 pending: 0,
@@ -186,6 +191,12 @@ impl Ruu {
 
     fn front(&self) -> Option<&RuuEntry> {
         self.get(0)
+    }
+
+    /// Empties the window. The slots keep their contents until refilled.
+    fn clear(&mut self) {
+        self.head = 0;
+        self.len = 0;
     }
 
     /// Retires the oldest entry.
@@ -285,7 +296,7 @@ pub struct OooCore {
     fetch_stall_cycles: u64,
     /// Set once the trace source is exhausted.
     drained: bool,
-    /// Hot-loop replay fast path (see `ooo/fast_path.rs`).
+    /// Pipeline-memo replay fast path (see `ooo/fast_path.rs`).
     fast: fast_path::FastPath,
 }
 
@@ -299,7 +310,7 @@ impl OooCore {
             mem: MemHierarchy::new(cfg.mem),
             pfus,
             predictor: Predictor::new(cfg.branch),
-            fast: fast_path::FastPath::new(cfg.fast_path),
+            fast: fast_path::FastPath::new(&cfg),
             window: Ruu::new(cfg.ruu_size),
             cfg,
             cycle: 0,
@@ -347,20 +358,18 @@ impl OooCore {
     ) -> Result<TimingStats, E> {
         if S::EVENTS {
             // Trace events carry absolute cycle numbers; replayed
-            // iterations would have to rewrite them. Event tracing wants
+            // segments would have to rewrite them. Event tracing wants
             // every cycle simulated anyway, so the fast path stands down.
             self.fast.enabled = false;
         }
         loop {
-            // An iteration boundary (fetch pulled a taken branch last
-            // cycle) is handled before anything else, so a converged loop
-            // replays from exactly this between-cycles state — and the
-            // fuel check below still fires at the precise cycle it would
-            // have without the fast path.
-            if self.fast.enabled {
-                if let Some(pc) = self.fast.pending_boundary.take() {
-                    self.fast_boundary::<E, S>(pc, &mut source, sink)?;
-                }
+            // A segment boundary (fetch pulled a taken branch last cycle)
+            // is handled before anything else, so replay starts from
+            // exactly this between-cycles state — and the fuel check below
+            // still fires at the precise cycle it would have without the
+            // fast path.
+            if self.fast.enabled && std::mem::take(&mut self.fast.pending_boundary) {
+                self.fast_boundary::<E, S>(&mut source, sink)?;
             }
             if self.cfg.max_cycles != 0 && self.cycle >= self.cfg.max_cycles {
                 // Out of fuel: a workload that has not drained by now is
@@ -565,7 +574,7 @@ impl OooCore {
                     let Some((addr, is_write)) = self.window[idx].rec.mem() else {
                         unreachable!("load/store records carry a memory access");
                     };
-                    let lat = self.mem.data(addr, is_write);
+                    let lat = self.mem_data(self.head_seq + idx as u64, addr, is_write);
                     if S::EVENTS && lat > self.cfg.mem.l1_hit {
                         sink.event(TraceEvent::CacheMiss {
                             cycle: self.cycle,
@@ -580,7 +589,6 @@ impl OooCore {
                 _ => self.window[idx].rec.latency,
             };
             let e = &mut self.window[idx];
-            e.issued_at = self.cycle;
             e.complete_at = self.cycle + latency as u64;
             // All latencies are fixed at issue time, so the entry goes
             // straight to Done with a future `complete_at`; consumers and
@@ -670,7 +678,7 @@ impl OooCore {
     }
 
     /// Recomputes the whole wakeup state from the window (after the fast
-    /// path has shifted its sequence numbers and clocks). Called between
+    /// path has rebuilt the window from a memoized state). Called between
     /// cycles, so the next issue stage is this cycle's.
     fn rebuild_wakeup(&mut self) {
         self.ready.clear();
@@ -711,19 +719,21 @@ impl OooCore {
     /// the next configuration's transfer is the point.
     fn prefetch_confs<S: TraceSink>(&mut self, sink: &mut S) {
         let depth = self.cfg.pfu_prefetch as usize;
-        let mut upcoming: Vec<ConfId> = Vec::with_capacity(depth);
-        for rec in &self.fetch_queue {
+        // Each upcoming configuration with the sequence number its first
+        // record will get at dispatch.
+        let mut upcoming: Vec<(ConfId, u64)> = Vec::with_capacity(depth);
+        for (rec, seq) in self.fetch_queue.iter().zip(self.next_seq..) {
             if let Some(conf) = rec.conf() {
-                if !upcoming.contains(&conf) {
-                    upcoming.push(conf);
+                if !upcoming.iter().any(|&(c, _)| c == conf) {
+                    upcoming.push((conf, seq));
                     if upcoming.len() >= depth {
                         break;
                     }
                 }
             }
         }
-        for conf in upcoming {
-            if let Some(ready_at) = self.pfus.prefetch(conf, self.cycle) {
+        for (conf, seq) in upcoming {
+            if let Some(ready_at) = self.pfu_prefetch(seq, conf) {
                 if S::EVENTS {
                     sink.event(TraceEvent::ConfPrefetch {
                         cycle: self.cycle,
@@ -779,7 +789,7 @@ impl OooCore {
             // optimism shared by trace-driven models; the dispatch stall
             // below keeps it rare.
             let pfu_ready_at = if let Some(conf) = rec.conf() {
-                let outcome = self.pfus.request_outcome(conf, self.cycle);
+                let outcome = self.pfu_request(seq, conf);
                 if S::EVENTS {
                     match outcome {
                         PfuOutcome::Hit { .. } => sink.event(TraceEvent::ConfHit {
@@ -840,7 +850,6 @@ impl OooCore {
             e.deps = deps;
             e.pfu_ready_at = pfu_ready_at;
             e.complete_at = 0;
-            e.issued_at = 0;
             e.prev_mem = prev_mem;
             e.wakeup = wakeup;
             e.wake_head = NO_LINK;
@@ -873,10 +882,12 @@ impl OooCore {
                 self.drained = true;
                 break;
             };
+            // The sequence number dispatch will give this record.
+            let seq = self.next_seq + self.fetch_queue.len() as u64;
             let line = rec.pc / line_bytes;
             if self.last_fetch_line != Some(line) {
                 self.last_fetch_line = Some(line);
-                let lat = self.mem.fetch(rec.pc);
+                let lat = self.mem_fetch(seq, rec.pc);
                 if lat > self.cfg.mem.l1_hit {
                     // Miss: stall further fetch until the line returns.
                     // Instructions already taken from this line in the
@@ -906,7 +917,7 @@ impl OooCore {
             if let Some(taken) = rec.taken() {
                 // Direction heuristics key on the branch displacement:
                 // negative = backward (loop-closing).
-                let penalty = self.predictor.observe(rec.pc, taken, rec.backward());
+                let penalty = self.branch_observe(seq, rec.pc, taken, rec.backward());
                 if penalty > 0 {
                     let redirect_until = self.cycle + 1 + u64::from(penalty);
                     if S::ATTR && redirect_until > self.fetch_ready_at {

@@ -533,56 +533,6 @@ impl PfuArray {
     pub fn reset_stats(&mut self) {
         self.stats = PfuStats::default();
     }
-
-    /// Steady-state equivalence with a snapshot `base` for the hot-loop
-    /// replay fast path. The period between `base` and `self` must be
-    /// load-free (tag checks all hit, so residency, `rng` and the
-    /// reconfiguration count are untouched), and each slot's cycle-domain
-    /// timestamps either shifted uniformly by `dc` (slots the period
-    /// used) or stayed at a stale value not newer than the snapshot cycle
-    /// `stale` (slots it never touched). Any in-flight shadow load or
-    /// unlimited-mode pending prefetch blocks convergence — replaying
-    /// past a load's landing cycle would miss the plane swap.
-    pub(crate) fn steady_eq(&self, base: &PfuArray, dc: u64, stale: u64) -> bool {
-        let ts = |t: u64, b: u64| t == b + dc || (t == b && b <= stale);
-        self.stats.reconfigurations == base.stats.reconfigurations
-            && self.stats.load_faults == base.stats.load_faults
-            && self.stats.prefetch_hits == base.stats.prefetch_hits
-            && self.stats.hidden_reload_cycles == base.stats.hidden_reload_cycles
-            && self.stats.exposed_reload_cycles == base.stats.exposed_reload_cycles
-            && self.stats.stream_words == base.stats.stream_words
-            && self.rng == base.rng
-            && self.pending.is_empty()
-            && base.pending.is_empty()
-            && self.resident.len() == base.resident.len()
-            && self.slots.len() == base.slots.len()
-            && self.slots.iter().zip(&base.slots).all(|(s, b)| {
-                s.conf == b.conf
-                    && s.shadow.is_none()
-                    && b.shadow.is_none()
-                    && s.prefetched == b.prefetched
-                    && (s.ready_at == b.ready_at && b.ready_at <= stale)
-                    && (s.loaded_at == b.loaded_at && b.loaded_at <= stale)
-                    && ts(s.last_use, b.last_use)
-            })
-    }
-
-    /// Advances by `iters` repetitions of the load-free period between
-    /// `base` and `self` whose cycle span is `dc` and whose snapshot
-    /// cycle is `stale` (requires [`PfuArray::steady_eq`]). Bit-identical
-    /// to simulating the period's tag-check hits `iters` more times.
-    /// The config-plane counters need no scaling: a load-free period
-    /// leaves them untouched (enforced by `steady_eq`).
-    pub(crate) fn fast_forward(&mut self, base: &PfuArray, iters: u64, dc: u64, stale: u64) {
-        let shift = dc * iters;
-        for s in &mut self.slots {
-            if s.last_use > stale {
-                s.last_use += shift;
-            }
-        }
-        self.stats.ext_executed += (self.stats.ext_executed - base.stats.ext_executed) * iters;
-        self.stats.conf_hits += (self.stats.conf_hits - base.stats.conf_hits) * iters;
-    }
 }
 
 #[cfg(test)]

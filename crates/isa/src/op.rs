@@ -74,7 +74,7 @@ pub enum Op {
 }
 
 /// Coarse operation class, used by the selector and the pipeline model.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum OpClass {
     /// Single-cycle integer ALU operation.
     IntAlu,

@@ -78,32 +78,13 @@ struct Line {
 }
 
 /// A set-associative cache.
+#[derive(Clone)]
 pub struct Cache {
     cfg: CacheConfig,
     lines: Vec<Line>,
     stats: CacheStats,
     tick: u64,
     rng: u64,
-}
-
-impl Clone for Cache {
-    fn clone(&self) -> Cache {
-        Cache {
-            lines: self.lines.clone(),
-            ..*self
-        }
-    }
-
-    /// Copies into the existing line array: the replay fast path
-    /// re-snapshots the caches at observed loop boundaries, and reusing
-    /// the allocation keeps that from churning the allocator.
-    fn clone_from(&mut self, src: &Cache) {
-        self.lines.clone_from(&src.lines);
-        self.cfg = src.cfg;
-        self.stats = src.stats;
-        self.tick = src.tick;
-        self.rng = src.rng;
-    }
 }
 
 impl Cache {
@@ -227,54 +208,6 @@ impl Cache {
         for l in &mut self.lines {
             *l = Line::default();
         }
-    }
-
-    /// Steady-state equivalence check for the CPU's hot-loop replay fast
-    /// path. Returns `true` when `self` is `base` advanced by one
-    /// *event-free* period: every access since `base` hit (no misses, no
-    /// write-backs, so tags, dirty bits and the rng are untouched), and
-    /// every LRU stamp either shifted uniformly by the access delta
-    /// (lines touched during the period) or stayed put at a value not
-    /// newer than `base` (lines the period never touched). Under these
-    /// conditions replaying the period any number of times leaves the
-    /// cache in a state reachable by [`Cache::fast_forward`].
-    pub fn steady_eq(&self, base: &Cache) -> bool {
-        let Some(dticks) = self.tick.checked_sub(base.tick) else {
-            return false;
-        };
-        if self.stats.accesses != base.stats.accesses + dticks
-            || self.stats.misses != base.stats.misses
-            || self.stats.writebacks != base.stats.writebacks
-            || self.rng != base.rng
-            || self.lines.len() != base.lines.len()
-        {
-            return false;
-        }
-        self.lines.iter().zip(&base.lines).all(|(l, b)| {
-            l.valid == b.valid
-                && l.dirty == b.dirty
-                && l.tag == b.tag
-                && (l.stamp == b.stamp + dticks || (l.stamp == b.stamp && b.stamp <= base.tick))
-        })
-    }
-
-    /// Advances this cache by `iters` additional repetitions of the
-    /// event-free period between `base` and `self` (which must satisfy
-    /// [`Cache::steady_eq`]): stamps of lines touched during the period
-    /// shift uniformly, untouched lines keep their stale stamps, and the
-    /// hit counters advance by the period's access count. The result is
-    /// bit-identical to simulating the period `iters` more times.
-    pub fn fast_forward(&mut self, base: &Cache, iters: u64) {
-        let dticks = self.tick - base.tick;
-        let shift = dticks * iters;
-        for l in &mut self.lines {
-            if l.stamp > base.tick {
-                l.stamp += shift;
-            }
-        }
-        self.tick += shift;
-        self.stats.accesses += shift;
-        self.stats.hits += shift;
     }
 }
 

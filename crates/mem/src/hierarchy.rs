@@ -76,9 +76,11 @@ pub struct MemStats {
 /// ([`crate::memory::Memory`]); this answers one question: *how many cycles
 /// does this access take?*
 ///
-/// `Clone` exists so the CPU's hot-loop replay fast path can snapshot the
-/// timing state at a loop boundary and later compare/advance it
-/// ([`MemHierarchy::steady_eq`], [`MemHierarchy::fast_forward`]).
+/// `Clone` copies the whole timing state, every cache line and TLB
+/// entry included. The CPU's replay fast path never clones it: replay
+/// performs every access on the one live hierarchy, so its state and
+/// statistics are exact by construction.
+#[derive(Clone)]
 pub struct MemHierarchy {
     cfg: MemConfig,
     il1: Cache,
@@ -86,29 +88,6 @@ pub struct MemHierarchy {
     ul2: Cache,
     itlb: Tlb,
     dtlb: Tlb,
-}
-
-impl Clone for MemHierarchy {
-    fn clone(&self) -> MemHierarchy {
-        MemHierarchy {
-            cfg: self.cfg,
-            il1: self.il1.clone(),
-            dl1: self.dl1.clone(),
-            ul2: self.ul2.clone(),
-            itlb: self.itlb.clone(),
-            dtlb: self.dtlb.clone(),
-        }
-    }
-
-    /// Reuses the caches' line arrays (see [`Cache`]'s `clone_from`).
-    fn clone_from(&mut self, src: &MemHierarchy) {
-        self.cfg = src.cfg;
-        self.il1.clone_from(&src.il1);
-        self.dl1.clone_from(&src.dl1);
-        self.ul2.clone_from(&src.ul2);
-        self.itlb.clone_from(&src.itlb);
-        self.dtlb.clone_from(&src.dtlb);
-    }
 }
 
 impl MemHierarchy {
@@ -194,33 +173,6 @@ impl MemHierarchy {
         self.ul2.reset_stats();
         self.itlb.reset_stats();
         self.dtlb.reset_stats();
-    }
-
-    /// Steady-state equivalence with a snapshot `base` taken earlier in
-    /// the same run: every component experienced an event-free (all-hit)
-    /// period whose repetitions can be replayed with
-    /// [`MemHierarchy::fast_forward`]. See
-    /// [`Cache::steady_eq`] for the per-component contract.
-    pub fn steady_eq(&self, base: &MemHierarchy) -> bool {
-        self.il1.steady_eq(&base.il1)
-            && self.dl1.steady_eq(&base.dl1)
-            && self.itlb.steady_eq(&base.itlb)
-            && self.dtlb.steady_eq(&base.dtlb)
-            // The unified L2 sees traffic only on L1 misses and
-            // write-backs, both absent in an event-free period, so it
-            // must be bit-identical to the snapshot.
-            && self.ul2.stats() == base.ul2.stats()
-    }
-
-    /// Advances every component by `iters` repetitions of the event-free
-    /// period between `base` and `self`, bit-identically to simulating
-    /// them. Requires [`MemHierarchy::steady_eq`]`(base)`.
-    pub fn fast_forward(&mut self, base: &MemHierarchy, iters: u64) {
-        self.il1.fast_forward(&base.il1, iters);
-        self.dl1.fast_forward(&base.dl1, iters);
-        self.itlb.fast_forward(&base.itlb, iters);
-        self.dtlb.fast_forward(&base.dtlb, iters);
-        // ul2 saw no traffic during the period: nothing to advance.
     }
 
     /// Invalidates all caches and TLBs (statistics are kept).

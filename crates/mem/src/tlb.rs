@@ -93,41 +93,6 @@ impl Tlb {
     pub fn flush(&mut self) {
         self.entries.clear();
     }
-
-    /// Steady-state equivalence with `base` over one event-free period:
-    /// no misses (so the entry vector's contents and order are untouched)
-    /// and every LRU stamp either shifted by the access delta or stale.
-    /// See [`Cache::steady_eq`](crate::cache::Cache::steady_eq).
-    pub fn steady_eq(&self, base: &Tlb) -> bool {
-        let Some(dticks) = self.tick.checked_sub(base.tick) else {
-            return false;
-        };
-        if self.stats.accesses != base.stats.accesses + dticks
-            || self.stats.misses != base.stats.misses
-            || self.entries.len() != base.entries.len()
-        {
-            return false;
-        }
-        self.entries
-            .iter()
-            .zip(&base.entries)
-            .all(|(e, b)| e.0 == b.0 && (e.1 == b.1 + dticks || (e.1 == b.1 && b.1 <= base.tick)))
-    }
-
-    /// Advances by `iters` repetitions of the event-free period between
-    /// `base` and `self`, bit-identically to simulating them. See
-    /// [`Cache::fast_forward`](crate::cache::Cache::fast_forward).
-    pub fn fast_forward(&mut self, base: &Tlb, iters: u64) {
-        let dticks = self.tick - base.tick;
-        let shift = dticks * iters;
-        for e in &mut self.entries {
-            if e.1 > base.tick {
-                e.1 += shift;
-            }
-        }
-        self.tick += shift;
-        self.stats.accesses += shift;
-    }
 }
 
 #[cfg(test)]

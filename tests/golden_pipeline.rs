@@ -486,7 +486,8 @@ fn budget_knapsack_respects_the_lut_budget_greedy_exceeds() {
 /// `lut_budget` on knapsack cells), the host-throughput fields (v5:
 /// `host_ns`, `sim_khz`, `fast_path`), and the config-plane reload
 /// counters (v6: `pfu_prefetch_hits`, `pfu_hidden_reload_cycles`,
-/// `pfu_exposed_reload_cycles`, `pfu_stream_words`). Guards the
+/// `pfu_exposed_reload_cycles`, `pfu_stream_words`). v7 adds no cell
+/// field: it adds `replayed_cycles` inside `fast_path`. Guards the
 /// "identical modulo the schema-version/strategy/throughput/reload
 /// fields" guarantee without re-running the full-scale suite — and, on a
 /// default (single-plane, no-prefetch) machine, pins every new counter
@@ -511,8 +512,8 @@ fn artifact_v6_adds_only_strategy_throughput_and_reload_fields() {
 
     assert_eq!(
         doc.get("schema_version").and_then(Json::as_u64),
-        Some(6),
-        "the config-plane counters require the v6 schema"
+        Some(7),
+        "replay coverage in cycles requires the v7 schema"
     );
     let keys = |j: &Json| -> Vec<String> {
         match j {
@@ -588,6 +589,17 @@ fn artifact_v6_adds_only_strategy_throughput_and_reload_fields() {
                 "default machine recorded nonzero {k}"
             );
         }
+        let fast_path = c.get("fast_path").expect("v5 fast_path object");
+        assert_eq!(
+            keys(fast_path),
+            [
+                "steady_loops",
+                "replayed_iters",
+                "deopts",
+                "replayed_cycles"
+            ],
+            "fast_path counters drifted"
+        );
         let extras: Vec<String> = ks
             .iter()
             .filter(|k| !v3_cell.contains(&k.as_str()))
