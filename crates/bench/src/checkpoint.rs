@@ -56,18 +56,11 @@ pub fn cell_key(cell: &Cell) -> String {
     format!("{cell:?}")
 }
 
-fn scale_str(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Full => "full",
-    }
-}
-
 fn header(scale: Scale) -> String {
     let doc = Json::obj(vec![
         ("kind", Json::Str(CHECKPOINT_KIND.to_string())),
         ("schema_version", Json::UInt(CHECKPOINT_SCHEMA)),
-        ("scale", Json::Str(scale_str(scale).to_string())),
+        ("scale", Json::Str(results::scale_str(scale).to_string())),
     ]);
     format!("{}\n", doc.to_string_compact())
 }
@@ -121,10 +114,10 @@ pub fn parse(text: &str, scale: Scale) -> Result<Checkpoint, String> {
         ));
     }
     let recorded_scale = head.get("scale").and_then(Json::as_str);
-    if recorded_scale != Some(scale_str(scale)) {
+    if recorded_scale != Some(results::scale_str(scale)) {
         return Err(format!(
             "checkpoint scale {recorded_scale:?} does not match this run ({})",
-            scale_str(scale)
+            results::scale_str(scale)
         ));
     }
     let mut cells = HashMap::new();

@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use t1000_core::{ExtractConfig, Selection, Session};
-use t1000_cpu::{AttrCollector, CycleAttribution, ExecError};
+use t1000_cpu::{AttrCollector, CycleAttribution, ExecError, TraceSink};
 use t1000_workloads::{Scale, Workload};
 
 /// Worker-pool size: `T1000_THREADS` if set, else the machine's
@@ -710,40 +710,26 @@ pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineR
         if let Some(cause) = selection_failures.get(&selection_key) {
             return fail(FailureCause::Selection(cause.to_string()), 0);
         }
-        let mut attempt = 0u32;
-        loop {
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return fail(FailureCause::WallClock, attempt);
-                }
-            }
-            attempt += 1;
+        let result = retry_cell(deadline, |attempt| {
             if attempt > 1 {
                 retries.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(RetryPolicy::default().backoff_before(attempt));
             }
-            let result = quiet_catch_unwind(|| {
-                simulate_cell(
-                    idx,
-                    attempt,
-                    cell,
-                    prepared,
-                    &selections,
-                    &selection_index,
-                    config,
-                )
-            });
-            let cause = match result {
-                Ok(Ok(result)) => {
-                    record_completed(&result);
-                    return CellOutcome::Completed(Box::new(result));
-                }
-                Ok(Err(cause)) => cause,
-                Err(msg) => FailureCause::Panic(msg),
-            };
-            if !cause.retryable() || attempt >= RetryPolicy::default().max_attempts {
-                return fail(cause, attempt);
+            simulate_cell(
+                idx,
+                attempt,
+                cell,
+                prepared,
+                &selections,
+                &selection_index,
+                config,
+            )
+        });
+        match result {
+            Ok(result) => {
+                record_completed(&result);
+                CellOutcome::Completed(Box::new(result))
             }
+            Err((cause, attempts)) => fail(cause, attempts),
         }
     });
     let simulate_secs = t0.elapsed().as_secs_f64();
@@ -885,6 +871,20 @@ pub struct CellRunner {
     prepare_opts: RunOptions,
 }
 
+/// A [`TraceSink`] that collects the cycle attribution a cell records:
+/// the plain [`AttrCollector`] for batch cells, one with per-PC counters
+/// or a [`crate::runstats::TraceWriter`] for an observed `t1000 run`.
+pub trait CellSink: TraceSink {
+    /// The attribution collected so far.
+    fn attribution(&self) -> &CycleAttribution;
+}
+
+impl CellSink for AttrCollector {
+    fn attribution(&self) -> &CycleAttribution {
+        &self.attr
+    }
+}
+
 fn exec_cause(e: t1000_core::Error, deterministic: fn(String) -> FailureCause) -> FailureCause {
     match e {
         t1000_core::Error::Exec(ExecError::CycleLimit(n)) => {
@@ -967,6 +967,21 @@ impl CellRunner {
         self.reference.timing.cycles
     }
 
+    /// Speedup of `result` over the canonical baseline, the value a
+    /// single-program cell document records (`None` for a zero-cycle
+    /// run). Meaningful for default-machine cells, whose baseline is the
+    /// canonical one.
+    pub fn speedup(&self, result: &CellResult) -> Option<f64> {
+        (result.cycles > 0).then(|| self.baseline_cycles() as f64 / result.cycles as f64)
+    }
+
+    /// Architectural results (output, checksum, exit code) of the
+    /// canonical baseline run. Every completed cell reproduced them
+    /// exactly: [`CellRunner`] fails any run whose results differ.
+    pub fn reference_sys(&self) -> &t1000_cpu::SyscallState {
+        &self.reference.sys
+    }
+
     fn cpu_for(machine: &MachineSpec, opts: &RunOptions) -> t1000_cpu::CpuConfig {
         let mut cpu = machine.cpu_config();
         cpu.max_cycles = opts.max_cycles;
@@ -998,7 +1013,7 @@ impl CellRunner {
         selection: Option<&Selection>,
         opts: &RunOptions,
     ) -> Result<CellResult, FailureCause> {
-        let (run, attr, host_ns) = if selection.is_none()
+        if selection.is_none()
             && cell.selection == SelectionSpec::Baseline
             && cell.machine == MachineSpec::with_pfus(0, 0)
             && *opts == self.prepare_opts
@@ -1006,23 +1021,37 @@ impl CellRunner {
             // The canonical baseline was already simulated during prepare
             // (it pins the architectural reference) — reuse it. The
             // prepare run used the same options, so the reuse is exact.
-            (
+            return self.finish(
+                cell,
                 self.reference.clone(),
                 self.reference_attr.clone(),
                 self.reference_host_ns,
-            )
-        } else {
-            let cpu = Self::cpu_for(&cell.machine, opts);
-            let mut sink = AttrCollector::new();
-            let t0 = Instant::now();
-            let run = match selection {
-                Some(s) => self.session.run_with_observed(s, cpu, &mut sink),
-                None => self.session.run_baseline_observed(cpu, &mut sink),
-            }
-            .map_err(|e| exec_cause(e, FailureCause::Simulate))?;
-            (run, sink.attr, t0.elapsed().as_nanos() as u64)
-        };
-        self.finish(cell, run, attr, host_ns)
+            );
+        }
+        self.run_cell_observed(cell, selection, opts, &mut AttrCollector::new())
+    }
+
+    /// Simulates `cell` with a pre-resolved `selection` (`None` =
+    /// baseline) while `sink` observes the pipeline — per-PC stall
+    /// counters or an event trace for `t1000 run`. The cell's attribution
+    /// is the one `sink` collected. Always simulates: the reference run
+    /// is never reused, because it was not observed by `sink`.
+    pub fn run_cell_observed<S: CellSink>(
+        &self,
+        cell: Cell,
+        selection: Option<&Selection>,
+        opts: &RunOptions,
+        sink: &mut S,
+    ) -> Result<CellResult, FailureCause> {
+        let cpu = Self::cpu_for(&cell.machine, opts);
+        let t0 = Instant::now();
+        let run = match selection {
+            Some(s) => self.session.run_with_observed(s, cpu, sink),
+            None => self.session.run_baseline_observed(cpu, sink),
+        }
+        .map_err(|e| exec_cause(e, FailureCause::Simulate))?;
+        let host_ns = t0.elapsed().as_nanos() as u64;
+        self.finish(cell, run, sink.attribution().clone(), host_ns)
     }
 
     /// Simulates `cell` with every configuration of `selection` failing
@@ -1071,48 +1100,19 @@ impl CellRunner {
         opts: &RunOptions,
         deadline: Option<Instant>,
     ) -> Result<CellResult, EngineError> {
+        let fail = |cause, attempts| EngineError {
+            cell,
+            cause,
+            attempts,
+        };
         let selection = match cell.selection {
             SelectionSpec::Baseline => None,
-            _ => match self.select(&cell.selection) {
-                Ok(s) => Some(s),
-                Err(cause) => {
-                    return Err(EngineError {
-                        cell,
-                        cause,
-                        attempts: 0,
-                    })
-                }
-            },
+            spec => Some(self.select(&spec).map_err(|cause| fail(cause, 0))?),
         };
-        let mut attempt = 0u32;
-        loop {
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Err(EngineError {
-                        cell,
-                        cause: FailureCause::WallClock,
-                        attempts: attempt,
-                    });
-                }
-            }
-            attempt += 1;
-            if attempt > 1 {
-                std::thread::sleep(RetryPolicy::default().backoff_before(attempt));
-            }
-            let cause =
-                match quiet_catch_unwind(|| self.run_cell_with(cell, selection.as_deref(), opts)) {
-                    Ok(Ok(result)) => return Ok(result),
-                    Ok(Err(cause)) => cause,
-                    Err(msg) => FailureCause::Panic(msg),
-                };
-            if !cause.retryable() || attempt >= RetryPolicy::default().max_attempts {
-                return Err(EngineError {
-                    cell,
-                    cause,
-                    attempts: attempt,
-                });
-            }
-        }
+        retry_cell(deadline, |_| {
+            self.run_cell_with(cell, selection.as_deref(), opts)
+        })
+        .map_err(|(cause, attempts)| fail(cause, attempts))
     }
 
     /// Verification + measurement extraction shared by every run path.
@@ -1153,6 +1153,35 @@ impl CellRunner {
             fast: run.timing.fast,
             attr,
         })
+    }
+}
+
+/// Runs `attempt` (passed its 1-based number) under `catch_unwind` panic
+/// isolation with bounded deterministic retry of transient causes,
+/// checking the wall-clock `deadline` before each attempt. On failure,
+/// returns the cause and the attempts made.
+fn retry_cell(
+    deadline: Option<Instant>,
+    mut attempt: impl FnMut(u32) -> Result<CellResult, FailureCause>,
+) -> Result<CellResult, (FailureCause, u32)> {
+    let policy = RetryPolicy::default();
+    let mut n = 0u32;
+    loop {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err((FailureCause::WallClock, n));
+        }
+        n += 1;
+        if n > 1 {
+            std::thread::sleep(policy.backoff_before(n));
+        }
+        let cause = match quiet_catch_unwind(|| attempt(n)) {
+            Ok(Ok(result)) => return Ok(result),
+            Ok(Err(cause)) => cause,
+            Err(msg) => FailureCause::Panic(msg),
+        };
+        if !cause.retryable() || n >= policy.max_attempts {
+            return Err((cause, n));
+        }
     }
 }
 
@@ -1208,11 +1237,6 @@ fn workload_infos(scale: Scale, cells: &[Cell]) -> Vec<WorkloadInfo> {
 /// Convenience: execute the full `run_all` plan on the clean path.
 pub fn execute_run_all(scale: Scale) -> EngineRun {
     execute(&crate::plan::run_all_plan(), scale)
-}
-
-/// [`execute_run_all`] with explicit robustness configuration.
-pub fn execute_run_all_with(scale: Scale, config: &EngineConfig) -> EngineRun {
-    execute_with(&crate::plan::run_all_plan(), scale, config)
 }
 
 #[cfg(test)]

@@ -12,13 +12,16 @@
 //! | `reconfig_sweep` | §5.2 — robustness up to 500-cycle reconfiguration |
 //! | `bitwidth_sweep` | ablation: candidate bitwidth threshold |
 //! | `ports_sweep` | ablation: PFU input-port budget |
-//! | `run_all` | everything above, for EXPERIMENTS.md |
+//! | `width_sweep` | ablation: machine issue width (1/2/4/8-wide) |
+//! | `pfu_policy_sweep` | ablation: PFU replacement policy (LRU/FIFO/random) |
+//! | `branch_sweep` | ablation: branch predictor (perfect/static/bimodal/gshare) |
+//! | `reload_sweep` | reload cost × prefetch depth × PFU count (config planes) |
+//! | `run_all` | every paper artefact above (no ablations), for EXPERIMENTS.md |
 //!
 //! Run with `--release`; full-scale runs simulate millions of cycles.
 
 // Robustness gate: library code must surface failures as typed errors,
-// not unwrap/expect panics. Tests (and the legacy panicking helpers
-// explicitly allow-listed below) are exempt.
+// not unwrap/expect panics. Tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod checkpoint;
@@ -69,22 +72,6 @@ pub fn prepare(w: &Workload) -> Result<Prepared, Error> {
     })
 }
 
-/// Prepares every benchmark at `scale`, in parallel (one thread each).
-// Legacy convenience for the figure binaries: workers deliberately panic
-// on broken workloads (they have no error channel), so join() only fails
-// after a panic that is itself the intended abort.
-#[allow(clippy::unwrap_used)]
-pub fn prepare_all(scale: Scale) -> Vec<Prepared> {
-    let workloads = t1000_workloads::all(scale);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = workloads
-            .iter()
-            .map(|w| s.spawn(move || prepare(w).unwrap_or_else(|e| panic!("{}: {e}", w.name))))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-}
-
 /// Runs one selection on one machine configuration and verifies
 /// architectural results against the baseline.
 pub fn run_verified(p: &Prepared, sel: &Selection, cpu: CpuConfig) -> RunResult {
@@ -111,19 +98,6 @@ pub fn fmt_row(name: &str, cells: &[f64]) -> String {
     let mut s = format!("{name:>10}");
     for c in cells {
         s.push_str(&format!("  {c:>8.3}"));
-    }
-    s
-}
-
-/// [`fmt_row`] over possibly-missing cells: a failed measurement renders
-/// as `n/a` instead of aborting the whole table.
-pub fn fmt_row_opt(name: &str, cells: &[Option<f64>]) -> String {
-    let mut s = format!("{name:>10}");
-    for c in cells {
-        match c {
-            Some(v) => s.push_str(&format!("  {v:>8.3}")),
-            None => s.push_str(&format!("  {:>8}", "n/a")),
-        }
     }
     s
 }

@@ -50,14 +50,14 @@ use t1000_workloads::Scale;
 ///   path. See `docs/FASTPATH.md`.
 pub const SCHEMA_VERSION: u64 = 7;
 
-fn scale_str(scale: Scale) -> &'static str {
+pub(crate) fn scale_str(scale: Scale) -> &'static str {
     match scale {
         Scale::Test => "test",
         Scale::Full => "full",
     }
 }
 
-fn hex64(v: u64) -> Json {
+pub(crate) fn hex64(v: u64) -> Json {
     // Checksums are 64-bit words; a JSON number would survive only up to
     // 2^53 in common readers, so they travel as hex strings.
     Json::Str(format!("0x{v:016x}"))
@@ -155,7 +155,7 @@ fn selection_spec_fields(spec: &SelectionSpec) -> Vec<(&'static str, Json)> {
     fields
 }
 
-/// One selection record as a schema-v6 `selections[]` entry. Public so
+/// One selection record as a schema-v7 `selections[]` entry. Public so
 /// the serving layer's `select` method can emit the identical document.
 pub fn selection_json(r: &SelectionRecord) -> Json {
     let (min_len, max_len) = r.seq_len_range();
@@ -194,10 +194,10 @@ fn cell_json(run: &EngineRun, c: &CellResult) -> Json {
     cell_result_json(c, run.speedup(c.cell))
 }
 
-/// One cell's measurements as a schema-v6 `cells[]` entry (`speedup` is
-/// relative to the caller's baseline; `None` → JSON `null`). Public so
-/// the serving layer's `run` method can emit documents bit-identical to
-/// the batch artifact's.
+/// One cell's measurements as a schema-v7 `cells[]` entry (`speedup` is
+/// relative to the caller's baseline; `None` → JSON `null`). The one
+/// writer of a cell's counters: the serving layer's `run` method and the
+/// `t1000 run --stats-json` document emit it too.
 pub fn cell_result_json(c: &CellResult, speedup: Option<f64>) -> Json {
     let mut fields = vec![("workload", Json::Str(c.cell.workload.to_string()))];
     fields.extend(selection_spec_fields(&c.cell.selection));
@@ -248,7 +248,7 @@ pub fn cell_result_json(c: &CellResult, speedup: Option<f64>) -> Json {
     Json::obj(fields)
 }
 
-/// Parses a schema-v6 `cells[]` document back into a [`CellResult`] for
+/// Parses a schema-v7 `cells[]` document back into a [`CellResult`] for
 /// `cell` — the inverse of [`cell_result_json`], used by `--resume` to
 /// restore the cell lines of a checkpoint. The caller supplies the
 /// expected [`Cell`] (the checkpoint keys each line by it), so only the
@@ -472,15 +472,15 @@ pub fn validate_artifact(text: &str) -> Result<ArtifactSummary, String> {
             .and_then(Json::as_str)
             .and_then(parse_hex64)
             .ok_or_else(|| format!("{name}: bad expected_checksum"))?;
-        let reference = t1000_workloads::by_name(name, scale)
-            .ok_or_else(|| format!("{name}: unknown workload"))?
-            .expected_checksum();
+        let workload = t1000_workloads::by_name(name, scale)
+            .ok_or_else(|| format!("{name}: unknown workload"))?;
+        let reference = workload.expected_checksum();
         if recorded != reference {
             return Err(format!(
                 "{name}: recorded reference 0x{recorded:016x} != recomputed 0x{reference:016x}"
             ));
         }
-        expected.insert(name.to_string(), reference);
+        expected.insert(workload.name, reference);
     }
 
     // Schema v3: failures are first-class artifact content. An artifact
@@ -516,24 +516,23 @@ pub fn validate_artifact(text: &str) -> Result<ArtifactSummary, String> {
             .get("workload")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("cell {i}: missing workload"))?;
-        let reference = *expected
-            .get(name)
+        let (&label, &reference) = expected
+            .get_key_value(name)
             .ok_or_else(|| format!("cell {i}: workload {name} not in workloads array"))?;
-        let checksum = c
-            .get("checksum")
-            .and_then(Json::as_str)
-            .and_then(parse_hex64)
-            .ok_or_else(|| format!("cell {i}: bad checksum"))?;
-        if checksum != reference {
+        // Every counter parses through the checkpoint's cell parser (which
+        // reads only the workload of the cell it is handed): u64 counters,
+        // the fast-path block, and (schema v2) an attribution that
+        // partitions the cell's cycles over the closed stall taxonomy.
+        let baseline = Cell::new(label, SelectionSpec::Baseline, MachineSpec::with_pfus(0, 0));
+        let r =
+            cell_result_from_json(c, baseline).map_err(|e| format!("cell {i} ({name}): {e}"))?;
+        if r.checksum != reference {
             return Err(format!(
-                "cell {i} ({name}): checksum 0x{checksum:016x} diverges from reference 0x{reference:016x}"
+                "cell {i} ({name}): checksum 0x{:016x} diverges from reference 0x{reference:016x}",
+                r.checksum
             ));
         }
-        let cycles = c
-            .get("cycles")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("cell {i}: missing cycles"))?;
-        if cycles == 0 {
+        if r.cycles == 0 {
             return Err(format!("cell {i} ({name}): zero cycles"));
         }
         match c.get("speedup") {
@@ -556,37 +555,15 @@ pub fn validate_artifact(text: &str) -> Result<ArtifactSummary, String> {
             }
             None => return Err(format!("cell {i}: missing speedup")),
         }
-        if c.get("pfu_load_faults").and_then(Json::as_u64).is_none() {
-            return Err(format!("cell {i} ({name}): bad pfu_load_faults"));
-        }
-        // Schema v6: the config-plane reload counters must be present.
-        for key in [
-            "pfu_prefetch_hits",
-            "pfu_hidden_reload_cycles",
-            "pfu_exposed_reload_cycles",
-            "pfu_stream_words",
-        ] {
-            if c.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!("cell {i} ({name}): bad {key}"));
-            }
-        }
         // Schema v4: every cell names the strategy that produced it.
         match c.get("strategy").and_then(Json::as_str) {
             Some(s) if !s.is_empty() => {}
             _ => return Err(format!("cell {i} ({name}): bad strategy")),
         }
-        // Schema v5: host throughput + fast-path counters. `host_ns`
-        // may legitimately be zero (deterministic mode), and `sim_khz`
-        // must then be zero too; otherwise both must be positive and the
-        // rate must be the exact quotient of the other two fields.
-        let host_ns = c
-            .get("host_ns")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("cell {i} ({name}): bad host_ns"))?;
-        let khz = c
-            .get("sim_khz")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("cell {i} ({name}): bad sim_khz"))?;
+        // Schema v5: `host_ns` may legitimately be zero (deterministic
+        // mode), and `sim_khz` must then be zero too; otherwise both must
+        // be positive.
+        let (host_ns, khz) = (r.host_ns, r.sim_khz);
         if !khz.is_finite() || khz < 0.0 {
             return Err(format!("cell {i} ({name}): bad sim_khz {khz}"));
         }
@@ -595,26 +572,6 @@ pub fn validate_artifact(text: &str) -> Result<ArtifactSummary, String> {
                 "cell {i} ({name}): host_ns {host_ns} inconsistent with sim_khz {khz}"
             ));
         }
-        let fast = c
-            .get("fast_path")
-            .ok_or_else(|| format!("cell {i} ({name}): missing fast_path"))?;
-        for key in [
-            "steady_loops",
-            "replayed_iters",
-            "deopts",
-            "replayed_cycles",
-        ] {
-            if fast.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!("cell {i} ({name}): bad fast_path.{key}"));
-            }
-        }
-        // Schema v2: the attribution must partition the cell's cycles
-        // exactly, over the closed stall taxonomy.
-        let attr = c
-            .get("attribution")
-            .ok_or_else(|| format!("cell {i} ({name}): missing attribution"))?;
-        crate::runstats::validate_attribution(attr, Some(cycles))
-            .map_err(|e| format!("cell {i} ({name}): {e}"))?;
     }
     Ok(ArtifactSummary {
         scale: scale_str(scale),

@@ -8,25 +8,22 @@
 //! [`validate_attribution`] is the machine-checked half of that contract
 //! and is reused by the `BENCH_results.json` schema-v2 validator.
 
+use crate::engine::{CellResult, CellSink};
 use crate::json::Json;
+use crate::results::{cell_result_json, hex64};
 use std::io::Write;
 use t1000_cpu::{
-    AttrCollector, CycleAttribution, CycleClass, PcStalls, RunResult, TraceEvent, TraceSink,
-    NUM_STALL_CAUSES, STALL_CAUSES,
+    AttrCollector, CycleAttribution, CycleClass, PcStalls, TraceEvent, TraceSink, NUM_STALL_CAUSES,
+    STALL_CAUSES,
 };
 use t1000_isa::Program;
 use t1000_profile::{loop_profiles, natural_loops, Cfg, Dominators, ExecProfile};
 
 /// `schema` field of the run-stats document.
 pub const RUN_STATS_SCHEMA: &str = "t1000.run-stats";
-/// Version of the run-stats document layout.
-pub const RUN_STATS_VERSION: u64 = 1;
-
-fn hex64(v: u64) -> Json {
-    // 64-bit checksums travel as hex strings: a JSON number is only exact
-    // up to 2^53 in common readers.
-    Json::Str(format!("0x{v:016x}"))
-}
+/// Version of the run-stats document layout. Version 2 wraps the cell
+/// document; version 1 carried counters of its own and is not read.
+pub const RUN_STATS_VERSION: u64 = 2;
 
 // ---------------------------------------------------------------------
 // Attribution JSON
@@ -60,15 +57,25 @@ pub fn attr_json(attr: &CycleAttribution) -> Json {
 /// is given, `total_cycles` must equal it (ties the attribution to the
 /// cell's own cycle counter).
 pub fn validate_attribution(j: &Json, expected_cycles: Option<u64>) -> Result<(), String> {
+    attr_from_json(j, expected_cycles).map(drop)
+}
+
+/// Parses an `attribution` object back into a [`CycleAttribution`] under
+/// the checks of [`validate_attribution`], so a successfully parsed value
+/// always satisfies the partition invariant.
+pub fn attr_from_json(j: &Json, expected_cycles: Option<u64>) -> Result<CycleAttribution, String> {
     let field = |key: &str| -> Result<u64, String> {
         j.get(key)
             .ok_or_else(|| format!("attribution missing {key}"))?
             .as_u64()
             .ok_or_else(|| format!("attribution {key} is not a u64"))
     };
-    let total = field("total_cycles")?;
-    let busy = field("busy_cycles")?;
-    let commit_bound = field("commit_bound_cycles")?;
+    let mut attr = CycleAttribution {
+        total_cycles: field("total_cycles")?,
+        busy_cycles: field("busy_cycles")?,
+        commit_bound_cycles: field("commit_bound_cycles")?,
+        stalls: [0; NUM_STALL_CAUSES],
+    };
     let stalls = match j.get("stalls") {
         Some(Json::Obj(pairs)) => pairs,
         _ => return Err("attribution missing stalls object".to_string()),
@@ -79,7 +86,7 @@ pub fn validate_attribution(j: &Json, expected_cycles: Option<u64>) -> Result<()
             stalls.len()
         ));
     }
-    let mut sum = busy;
+    let mut sum = attr.busy_cycles;
     for (i, (key, value)) in stalls.iter().enumerate() {
         if key != STALL_CAUSES[i].key() {
             return Err(format!(
@@ -87,55 +94,32 @@ pub fn validate_attribution(j: &Json, expected_cycles: Option<u64>) -> Result<()
                 STALL_CAUSES[i].key()
             ));
         }
-        let v = value
+        attr.stalls[i] = value
             .as_u64()
             .ok_or_else(|| format!("stall {key} is not a u64"))?;
         sum = sum
-            .checked_add(v)
+            .checked_add(attr.stalls[i])
             .ok_or_else(|| format!("stall counters overflow at {key}"))?;
     }
-    if sum != total {
+    if sum != attr.total_cycles {
         return Err(format!(
-            "attribution does not partition the run: busy + stalls = {sum}, total = {total}"
+            "attribution does not partition the run: busy + stalls = {sum}, total = {}",
+            attr.total_cycles
         ));
     }
-    if commit_bound > busy {
+    if attr.commit_bound_cycles > attr.busy_cycles {
         return Err(format!(
-            "commit_bound_cycles {commit_bound} exceeds busy_cycles {busy}"
+            "commit_bound_cycles {} exceeds busy_cycles {}",
+            attr.commit_bound_cycles, attr.busy_cycles
         ));
     }
     if let Some(cycles) = expected_cycles {
-        if total != cycles {
+        if attr.total_cycles != cycles {
             return Err(format!(
-                "attribution total_cycles {total} != cell cycles {cycles}"
+                "attribution total_cycles {} != cell cycles {cycles}",
+                attr.total_cycles
             ));
         }
-    }
-    Ok(())
-}
-
-/// Parses an `attribution` object back into a [`CycleAttribution`],
-/// running [`validate_attribution`] first so a successfully parsed value
-/// always satisfies the partition invariant.
-pub fn attr_from_json(j: &Json, expected_cycles: Option<u64>) -> Result<CycleAttribution, String> {
-    validate_attribution(j, expected_cycles)?;
-    let field = |key: &str| -> Result<u64, String> {
-        j.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("attribution missing {key}"))
-    };
-    let mut attr = CycleAttribution {
-        total_cycles: field("total_cycles")?,
-        busy_cycles: field("busy_cycles")?,
-        commit_bound_cycles: field("commit_bound_cycles")?,
-        stalls: [0; NUM_STALL_CAUSES],
-    };
-    for cause in STALL_CAUSES {
-        attr.stalls[cause.index()] = j
-            .get("stalls")
-            .and_then(|s| s.get(cause.key()))
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("attribution missing stall {}", cause.key()))?;
     }
     Ok(attr)
 }
@@ -247,81 +231,23 @@ fn loop_json(l: &LoopAttr) -> Json {
 // The run-stats document
 // ---------------------------------------------------------------------
 
-fn cache_json(s: &t1000_mem::CacheStats) -> Json {
-    Json::obj(vec![
-        ("accesses", Json::UInt(s.accesses)),
-        ("hits", Json::UInt(s.hits)),
-        ("misses", Json::UInt(s.misses)),
-        ("writebacks", Json::UInt(s.writebacks)),
-    ])
-}
-
-fn tlb_json(s: &t1000_mem::TlbStats) -> Json {
-    Json::obj(vec![
-        ("accesses", Json::UInt(s.accesses)),
-        ("misses", Json::UInt(s.misses)),
-    ])
-}
-
 /// Builds the `t1000 run --stats-json` document (see `docs/METRICS.md`,
-/// "Run-stats schema"). `attr` and `loops` are optional so the document
-/// degrades gracefully when attribution was not collected.
-pub fn run_stats_json(
-    workload: &str,
-    run: &RunResult,
-    attr: Option<&CycleAttribution>,
+/// "Run-stats schema"): the run's `target` as the user named it, the
+/// cell document [`cell_result_json`] emits for `BENCH_results.json` and
+/// the serving layer, and the per-loop roll-up.
+pub fn run_stats_doc(
+    target: &str,
+    cell: &CellResult,
+    speedup: Option<f64>,
     loops: &[LoopAttr],
 ) -> Json {
-    let t = &run.timing;
-    let mut fields = vec![
+    Json::obj(vec![
         ("schema", Json::Str(RUN_STATS_SCHEMA.to_string())),
         ("schema_version", Json::UInt(RUN_STATS_VERSION)),
-        ("workload", Json::Str(workload.to_string())),
-        ("cycles", Json::UInt(t.cycles)),
-        ("slots", Json::UInt(t.slots)),
-        ("base_instructions", Json::UInt(t.base_instructions)),
-        ("base_ipc", Json::Float(t.base_ipc)),
-        (
-            "pfu",
-            Json::obj(vec![
-                ("ext_executed", Json::UInt(t.pfu.ext_executed)),
-                ("reconfigurations", Json::UInt(t.pfu.reconfigurations)),
-                ("conf_hits", Json::UInt(t.pfu.conf_hits)),
-            ]),
-        ),
-        (
-            "mem",
-            Json::obj(vec![
-                ("il1", cache_json(&t.mem.il1)),
-                ("dl1", cache_json(&t.mem.dl1)),
-                ("ul2", cache_json(&t.mem.ul2)),
-                ("itlb", tlb_json(&t.mem.itlb)),
-                ("dtlb", tlb_json(&t.mem.dtlb)),
-            ]),
-        ),
-        (
-            "branch",
-            Json::obj(vec![
-                ("branches", Json::UInt(t.branch.branches)),
-                ("mispredictions", Json::UInt(t.branch.mispredictions)),
-                ("accuracy", Json::Float(t.branch.accuracy())),
-            ]),
-        ),
-        ("fetch_stall_cycles", Json::UInt(t.fetch_stall_cycles)),
-        ("checksum", hex64(run.sys.checksum)),
-        (
-            "exit_code",
-            match run.sys.exit_code {
-                Some(c) => Json::UInt(c as u64),
-                None => Json::Null,
-            },
-        ),
-    ];
-    if let Some(attr) = attr {
-        fields.push(("attribution", attr_json(attr)));
-        fields.push(("loops", Json::Arr(loops.iter().map(loop_json).collect())));
-    }
-    Json::obj(fields)
+        ("target", Json::Str(target.to_string())),
+        ("cell", cell_result_json(cell, speedup)),
+        ("loops", Json::Arr(loops.iter().map(loop_json).collect())),
+    ])
 }
 
 // ---------------------------------------------------------------------
@@ -448,6 +374,12 @@ impl<W: Write> TraceSink for TraceWriter<W> {
     }
 }
 
+impl<W: Write> CellSink for TraceWriter<W> {
+    fn attribution(&self) -> &CycleAttribution {
+        &self.collector.attr
+    }
+}
+
 // ---------------------------------------------------------------------
 // The attribution report (t1000 report / t1000 run --attr)
 // ---------------------------------------------------------------------
@@ -535,58 +467,118 @@ pub fn render_loop_table(loops: &[LoopAttr], total_cycles: u64, limit: usize) ->
     out
 }
 
+/// Why `t1000 report` cannot render a document.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ReportError {
+    /// Not a run-stats document; carries the `schema` it names, if any.
+    NotRunStats(Option<String>),
+    /// A run-stats document of another layout version (v1 documents
+    /// predate the cell document); carries its `schema_version`.
+    Version(Option<u64>),
+    /// A current-version document with a missing or malformed field.
+    Malformed(String),
+}
+
+impl std::fmt::Display for ReportError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReportError::NotRunStats(schema) => write!(
+                f,
+                "not a run-stats document (schema {schema:?}, expected {RUN_STATS_SCHEMA:?})"
+            ),
+            ReportError::Version(v) => write!(
+                f,
+                "run-stats schema_version {v:?} is not readable (expected \
+                 {RUN_STATS_VERSION}); rerun `t1000 run <target> --stats-json FILE` to \
+                 regenerate it"
+            ),
+            ReportError::Malformed(msg) => write!(f, "malformed run-stats document: {msg}"),
+        }
+    }
+}
+
+/// Parses one `loops[]` entry back into a [`LoopAttr`].
+fn loop_from_json(l: &Json) -> Result<LoopAttr, String> {
+    let header_pc = l
+        .get("header_pc")
+        .and_then(Json::as_str)
+        .and_then(|h| h.strip_prefix("0x"))
+        .and_then(|h| u32::from_str_radix(h, 16).ok())
+        .ok_or("bad header_pc")?;
+    let counter = |key: &str| {
+        l.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("bad {key}"))
+    };
+    let (iterations, dyn_instrs) = (counter("iterations")?, counter("dyn_instrs")?);
+    let mut stalls = [0u64; NUM_STALL_CAUSES];
+    for cause in STALL_CAUSES {
+        stalls[cause.index()] = l
+            .get("stalls")
+            .and_then(|s| s.get(cause.key()))
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("bad stalls.{}", cause.key()))?;
+    }
+    Ok(LoopAttr {
+        header_pc,
+        iterations,
+        dyn_instrs,
+        stalls,
+    })
+}
+
 /// Renders an attribution report from a parsed run-stats document —
-/// the `t1000 report <stats.json>` path. Validates the attribution
-/// before rendering.
-pub fn report_from_stats(doc: &Json) -> Result<String, String> {
+/// the `t1000 report <stats.json>` path. Reads `cell.workload`,
+/// `cell.cycles`, `cell.attribution` (validated before rendering) and
+/// every `loops[]` entry; a malformed entry is an error naming its index.
+pub fn report_from_stats(doc: &Json) -> Result<String, ReportError> {
     let schema = doc.get("schema").and_then(Json::as_str);
     if schema != Some(RUN_STATS_SCHEMA) {
-        return Err(format!(
-            "not a run-stats document (schema {schema:?}, expected {RUN_STATS_SCHEMA:?})"
-        ));
+        return Err(ReportError::NotRunStats(schema.map(str::to_string)));
     }
-    let cycles = doc
+    let version = doc.get("schema_version").and_then(Json::as_u64);
+    if version != Some(RUN_STATS_VERSION) {
+        return Err(ReportError::Version(version));
+    }
+    let malformed = |msg: &str| ReportError::Malformed(msg.to_string());
+    let cell = doc.get("cell").ok_or_else(|| malformed("missing cell"))?;
+    let workload = cell
+        .get("workload")
+        .and_then(Json::as_str)
+        .ok_or_else(|| malformed("missing cell.workload"))?;
+    let cycles = cell
         .get("cycles")
         .and_then(Json::as_u64)
-        .ok_or("missing cycles")?;
-    let attr_doc = doc
+        .ok_or_else(|| malformed("missing cell.cycles"))?;
+    let attr_doc = cell
         .get("attribution")
-        .ok_or("document has no attribution (run with --attr or --stats-json)")?;
-    let attr = attr_from_json(attr_doc, Some(cycles))?;
-    let workload = doc.get("workload").and_then(Json::as_str).unwrap_or("?");
+        .ok_or_else(|| malformed("missing cell.attribution"))?;
+    let attr = attr_from_json(attr_doc, Some(cycles))
+        .map_err(|e| ReportError::Malformed(format!("cell.{e}")))?;
+    let loops = doc
+        .get("loops")
+        .and_then(Json::as_array)
+        .ok_or_else(|| malformed("missing loops"))?
+        .iter()
+        .enumerate()
+        .map(|(i, l)| {
+            loop_from_json(l).map_err(|e| ReportError::Malformed(format!("loops[{i}]: {e}")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let mut out = format!("workload: {workload}\n");
     out.push_str(&render_attr_table(&attr));
-    if let Some(loops) = doc.get("loops").and_then(Json::as_array) {
-        let parsed: Vec<LoopAttr> = loops
-            .iter()
-            .filter_map(|l| {
-                let header = l.get("header_pc").and_then(Json::as_str)?;
-                let header_pc = u32::from_str_radix(header.strip_prefix("0x")?, 16).ok()?;
-                let mut stalls = [0u64; NUM_STALL_CAUSES];
-                for cause in STALL_CAUSES {
-                    stalls[cause.index()] = l
-                        .get("stalls")
-                        .and_then(|s| s.get(cause.key()))
-                        .and_then(Json::as_u64)?;
-                }
-                Some(LoopAttr {
-                    header_pc,
-                    iterations: l.get("iterations").and_then(Json::as_u64)?,
-                    dyn_instrs: l.get("dyn_instrs").and_then(Json::as_u64)?,
-                    stalls,
-                })
-            })
-            .collect();
-        out.push_str(&render_loop_table(&parsed, cycles, 8));
-    }
+    out.push_str(&render_loop_table(&loops, cycles, 8));
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{CellRunner, RunOptions};
+    use crate::plan::{Cell, MachineSpec, SelectionSpec};
+    use std::sync::Arc;
     use t1000_core::Session;
-    use t1000_cpu::CpuConfig;
+    use t1000_cpu::{CpuConfig, RunResult};
 
     const KERNEL: &str = "
 main:
@@ -605,7 +597,7 @@ loop:
     syscall
 ";
 
-    fn observed_run() -> (Session, RunResult, AttrCollector) {
+    fn kernel_run() -> (Session, RunResult, AttrCollector) {
         let session = Session::from_asm(KERNEL).unwrap();
         let mut sink = AttrCollector::with_per_pc();
         let run = session
@@ -614,9 +606,41 @@ loop:
         (session, run, sink)
     }
 
+    /// The document `t1000 run <kernel> --attr --stats-json` writes for
+    /// the PFU-less kernel, and the cell it wraps.
+    fn kernel_stats_doc() -> (Json, CellResult, Option<f64>) {
+        let opts = RunOptions::default();
+        let session = Arc::new(Session::from_asm(KERNEL).unwrap());
+        let runner = CellRunner::from_session(session, None, &opts).unwrap();
+        let cell = Cell::new(
+            "adhoc",
+            SelectionSpec::Baseline,
+            MachineSpec::with_pfus(0, 0),
+        );
+        let mut sink = AttrCollector::with_per_pc();
+        let result = runner
+            .run_cell_observed(cell, None, &opts, &mut sink)
+            .unwrap();
+        assert_eq!(result.cycles, runner.baseline_cycles());
+        let analysis = runner.session().analysis();
+        let loops = loop_attrs(
+            runner.session().program(),
+            &analysis.cfg,
+            &analysis.profile,
+            sink.per_pc().unwrap(),
+        );
+        let speedup = runner.speedup(&result);
+        let doc = run_stats_doc("kernel.s", &result, speedup, &loops);
+        (
+            Json::parse(&doc.to_string_pretty()).unwrap(),
+            result,
+            speedup,
+        )
+    }
+
     #[test]
     fn attr_json_round_trips_and_validates() {
-        let (_, run, sink) = observed_run();
+        let (_, run, sink) = kernel_run();
         let j = attr_json(&sink.attr);
         validate_attribution(&j, Some(run.timing.cycles)).unwrap();
         let text = j.to_string_compact();
@@ -626,7 +650,7 @@ loop:
 
     #[test]
     fn validator_rejects_broken_attributions() {
-        let (_, run, sink) = observed_run();
+        let (_, run, sink) = kernel_run();
         let good = attr_json(&sink.attr);
         // Broken invariant.
         let mut attr = sink.attr.clone();
@@ -663,50 +687,54 @@ loop:
 
     #[test]
     fn run_stats_document_is_complete_and_parses() {
-        let (session, run, sink) = observed_run();
-        let analysis = session.analysis();
-        let loops = loop_attrs(
-            session.program(),
-            &analysis.cfg,
-            &analysis.profile,
-            sink.per_pc().unwrap(),
-        );
-        let doc = run_stats_json("kernel", &run, Some(&sink.attr), &loops);
-        let text = doc.to_string_pretty();
-        let parsed = Json::parse(&text).unwrap();
+        let (doc, result, speedup) = kernel_stats_doc();
         assert_eq!(
-            parsed.get("schema").and_then(Json::as_str),
+            doc.get("schema").and_then(Json::as_str),
             Some(RUN_STATS_SCHEMA)
         );
         assert_eq!(
-            parsed.get("cycles").and_then(Json::as_u64),
-            Some(run.timing.cycles)
+            doc.get("schema_version").and_then(Json::as_u64),
+            Some(RUN_STATS_VERSION)
         );
-        for key in [
-            "slots",
-            "base_instructions",
-            "base_ipc",
-            "pfu",
-            "mem",
-            "branch",
-            "fetch_stall_cycles",
-            "checksum",
-            "exit_code",
-            "attribution",
-            "loops",
-        ] {
-            assert!(parsed.get(key).is_some(), "missing {key}");
-        }
-        validate_attribution(parsed.get("attribution").unwrap(), Some(run.timing.cycles)).unwrap();
+        assert_eq!(doc.get("target").and_then(Json::as_str), Some("kernel.s"));
+        // The cell is exactly the document the artifact and the server emit.
+        assert_eq!(doc.get("cell"), Some(&cell_result_json(&result, speedup)));
+        assert_eq!(
+            doc.get("loops").and_then(Json::as_array).map(<[Json]>::len),
+            Some(1)
+        );
         // The report renders from the parsed document.
-        let report = report_from_stats(&parsed).unwrap();
+        let report = report_from_stats(&doc).unwrap();
+        assert!(report.starts_with("workload: adhoc\n"), "{report}");
         assert!(report.contains("cycle attribution"));
         assert!(report.contains("busy"));
+        assert!(report.contains("hottest loops"));
+    }
+
+    #[test]
+    fn report_rejects_other_versions_and_names_malformed_loops() {
+        let v1 = Json::parse(
+            r#"{"schema": "t1000.run-stats", "schema_version": 1, "workload": "x", "cycles": 5}"#,
+        )
+        .unwrap();
+        let e = report_from_stats(&v1).unwrap_err();
+        assert_eq!(e, ReportError::Version(Some(1)));
+        assert!(e.to_string().contains("rerun"), "{e}");
+
+        // A malformed loop entry is reported by its index, not dropped.
+        let (doc, _, _) = kernel_stats_doc();
+        let text = doc.to_string_compact();
+        let bad = r#",{"header_pc":"0x10","iterations":"many"}]}"#;
+        let doc = Json::parse(&format!("{}{bad}", text.strip_suffix("]}").unwrap())).unwrap();
+        assert_eq!(
+            report_from_stats(&doc),
+            Err(ReportError::Malformed("loops[1]: bad iterations".into()))
+        );
     }
 
     #[test]
     fn loop_rollup_finds_the_hot_loop() {
-        let (session, run, sink) = observed_run();
+        let (session, run, sink) = kernel_run();
         let analysis = session.analysis();
         let loops = loop_attrs(
             session.program(),

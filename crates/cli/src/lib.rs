@@ -1,36 +1,10 @@
 //! # t1000-cli — the `t1000` command-line driver
 //!
-//! Subcommands:
-//!
-//! ```text
-//! t1000 asm     <file.s> [--out file.tobj]      assemble to a text object
-//! t1000 disasm  <file.s|.tobj>                  disassemble
-//! t1000 run     <file.s|.tobj|bench:name> [--pfus N|unlimited] [--reconfig C]
-//!               [--greedy] [--threshold F] [--max-instr N] [--scale test|full]
-//!               [--stats-json FILE] [--trace FILE] [--attr] [--no-fast-path]
-//!                                               select + simulate (+observe)
-//! t1000 report  <stats.json>                    render the attribution table
-//! t1000 profile <file.s|.tobj>                  sim_profile-style report
-//! t1000 select  <file.s|.tobj|bench:name> [--strategy NAME] [--pfus N]
-//!               [--greedy] [--threshold F] [--lut-budget N] [--explain]
-//!                                               show chosen ext. instructions
-//!                                               (--explain: per-pass timing
-//!                                               and accept/reject decisions)
-//! t1000 bench   <name> [--scale test|full] [--pfus N]
-//!                                               run a MediaBench-style kernel
-//! t1000 bench   --all [--scale test|full] [--json FILE] [--resume]
-//!               [--deterministic] [--inject PLAN] [--max-cycles N]
-//!               [--strategies] [--no-fast-path] full experiment suite (engine;
-//!                                               --strategies adds the knapsack
-//!                                               sweep cells; --no-fast-path
-//!                                               disables memo replay)
-//! t1000 bench   --validate <BENCH_results.json> [--expect KEY=VALUE,...]
-//!                                               re-check a results artifact
-//!                                               (+ declarative assertions)
-//! t1000 serve   [--socket PATH] [--workers N] [--queue N]
-//!                                               JSON-RPC selection/simulation
-//!                                               daemon (docs/SERVING.md)
-//! ```
+//! Subcommands: `asm`, `disasm`, `run`, `report`, `profile`, `select`,
+//! `bench` and `serve`. `t1000 help` prints each one's options; a golden
+//! test pins that text. `run` and `bench <name>` simulate one cell
+//! through the experiment engine's [`CellRunner`], as `bench --all` and
+//! `serve` do, so every path records the same cell document.
 //!
 //! All command logic lives in this library so it is unit-testable; the
 //! binary is a two-line wrapper.
@@ -40,8 +14,12 @@ pub mod serve;
 
 use args::{parse, ArgError, Parsed};
 use std::fmt::Write as _;
-use t1000_core::{PipelineTrace, SelectConfig, Selection, Session, StrategySpec};
-use t1000_cpu::{CpuConfig, PfuCount};
+use std::sync::Arc;
+use t1000_bench::engine::{CellRunner, FailureCause, RunOptions};
+use t1000_bench::plan::{Cell, MachineSpec, SelectionSpec};
+use t1000_bench::runstats::{self, TraceWriter};
+use t1000_core::{ExtractConfig, PipelineTrace, SelectConfig, Session, StrategySpec};
+use t1000_cpu::{AttrCollector, PfuCount};
 use t1000_isa::Program;
 
 /// CLI error: message already formatted for the user.
@@ -159,15 +137,10 @@ fn usage() -> String {
 fn load(path: &str) -> Result<Program, CliError> {
     let src =
         std::fs::read_to_string(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-    load_str(path, &src)
-}
-
-/// Path-extension dispatch, separated for tests.
-fn load_str(path: &str, src: &str) -> Result<Program, CliError> {
     if path.ends_with(".tobj") {
-        t1000_isa::read_object(src).map_err(|e| CliError(format!("{path}: {e}")))
+        t1000_isa::read_object(&src).map_err(|e| CliError(format!("{path}: {e}")))
     } else {
-        t1000_asm::assemble(src).map_err(|e| CliError(format!("{path}: {e}")))
+        t1000_asm::assemble(&src).map_err(|e| CliError(format!("{path}: {e}")))
     }
 }
 
@@ -200,125 +173,93 @@ fn cmd_disasm(args: &[String]) -> Result<String, CliError> {
     Ok(t1000_asm::disassemble(&load(path)?))
 }
 
-fn machine_config(p: &Parsed) -> Result<(CpuConfig, Option<usize>), CliError> {
-    let (pfus, count) = match p.get("pfus") {
-        None => (PfuCount::Fixed(0), None),
-        Some("unlimited") => (PfuCount::Unlimited, None),
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| CliError(format!("--pfus: `{v}` is not a count")))?;
-            (PfuCount::Fixed(n), Some(n))
-        }
+/// The reconfiguration-hiding knobs (docs/METRICS.md, schema v6):
+/// `--pfu-planes`, `--pfu-prefetch`, `--conf-compress`, defaulting to
+/// the paper's blocking-load machine.
+fn config_plane(p: &Parsed) -> Result<(u32, u32, f64), CliError> {
+    let planes = match p.get_u32("pfu-planes")? {
+        Some(n) if !(1..=2).contains(&n) => return err("--pfu-planes must be 1 or 2"),
+        Some(n) => n,
+        None => 1,
     };
-    let mut cfg = CpuConfig {
-        pfus,
-        ..CpuConfig::default()
-    };
-    if let Some(c) = p.get_u32("reconfig")? {
-        cfg.reconfig_cycles = c;
-    }
-    if let Some(m) = p.get_u32("max-instr")? {
-        cfg.max_instructions = u64::from(m);
-    }
-    // Reconfiguration-hiding knobs (docs/METRICS.md, schema v6).
-    if let Some(n) = p.get_u32("pfu-planes")? {
-        if !(1..=2).contains(&n) {
-            return err("--pfu-planes must be 1 or 2");
-        }
-        cfg.pfu_planes = n;
-    }
-    if let Some(n) = p.get_u32("pfu-prefetch")? {
-        cfg.pfu_prefetch = n;
-    }
-    if let Some(r) = p.get_f64("conf-compress")? {
-        if !(r > 0.0 && r.is_finite()) {
+    let prefetch = p.get_u32("pfu-prefetch")?.unwrap_or(0);
+    let compress = match p.get_f64("conf-compress")? {
+        Some(r) if !(r > 0.0 && r.is_finite()) => {
             return err("--conf-compress must be a positive ratio (cycles per stream word)");
         }
-        cfg.conf_compress = r;
-    }
-    // Escape hatch for A/B timing comparisons; results are bit-identical
-    // either way (docs/FASTPATH.md).
-    cfg.fast_path = !p.flag("no-fast-path");
-    Ok((cfg, count))
+        Some(r) => r,
+        None => 0.0,
+    };
+    Ok((planes, prefetch, compress))
 }
 
-fn select_for(session: &Session, p: &Parsed, pfus: Option<usize>) -> Result<Selection, CliError> {
-    let threshold = p.get_f64("threshold")?.unwrap_or(0.005);
-    Ok(if p.flag("greedy") {
-        session.greedy()
-    } else {
-        session.selective(&SelectConfig {
-            pfus,
-            gain_threshold: threshold,
-            reload_weight: p.get_f64("reload-weight")?.unwrap_or(0.0),
-        })
+/// `run`'s machine from `--pfus`, `--reconfig` and the config-plane knobs.
+fn machine_spec(p: &Parsed) -> Result<MachineSpec, CliError> {
+    let reconfig = p
+        .get_u32("reconfig")?
+        .unwrap_or(t1000_cpu::CpuConfig::default().reconfig_cycles);
+    let machine = match p.get("pfus") {
+        None => MachineSpec::with_pfus(0, reconfig),
+        Some("unlimited") => MachineSpec::unlimited(reconfig),
+        Some(v) => MachineSpec::with_pfus(
+            v.parse()
+                .map_err(|_| CliError(format!("--pfus: `{v}` is not a count")))?,
+            reconfig,
+        ),
+    };
+    let (planes, prefetch, compress) = config_plane(p)?;
+    Ok(machine.config_plane(planes, prefetch, compress))
+}
+
+/// `--scale test|full` (default `test`).
+fn scale(p: &Parsed) -> Result<t1000_workloads::Scale, CliError> {
+    match p.get("scale") {
+        Some("full") => Ok(t1000_workloads::Scale::Full),
+        Some("test") | None => Ok(t1000_workloads::Scale::Test),
+        Some(other) => err(format!("--scale: `{other}` is not test|full")),
+    }
+}
+
+/// The registry workload `name` at `scale`.
+fn registry_workload(
+    name: &str,
+    scale: t1000_workloads::Scale,
+) -> Result<t1000_workloads::Workload, CliError> {
+    t1000_workloads::by_name(name, scale).ok_or_else(|| {
+        CliError(format!(
+            "unknown benchmark `{name}` (one of {:?})",
+            t1000_workloads::NAMES
+        ))
     })
 }
 
-/// Resolves `run`'s input: a `.s`/`.tobj` path, or `bench:<name>` for a
-/// registry workload (scaled by `--scale`, default `test`).
-fn load_target(target: &str, p: &Parsed) -> Result<(String, Program), CliError> {
+/// Resolves `run`'s and `select`'s input: a `.s`/`.tobj` path, or
+/// `bench:<name>` for a registry workload (scaled by `--scale`). Returns
+/// the cell's workload label (the registry name, or `adhoc` for a file,
+/// as in `t1000 serve`), the program, and the reference checksum (`None`
+/// for a file: its own baseline run becomes the reference).
+fn load_target(target: &str, p: &Parsed) -> Result<(&'static str, Program, Option<u64>), CliError> {
     let Some(name) = target.strip_prefix("bench:") else {
-        return Ok((target.to_string(), load(target)?));
+        return Ok(("adhoc", load(target)?, None));
     };
-    let scale = match p.get("scale") {
-        Some("full") => t1000_workloads::Scale::Full,
-        Some("test") | None => t1000_workloads::Scale::Test,
-        Some(other) => return err(format!("--scale: `{other}` is not test|full")),
-    };
-    let Some(w) = t1000_workloads::by_name(name, scale) else {
-        return err(format!(
-            "unknown benchmark `{name}` (one of {:?})",
-            t1000_workloads::NAMES
-        ));
-    };
+    let w = registry_workload(name, scale(p)?)?;
     let program = w.program().map_err(|e| CliError(e.to_string()))?;
-    Ok((name.to_string(), program))
+    Ok((w.name, program, Some(w.expected_checksum())))
 }
 
-/// One observed timed run: cycle attribution with per-PC counters, plus
-/// the JSON-lines event trace when `trace_path` is given.
-fn observed_run(
-    session: &Session,
-    sel: Option<&Selection>,
-    cfg: CpuConfig,
-    trace_path: Option<&str>,
-) -> Result<
-    (
-        t1000_cpu::RunResult,
-        t1000_cpu::CycleAttribution,
-        Option<t1000_cpu::PcStalls>,
-        Option<u64>,
-    ),
-    CliError,
-> {
-    if let Some(path) = trace_path {
-        let file = std::fs::File::create(path)
-            .map_err(|e| CliError(format!("cannot create {path}: {e}")))?;
-        let mut writer = t1000_bench::runstats::TraceWriter::new(std::io::BufWriter::new(file));
-        let run = match sel {
-            Some(s) => session.run_with_observed(s, cfg, &mut writer),
-            None => session.run_baseline_observed(cfg, &mut writer),
-        }
-        .map_err(|e| CliError(e.to_string()))?;
-        let collector = std::mem::take(&mut writer.collector);
-        let events = writer.events_written;
-        writer
-            .finish()
-            .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-        let (attr, per_pc) = collector.into_parts();
-        Ok((run, attr, per_pc, Some(events)))
-    } else {
-        let mut sink = t1000_cpu::AttrCollector::with_per_pc();
-        let run = match sel {
-            Some(s) => session.run_with_observed(s, cfg, &mut sink),
-            None => session.run_baseline_observed(cfg, &mut sink),
-        }
-        .map_err(|e| CliError(e.to_string()))?;
-        let (attr, per_pc) = sink.into_parts();
-        Ok((run, attr, per_pc, None))
-    }
+/// Profiles `program` (the profiling run bounded by `max_instructions`,
+/// 0 = unbounded, so a non-terminating input errors out instead of
+/// hanging) and prepares the [`CellRunner`] that `run` and `bench <name>`
+/// simulate through, as the batch engine and the server do.
+fn prepare_runner(
+    program: Program,
+    expected: Option<u64>,
+    max_instructions: u64,
+    opts: &RunOptions,
+) -> Result<CellRunner, FailureCause> {
+    let session = Session::with_limits(program, ExtractConfig::default(), max_instructions)
+        .map_err(|e| FailureCause::Prepare(e.to_string()))?;
+    CellRunner::from_session(Arc::new(session), expected, opts)
 }
 
 fn cmd_run(args: &[String]) -> Result<String, CliError> {
@@ -326,90 +267,117 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
     let [target] = p.positional.as_slice() else {
         return err("run: expected exactly one input (a file or bench:<name>)");
     };
-    let (cfg, pfu_count) = machine_config(&p)?;
-    let (name, program) = load_target(target, &p)?;
-    let has_pfus = cfg.pfus != PfuCount::Fixed(0);
+    let machine = machine_spec(&p)?;
+    let max_instructions = p.get_u32("max-instr")?.map_or(0, u64::from);
+    let (label, program, expected) = load_target(target, &p)?;
+    // Escape hatch for A/B timing comparisons; results are bit-identical
+    // either way (docs/FASTPATH.md).
+    let opts = RunOptions {
+        max_cycles: 0,
+        no_fast_path: p.flag("no-fast-path"),
+    };
+    let fail = |cause: FailureCause| CliError(format!("{target}: {cause}"));
+    let runner = prepare_runner(program, expected, max_instructions, &opts).map_err(fail)?;
+    let cell = if machine.pfus == PfuCount::Fixed(0) {
+        Cell::new(label, SelectionSpec::Baseline, MachineSpec::with_pfus(0, 0))
+    } else if p.flag("greedy") {
+        Cell::new(label, SelectionSpec::Greedy, machine)
+    } else {
+        let spec = SelectionSpec::selective_reload(
+            machine.pfus.limit(),
+            p.get_f64("threshold")?.unwrap_or(0.005),
+            p.get_f64("reload-weight")?.unwrap_or(0.0),
+        );
+        Cell::new(label, spec, machine)
+    };
+    let selection = match cell.selection {
+        SelectionSpec::Baseline => None,
+        spec => Some(runner.select(&spec).map_err(fail)?),
+    };
+    let selection = selection.as_deref();
+
     let stats_json = p.get("stats-json");
     let trace = p.get("trace");
     let observing = stats_json.is_some() || trace.is_some() || p.flag("attr");
-    // The profiling run honours --max-instr too, so a non-terminating
-    // input errors out instead of hanging.
-    let session = Session::with_limits(
-        program,
-        t1000_core::ExtractConfig::default(),
-        cfg.max_instructions,
-    )
-    .map_err(|e| CliError(e.to_string()))?;
+    // Observed runs keep per-PC stall counters for the per-loop roll-up.
+    let mut per_pc = None;
+    let mut events = 0;
+    let result = if let Some(path) = trace {
+        let file = std::fs::File::create(path)
+            .map_err(|e| CliError(format!("cannot create {path}: {e}")))?;
+        let mut writer = TraceWriter::new(std::io::BufWriter::new(file));
+        let result = runner.run_cell_observed(cell, selection, &opts, &mut writer);
+        events = writer.events_written;
+        per_pc = std::mem::take(&mut writer.collector).into_parts().1;
+        writer
+            .finish()
+            .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+        result
+    } else if observing {
+        let mut sink = AttrCollector::with_per_pc();
+        let result = runner.run_cell_observed(cell, selection, &opts, &mut sink);
+        per_pc = sink.into_parts().1;
+        result
+    } else {
+        runner.run_cell_with(cell, selection, &opts)
+    }
+    .map_err(fail)?;
+    let speedup = runner.speedup(&result);
 
     let mut out = String::new();
-    let run = if has_pfus {
-        let sel = select_for(&session, &p, pfu_count)?;
-        let (base, run) = if observing {
-            // The observed variant of verify_selection: the baseline run
-            // pins the architectural reference, the fused run is traced.
-            let base = session
-                .run_baseline(CpuConfig::baseline())
-                .map_err(|e| CliError(e.to_string()))?;
-            let run = observed_run(&session, Some(&sel), cfg, trace)?;
-            if base.sys != run.0.sys {
-                return err(format!("{name}: fused run changed architectural results"));
-            }
-            (base, run)
-        } else {
-            let (base, run) = session
-                .verify_selection(&sel, cfg)
-                .map_err(|e| CliError(e.to_string()))?;
-            (base, (run, Default::default(), None, None))
-        };
+    if let Some(sel) = selection {
         writeln!(out, "extended instructions: {}", sel.num_confs()).unwrap();
         writeln!(
             out,
             "baseline: {} cycles | T1000: {} cycles | speedup {:.3}x",
-            base.timing.cycles,
-            run.0.timing.cycles,
-            run.0.speedup_over(&base)
+            runner.baseline_cycles(),
+            result.cycles,
+            speedup.unwrap_or(0.0)
         )
         .unwrap();
-        run
-    } else if observing {
-        observed_run(&session, None, cfg, trace)?
-    } else {
-        let run = session
-            .run_baseline(cfg)
-            .map_err(|e| CliError(e.to_string()))?;
-        (run, Default::default(), None, None)
-    };
-    let (run, attr, per_pc, events) = run;
-    write_run_stats(&mut out, &run);
+    }
+    writeln!(
+        out,
+        "cycles {} | instrs {} | base IPC {:.2} | ext execs {} | reconfigs {}",
+        result.cycles,
+        result.base_instructions,
+        result.base_ipc,
+        result.ext_executed,
+        result.reconfigurations
+    )
+    .unwrap();
+    // The cell reproduced the reference run's architectural results.
+    let sys = runner.reference_sys();
+    if let Some(code) = sys.exit_code {
+        writeln!(out, "exit {code} | checksum 0x{:016x}", result.checksum).unwrap();
+    }
+    if !sys.output.is_empty() {
+        writeln!(out, "--- program output ---").unwrap();
+        out.push_str(&sys.output);
+    }
 
     if observing {
-        debug_assert!(attr.checks_out() && attr.total_cycles == run.timing.cycles);
+        let session = runner.session();
         let analysis = session.analysis();
         let loops = per_pc
-            .as_ref()
             .map(|per_pc| {
-                t1000_bench::runstats::loop_attrs(
-                    session.program(),
-                    &analysis.cfg,
-                    &analysis.profile,
-                    per_pc,
-                )
+                runstats::loop_attrs(session.program(), &analysis.cfg, &analysis.profile, &per_pc)
             })
             .unwrap_or_default();
         if let Some(path) = stats_json {
-            let doc = t1000_bench::runstats::run_stats_json(&name, &run, Some(&attr), &loops);
+            let doc = runstats::run_stats_doc(target, &result, speedup, &loops);
             std::fs::write(path, doc.to_string_pretty())
                 .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
             writeln!(out, "wrote {path}").unwrap();
         }
         if let Some(path) = trace {
-            writeln!(out, "wrote {path} ({} events)", events.unwrap_or(0)).unwrap();
+            writeln!(out, "wrote {path} ({events} events)").unwrap();
         }
         if p.flag("attr") {
-            out.push_str(&t1000_bench::runstats::render_attr_table(&attr));
-            out.push_str(&t1000_bench::runstats::render_loop_table(
+            out.push_str(&runstats::render_attr_table(&result.attr));
+            out.push_str(&runstats::render_loop_table(
                 &loops,
-                attr.total_cycles,
+                result.attr.total_cycles,
                 8,
             ));
         }
@@ -428,32 +396,7 @@ fn cmd_report(args: &[String]) -> Result<String, CliError> {
         std::fs::read_to_string(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
     let doc =
         t1000_bench::json::Json::parse(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
-    t1000_bench::runstats::report_from_stats(&doc).map_err(|e| CliError(format!("{path}: {e}")))
-}
-
-fn write_run_stats(out: &mut String, run: &t1000_cpu::RunResult) {
-    let t = &run.timing;
-    writeln!(
-        out,
-        "cycles {} | instrs {} | base IPC {:.2} | ext execs {} | reconfigs {}",
-        t.cycles, t.base_instructions, t.base_ipc, t.pfu.ext_executed, t.pfu.reconfigurations
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "il1 miss {:.2}% | dl1 miss {:.2}% | ul2 miss {:.2}%",
-        100.0 * t.mem.il1.miss_rate(),
-        100.0 * t.mem.dl1.miss_rate(),
-        100.0 * t.mem.ul2.miss_rate()
-    )
-    .unwrap();
-    if let Some(code) = run.sys.exit_code {
-        writeln!(out, "exit {code} | checksum 0x{:016x}", run.sys.checksum).unwrap();
-    }
-    if !run.sys.output.is_empty() {
-        writeln!(out, "--- program output ---").unwrap();
-        out.push_str(&run.sys.output);
-    }
+    runstats::report_from_stats(&doc).map_err(|e| CliError(format!("{path}: {e}")))
 }
 
 fn cmd_profile(args: &[String]) -> Result<String, CliError> {
@@ -534,7 +477,7 @@ fn cmd_select(args: &[String]) -> Result<String, CliError> {
         return err("select: expected exactly one input (a file or bench:<name>)");
     };
     let pfus = p.get_u32("pfus")?.map(|n| n as usize);
-    let (_, program) = load_target(target, &p)?;
+    let (_, program, _) = load_target(target, &p)?;
     let session = Session::new(program).map_err(|e| CliError(e.to_string()))?;
     let spec = strategy_spec_for(&p, pfus.or(Some(4)))?;
 
@@ -569,31 +512,18 @@ fn cmd_select(args: &[String]) -> Result<String, CliError> {
 
 fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     let p = parse(args, BENCH_VALUE_OPTS, BENCH_FLAG_OPTS)?;
-    let scale = match p.get("scale") {
-        Some("full") => t1000_workloads::Scale::Full,
-        Some("test") | None => t1000_workloads::Scale::Test,
-        Some(other) => return err(format!("--scale: `{other}` is not test|full")),
-    };
+    let scale = scale(&p)?;
     if let Some(path) = p.get("validate") {
         return bench_validate(path, p.get("expect"));
     }
     if p.get("expect").is_some() {
         return err("bench: --expect requires --validate FILE");
     }
-    let planes = match p.get_u32("pfu-planes")? {
-        Some(n) if !(1..=2).contains(&n) => return err("--pfu-planes must be 1 or 2"),
-        Some(n) => n,
-        None => 1,
-    };
-    let prefetch = p.get_u32("pfu-prefetch")?.unwrap_or(0);
-    let compress = match p.get_f64("conf-compress")? {
-        Some(r) if !(r > 0.0 && r.is_finite()) => {
-            return err("--conf-compress must be a positive ratio (cycles per stream word)");
-        }
-        Some(r) => r,
-        None => 0.0,
-    };
+    let (planes, prefetch, compress) = config_plane(&p)?;
     if p.flag("all") {
+        if p.get("pfus").is_some() {
+            return err("bench: --pfus sets one benchmark's PFU count; --all runs the paper's");
+        }
         let config = engine_config(&p)?;
         return bench_all(
             scale,
@@ -603,8 +533,15 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
             (planes, prefetch, compress),
         );
     }
-    if p.flag("strategies") {
-        return err("bench: --strategies requires --all");
+    for (opt, given) in [
+        ("strategies", p.flag("strategies")),
+        ("json", p.get("json").is_some()),
+        ("inject", p.get("inject").is_some()),
+        ("deterministic", p.flag("deterministic")),
+    ] {
+        if given {
+            return err(format!("bench: --{opt} requires --all"));
+        }
     }
     if p.flag("resume") {
         return err("bench: --resume requires --all (and --json FILE for the checkpoint)");
@@ -615,43 +552,47 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
             t1000_workloads::NAMES
         ));
     };
-    let Some(w) = t1000_workloads::by_name(name, scale) else {
-        return err(format!(
-            "unknown benchmark `{name}` (one of {:?})",
-            t1000_workloads::NAMES
-        ));
+    let w = registry_workload(name, scale)?;
+    let opts = RunOptions {
+        max_cycles: max_cycles(&p)?,
+        no_fast_path: p.flag("no-fast-path"),
     };
-    let pfus = p.get_u32("pfus")?.map(|n| n as usize).unwrap_or(2);
+    let pfus = p.get_u32("pfus")?.map_or(2, |n| n as usize);
     let program = w.program().map_err(|e| CliError(e.to_string()))?;
-    let session = Session::new(program).map_err(|e| CliError(e.to_string()))?;
-    let base = session
-        .run_baseline(CpuConfig::baseline())
-        .map_err(|e| CliError(e.to_string()))?;
-    if base.sys.checksum != w.expected_checksum() {
-        return err(format!(
-            "{name}: simulator checksum diverges from reference"
-        ));
-    }
-    let sel = session.selective(&SelectConfig {
-        pfus: Some(pfus),
-        gain_threshold: 0.005,
-        ..SelectConfig::default()
-    });
-    let mut cfg = CpuConfig::with_pfus(pfus);
-    cfg.pfu_planes = planes;
-    cfg.pfu_prefetch = prefetch;
-    cfg.conf_compress = compress;
-    let run = session
-        .run_with(&sel, cfg)
-        .map_err(|e| CliError(e.to_string()))?;
+    let fail = |cause: FailureCause| CliError(format!("{name}: {cause}"));
+    let runner = prepare_runner(program, Some(w.expected_checksum()), 0, &opts).map_err(fail)?;
+    let cell = Cell::new(
+        w.name,
+        SelectionSpec::selective_std(Some(pfus)),
+        MachineSpec::with_pfus(pfus, 10).config_plane(planes, prefetch, compress),
+    );
+    let sel = runner.select(&cell.selection).map_err(fail)?;
+    let result = runner
+        .run_cell_with(cell, Some(&sel), &opts)
+        .map_err(fail)?;
     Ok(format!(
-        "{name} ({:?}): baseline {} cycles, T1000/{pfus}-PFU {} cycles, speedup {:.3}x, {} confs, checksum ok\n",
-        scale,
-        base.timing.cycles,
-        run.timing.cycles,
-        run.speedup_over(&base),
+        "{name} ({scale:?}): baseline {} cycles, T1000/{pfus}-PFU {} cycles, speedup {:.3}x, {} confs, checksum ok\n",
+        runner.baseline_cycles(),
+        result.cycles,
+        runner.speedup(&result).unwrap_or(0.0),
         sel.num_confs()
     ))
+}
+
+/// Cycle fuel per simulation: `--max-cycles`, else `T1000_MAX_CYCLES`,
+/// else 0 (unlimited).
+fn max_cycles(p: &Parsed) -> Result<u64, CliError> {
+    match p.get("max-cycles") {
+        Some(v) => v
+            .parse::<u64>()
+            .map_err(|_| CliError(format!("--max-cycles: `{v}` is not a cycle count"))),
+        None => match std::env::var("T1000_MAX_CYCLES") {
+            Ok(v) => v
+                .parse::<u64>()
+                .map_err(|_| CliError(format!("T1000_MAX_CYCLES: `{v}` is not a cycle count"))),
+            Err(_) => Ok(0),
+        },
+    }
 }
 
 /// Assembles the engine's robustness configuration from CLI flags and
@@ -665,17 +606,7 @@ fn engine_config(p: &Parsed) -> Result<t1000_bench::engine::EngineConfig, CliErr
         None => t1000_bench::fault::FaultPlan::from_env()
             .map_err(|e| CliError(format!("T1000_INJECT: {e}")))?,
     };
-    let max_cycles = match p.get("max-cycles") {
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| CliError(format!("--max-cycles: `{v}` is not a cycle count")))?,
-        None => match std::env::var("T1000_MAX_CYCLES") {
-            Ok(v) => v
-                .parse::<u64>()
-                .map_err(|_| CliError(format!("T1000_MAX_CYCLES: `{v}` is not a cycle count")))?,
-            Err(_) => 0,
-        },
-    };
+    let max_cycles = max_cycles(p)?;
     let wall_limit = match std::env::var("T1000_WALL_LIMIT_MS") {
         Ok(v) => Some(std::time::Duration::from_millis(v.parse::<u64>().map_err(
             |_| CliError(format!("T1000_WALL_LIMIT_MS: `{v}` is not milliseconds")),
@@ -1004,6 +935,9 @@ usage:\n\
         assert!(out.contains("speedup"), "{out}");
         assert!(out.contains("checksum ok"), "{out}");
         assert!(run(&s(&["bench", "nope"])).is_err());
+        // The fast path changes no result, so --no-fast-path changes no text.
+        let slow = run(&s(&["bench", "g721_enc", "--no-fast-path"])).unwrap();
+        assert_eq!(slow, out);
     }
 
     #[test]
@@ -1138,6 +1072,28 @@ usage:\n\
         // --resume without --all (or without --json) has no checkpoint.
         assert!(run(&s(&["bench", "g721_enc", "--resume"])).is_err());
         assert!(run(&s(&["bench", "--all", "--resume"])).is_err());
+        // Options one mode would ignore are rejected, not dropped.
+        let e = run(&s(&["bench", "--all", "--pfus", "4"])).unwrap_err();
+        assert!(e.0.contains("--pfus"), "{}", e.0);
+        for extra in [
+            &["--json", "x.json"][..],
+            &["--inject", "panic@1"],
+            &["--deterministic"],
+        ] {
+            let mut args = vec!["bench", "g721_enc"];
+            args.extend(extra);
+            let e = run(&s(&args)).unwrap_err();
+            assert!(
+                e.0.contains(&format!("{} requires --all", extra[0])),
+                "{}",
+                e.0
+            );
+        }
+        // Single mode honours the fuel watchdog.
+        let e = run(&s(&["bench", "g721_enc", "--max-cycles", "100"])).unwrap_err();
+        assert!(e.0.contains("fuel exhausted (100 cycles)"), "{}", e.0);
+        let e = run(&s(&["bench", "g721_enc", "--max-cycles", "lots"])).unwrap_err();
+        assert!(e.0.contains("--max-cycles"), "{}", e.0);
     }
 
     #[test]
@@ -1158,17 +1114,23 @@ usage:\n\
         assert!(out.contains("busy"), "{out}");
         assert!(out.contains(&format!("wrote {json}")), "{out}");
 
-        // The document round-trips through the validator and `report`.
+        // The document wraps the cell document, which round-trips through
+        // the validator and `report`.
         let text = std::fs::read_to_string(&json).unwrap();
         let doc = t1000_bench::json::Json::parse(&text).unwrap();
         assert_eq!(
             doc.get("schema").and_then(t1000_bench::json::Json::as_str),
-            Some(t1000_bench::runstats::RUN_STATS_SCHEMA)
+            Some(runstats::RUN_STATS_SCHEMA)
         );
-        let cycles = doc.get("cycles").and_then(t1000_bench::json::Json::as_u64);
-        t1000_bench::runstats::validate_attribution(doc.get("attribution").unwrap(), cycles)
-            .unwrap();
+        assert_eq!(
+            doc.get("target").and_then(t1000_bench::json::Json::as_str),
+            Some(src.as_str())
+        );
+        let cell = doc.get("cell").unwrap();
+        let cycles = cell.get("cycles").and_then(t1000_bench::json::Json::as_u64);
+        runstats::validate_attribution(cell.get("attribution").unwrap(), cycles).unwrap();
         let report = run(&s(&["report", &json])).unwrap();
+        assert!(report.starts_with("workload: adhoc\n"), "{report}");
         assert!(report.contains("cycle attribution"), "{report}");
         let _ = std::fs::remove_file(&json);
     }
@@ -1208,10 +1170,18 @@ usage:\n\
         assert!(run(&s(&["report", &not_stats])).is_err());
         let missing = tmp(
             "missing_attr.json",
-            "{\"schema\": \"t1000.run-stats\", \"cycles\": 5}",
+            "{\"schema\": \"t1000.run-stats\", \"schema_version\": 2, \
+             \"cell\": {\"workload\": \"adhoc\", \"cycles\": 5}, \"loops\": []}",
         );
         let e = run(&s(&["report", &missing])).unwrap_err();
         assert!(e.0.contains("attribution"), "{e}");
+        // A version-1 document (own counters, no cell) must be regenerated.
+        let v1 = tmp(
+            "v1_stats.json",
+            "{\"schema\": \"t1000.run-stats\", \"schema_version\": 1, \"cycles\": 5}",
+        );
+        let e = run(&s(&["report", &v1])).unwrap_err();
+        assert!(e.0.contains("rerun"), "{e}");
     }
 
     #[test]

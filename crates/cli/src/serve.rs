@@ -654,11 +654,7 @@ impl Server {
                 let cell = Cell::new(work.label, work.selection, work.machine);
                 match runner.run_cell_isolated(cell, &work.opts, work.deadline) {
                     Ok(c) => {
-                        let speedup = if c.cycles > 0 {
-                            Some(runner.baseline_cycles() as f64 / c.cycles as f64)
-                        } else {
-                            None
-                        };
+                        let speedup = runner.speedup(&c);
                         let baseline = runner.baseline_cycles();
                         ok_response(
                             &work.id,

@@ -1,10 +1,12 @@
-//! End-to-end test of `t1000 bench --all --resume` through the real
-//! binary: an interrupted run leaves its `FILE.partial` checkpoint, the
-//! resumed run reproduces the uninterrupted artifact byte-for-byte, and a
-//! healthy exit deletes the checkpoint.
+//! End-to-end tests of `t1000 bench --all` through the real binary: an
+//! interrupted run leaves its `FILE.partial` checkpoint, the resumed run
+//! reproduces the uninterrupted artifact byte-for-byte, and a healthy
+//! exit deletes the checkpoint; and `t1000 run --stats-json` records the
+//! artifact's own cell documents.
 
 use std::path::Path;
 use std::process::Command;
+use t1000_bench::json::Json;
 
 fn tmp(name: &str) -> String {
     std::env::temp_dir()
@@ -77,4 +79,57 @@ fn resume_skips_checkpointed_cells_and_reproduces_the_artifact() {
     for p in [clean, path] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+/// A cell document without its host-timing fields (`host_ns`, `sim_khz`),
+/// the only content that differs between two runs of one cell.
+fn strip_timing(cell: &Json) -> Json {
+    let mut cell = cell.clone();
+    if let Json::Obj(fields) = &mut cell {
+        fields.retain(|(k, _)| k != "host_ns" && k != "sim_khz");
+    }
+    cell
+}
+
+#[test]
+fn run_stats_cells_equal_the_artifact_cells() {
+    let artifact = tmp("cells.json");
+    let (ok, log) = bench_all(&artifact, &[]);
+    assert!(ok, "bench --all failed:\n{log}");
+    let doc = Json::parse(&read(&artifact)).expect("artifact JSON");
+    let _ = std::fs::remove_file(&artifact);
+    let cells = doc.get("cells").and_then(Json::as_array).expect("cells[]");
+
+    // One `run` per kind of artifact cell: the baseline, greedy and
+    // selective at 2 PFUs, greedy on unlimited PFUs, and the §5.2 sweep.
+    let stats = tmp("cell_stats.json");
+    for flags in [
+        &[][..],
+        &["--pfus", "2"],
+        &["--pfus", "2", "--greedy"],
+        &["--pfus", "unlimited", "--reconfig", "0", "--greedy"],
+        &["--pfus", "2", "--reconfig", "500"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_t1000"))
+            .args(["run", "bench:gsm_enc", "--stats-json", &stats])
+            .args(flags)
+            .output()
+            .expect("t1000 run");
+        assert!(out.status.success(), "run {flags:?}: {out:?}");
+        let run = Json::parse(&read(&stats)).expect("stats JSON");
+        let cell = run.get("cell").expect("cell");
+        let key = |c: &Json| {
+            ["workload", "strategy", "machine"].map(|k| c.get(k).map(Json::to_string_compact))
+        };
+        let matching = cells
+            .iter()
+            .find(|c| key(c) == key(cell))
+            .unwrap_or_else(|| panic!("run {flags:?}: no artifact cell {:?}", key(cell)));
+        assert_eq!(
+            strip_timing(cell),
+            strip_timing(matching),
+            "run {flags:?} records a different cell"
+        );
+    }
+    let _ = std::fs::remove_file(&stats);
 }

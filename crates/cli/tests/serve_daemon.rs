@@ -176,29 +176,24 @@ fn concurrent_clients_share_one_analysis_and_match_t1000_run() {
         Some(runner.baseline_cycles())
     );
 
-    // ...and to the same cell run via `t1000 run bench:gsm_dec --pfus 2`.
+    // ...and to the cell `t1000 run bench:gsm_dec --pfus 2 --stats-json`
+    // records: one cell document, whichever way the cell was run.
+    let stats = std::env::temp_dir().join(format!(
+        "t1000_serve_{}_conc_stats.json",
+        std::process::id()
+    ));
     let out = Command::new(bin())
-        .args(["run", "bench:gsm_dec", "--pfus", "2"])
+        .args(["run", "bench:gsm_dec", "--pfus", "2", "--stats-json"])
+        .arg(&stats)
         .output()
         .expect("t1000 run");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    let line = text
-        .lines()
-        .find(|l| l.starts_with("baseline: "))
-        .unwrap_or_else(|| panic!("no baseline line in: {text}"));
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    let cli_baseline: u64 = tokens[1].parse().unwrap();
-    let cli_cycles: u64 = tokens[5].parse().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let text = std::fs::read_to_string(&stats).expect("stats document");
+    let _ = std::fs::remove_file(&stats);
+    let doc = Json::parse(&text).expect("stats JSON");
     assert_eq!(
-        result(&responses[0])
-            .get("baseline_cycles")
-            .and_then(Json::as_u64),
-        Some(cli_baseline)
-    );
-    assert_eq!(
-        served.get("cycles").and_then(Json::as_u64),
-        Some(cli_cycles)
+        strip_timing(doc.get("cell").expect("cell")),
+        strip_timing(served)
     );
 }
 

@@ -560,7 +560,7 @@ loop:
     }
 
     #[test]
-    fn observed_runs_match_plain_runs_and_account_every_cycle() {
+    fn observed_and_plain_runs_agree_and_account_every_cycle() {
         use t1000_cpu::AttrCollector;
         let s = Session::from_asm(KERNEL).unwrap();
         let plain = s.run_baseline(CpuConfig::baseline()).unwrap();
