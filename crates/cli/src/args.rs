@@ -75,6 +75,11 @@ impl Parsed {
         }
     }
 
+    /// Names of every option and flag given, in no particular order.
+    pub fn given(&self) -> impl Iterator<Item = &str> {
+        self.options.keys().chain(&self.flags).map(String::as_str)
+    }
+
     /// Whether a flag was given.
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)

@@ -268,6 +268,21 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
         return err("run: expected exactly one input (a file or bench:<name>)");
     };
     let machine = machine_spec(&p)?;
+    if machine.pfus == PfuCount::Fixed(0) {
+        // Without PFUs there is nothing to select: a selection option
+        // would be silently dropped.
+        for (opt, given) in [
+            ("greedy", p.flag("greedy")),
+            ("threshold", p.get("threshold").is_some()),
+            ("reload-weight", p.get("reload-weight").is_some()),
+        ] {
+            if given {
+                return err(format!(
+                    "run: --{opt} selects for PFUs; give --pfus N (N > 0)"
+                ));
+            }
+        }
+    }
     let max_instructions = p.get_u32("max-instr")?.map_or(0, u64::from);
     let (label, program, expected) = load_target(target, &p)?;
     // Escape hatch for A/B timing comparisons; results are bit-identical
@@ -514,6 +529,16 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     let p = parse(args, BENCH_VALUE_OPTS, BENCH_FLAG_OPTS)?;
     let scale = scale(&p)?;
     if let Some(path) = p.get("validate") {
+        // Validation reads an artifact and runs nothing: any option that
+        // would shape a run is rejected, not dropped.
+        if let Some(name) = p.positional.first() {
+            return err(format!(
+                "bench: --validate FILE takes no benchmark name (got `{name}`)"
+            ));
+        }
+        if let Some(opt) = p.given().find(|o| !matches!(*o, "validate" | "expect")) {
+            return err(format!("bench: --{opt} does not apply to --validate FILE"));
+        }
         return bench_validate(path, p.get("expect"));
     }
     if p.get("expect").is_some() {
@@ -1089,6 +1114,29 @@ usage:\n\
                 e.0
             );
         }
+        // Validation runs nothing, so every option that shapes a run is
+        // rejected with it; only --expect applies.
+        for extra in [
+            &["--json", "x.json"][..],
+            &["--pfus", "2"],
+            &["--all"],
+            &["--strategies"],
+            &["--deterministic"],
+            &["--resume"],
+            &["--inject", "boom"],
+            &["--scale", "full"],
+        ] {
+            let mut args = vec!["bench", "--validate", "missing.json"];
+            args.extend(extra);
+            let e = run(&s(&args)).unwrap_err();
+            assert!(
+                e.0.contains(&format!("{} does not apply to --validate", extra[0])),
+                "{}",
+                e.0
+            );
+        }
+        let e = run(&s(&["bench", "--validate", "missing.json", "g721_enc"])).unwrap_err();
+        assert!(e.0.contains("takes no benchmark name"), "{}", e.0);
         // Single mode honours the fuel watchdog.
         let e = run(&s(&["bench", "g721_enc", "--max-cycles", "100"])).unwrap_err();
         assert!(e.0.contains("fuel exhausted (100 cycles)"), "{}", e.0);
@@ -1189,6 +1237,34 @@ usage:\n\
         let src = tmp("bad.s", KERNEL);
         assert!(run(&s(&["run", &src, "--pfus", "many"])).is_err());
         assert!(run(&s(&["run", &src, "--reconfig", "x"])).is_err());
+        // Selection options without PFUs would be dropped: each is named.
+        let e = run(&s(&[
+            "run",
+            "bench:g721_enc",
+            "--greedy",
+            "--threshold",
+            "0.5",
+            "--reload-weight",
+            "3",
+        ]))
+        .unwrap_err();
+        assert!(e.0.contains("--greedy"), "{e}");
+        for extra in [
+            &["--greedy"][..],
+            &["--threshold", "0.5"],
+            &["--reload-weight", "3"],
+        ] {
+            for pfus in [&[][..], &["--pfus", "0"]] {
+                let mut args = vec!["run", "bench:g721_enc"];
+                args.extend(pfus);
+                args.extend(extra);
+                let e = run(&s(&args)).unwrap_err();
+                assert!(
+                    e.0.contains(&format!("{} selects for PFUs", extra[0])),
+                    "{e}"
+                );
+            }
+        }
     }
 
     #[test]

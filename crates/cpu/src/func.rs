@@ -8,20 +8,45 @@
 //! prediction* for free: fetch simply follows the architecturally executed
 //! path.
 //!
-//! A record carries only what the timing model reads, packed into 24
-//! bytes: it is copied from the core through the fetch queue into the RUU,
-//! so its size is paid on every hand-off. The text segment is decoded once
-//! into per-word record templates; a step copies its template and fills in
-//! the memory address and the branch outcome. Operand and result values
-//! stay in the core ([`FuncCore::values`]), where bitwidth profiling reads
-//! them.
+//! # Micro-ops
+//!
+//! [`FuncCore::new`] resolves each text word once into a micro-op: its
+//! operation, its registers as byte indices, its immediate already
+//! sign-extended, masked or shifted into the operand the operation reads,
+//! its absolute branch or jump target, and its record template. A word
+//! that does not decode (or a literal `ext`) becomes a micro-op that fails
+//! when it executes, so it is an error only if the program reaches it.
 //!
 //! Fusion is applied here: when the PC lands on a [`FusedSite`], the whole
 //! sequence executes architecturally (bit-identical results) but a single
-//! `DynInstr` of class `Pfu` is emitted.
+//! `DynInstr` of class `Pfu` is emitted. The site is one micro-op over a
+//! slice of its constituents' ALU micro-ops; the base instruction and the
+//! fused site evaluate an ALU operation through the same function.
+//!
+//! # Batches
+//!
+//! [`FuncCore::run`] is the one interpreter loop. It appends records to a
+//! caller-provided buffer until the batch is full, the program finishes
+//! or an instruction fails. Every client drains it: the pipeline (through
+//! [`RecordSource`]), [`execute`](crate::execute), bitwidth profiling and
+//! [`FuncCore::step`]. A record carries only what the timing model reads,
+//! packed into 24 bytes, since it is copied from the batch through the
+//! fetch queue into the RUU. Operand and result values go to a
+//! [`ValueObserver`] instead; the loop is monomorphized per observer, so
+//! a run that wants no values (the pipeline's, `execute`'s) never reads
+//! one.
+//!
+//! # Positional errors
+//!
+//! A failing instruction emits no record: `run` returns its error after
+//! the records that precede it. A consumer that buffers a batch hands out
+//! those records first and reports the error when it is asked for the
+//! record that failed, so an error reaches the pipeline at exactly the
+//! fetch that would have pulled the instruction.
 
+use crate::ooo::RecordSource;
 use crate::syscall::SyscallState;
-use t1000_isa::{decode, DecodeError, FusedSite, FusionMap, Instr, Op, OpClass, Program, Reg};
+use t1000_isa::{decode, encode, FusedSite, FusionMap, Instr, Op, OpClass, Program, Reg};
 use t1000_mem::Memory;
 
 /// One dynamic (committed-path) instruction record: the timing-relevant
@@ -188,24 +213,45 @@ impl DynInstr {
     }
 }
 
-/// Operand and result values of the most recent step, for bitwidth
-/// profiling.
+/// Operand and result values of one record, for bitwidth profiling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StepValues {
     /// Values of the record's source registers, in
     /// [`DynInstr::gpr_uses`] order (0 where there is none), read before
-    /// the step.
+    /// the record executed.
     pub srcs: [u32; 2],
-    /// The value the step computed for its destination register, if it
+    /// The value the record computed for its destination register, if it
     /// computes one. Written even when the destination is `$zero`; `None`
     /// for `jal`/`jalr`, whose link address is not a computed value.
     pub result: Option<u32>,
 }
 
-/// A text word decoded once: the instruction and its record template.
-struct Decoded {
-    instr: Instr,
-    rec: DynInstr,
+/// Receives the operand and result values of every record
+/// [`FuncCore::run`] executes. A closure
+/// `FnMut(&DynInstr, StepValues)` is an observer.
+pub trait ValueObserver {
+    /// Whether the observer wants values at all. When false the
+    /// interpreter reads none, and [`observe`](ValueObserver::observe) is
+    /// never called.
+    const ON: bool = true;
+
+    /// Called after each record executes, with its values.
+    fn observe(&mut self, rec: &DynInstr, values: StepValues);
+}
+
+/// The observer that wants no values.
+pub(crate) struct NoValues;
+
+impl ValueObserver for NoValues {
+    const ON: bool = false;
+
+    fn observe(&mut self, _: &DynInstr, _: StepValues) {}
+}
+
+impl<F: FnMut(&DynInstr, StepValues)> ValueObserver for F {
+    fn observe(&mut self, rec: &DynInstr, values: StepValues) {
+        self(rec, values)
+    }
 }
 
 /// Functional execution error.
@@ -248,17 +294,257 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+/// What a micro-op does. The ALU kinds come first ([`Kind::is_alu`]) and
+/// compute `op(a, b)` with `a = regs[s]` and `b = regs[t] | imm`: a
+/// register form has `imm = 0`, an immediate form reads `$zero` as `t`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    // ---- ALU (a shift shifts `a` by `b & 31`) ----
+    Add,
+    Sub,
+    And,
+    Or,
+    Xor,
+    Nor,
+    Slt,
+    Sltu,
+    Sll,
+    Srl,
+    Sra,
+    // ---- multiply / divide / HI-LO ----
+    Mult,
+    Multu,
+    Div,
+    Divu,
+    Mfhi,
+    Mflo,
+    Mthi,
+    Mtlo,
+    // ---- memory, at `regs[s] + imm`; a store writes `regs[t]` ----
+    Lb,
+    Lbu,
+    Lh,
+    Lhu,
+    Lw,
+    Sb,
+    Sh,
+    Sw,
+    // ---- control, to `target` ----
+    Beq,
+    Bne,
+    Blez,
+    Bgtz,
+    Bltz,
+    Bgez,
+    /// `j`, and `jal` when `d` is `$ra`: links `d` (discarded as `$zero`).
+    J,
+    /// `jr`, and `jalr` when `d` is not `$zero`: jumps to `regs[s]`.
+    Jr,
+    // ---- system ----
+    Syscall,
+    Break,
+    /// The fused site `sites[imm]`.
+    Fused,
+    /// Fails with `faults[imm]`.
+    Fault,
+}
+
+impl Kind {
+    fn is_alu(self) -> bool {
+        self as u8 <= Kind::Sra as u8
+    }
+}
+
+/// One text word, resolved once.
+#[derive(Clone, Copy, Debug)]
+struct Uop {
+    kind: Kind,
+    /// Destination register index (0 when there is none).
+    d: u8,
+    /// Source register indices (0 when there is none).
+    s: u8,
+    t: u8,
+    /// Immediate operand, memory offset, or index into `sites`/`faults`.
+    imm: u32,
+    /// Absolute branch or jump target.
+    target: u32,
+    /// The record template.
+    rec: DynInstr,
+}
+
+impl Uop {
+    /// Resolves word `word` at `pc`; a word that cannot execute becomes a
+    /// [`Kind::Fault`] whose error is pushed onto `faults`.
+    fn resolve(pc: u32, word: u32, faults: &mut Vec<ExecError>) -> Uop {
+        let i = match decode(word) {
+            Ok(i) if i.op != Op::Ext => i,
+            // A literal `ext` opcode in the text (as opposed to a
+            // fusion-map site) has no skeleton to execute; treat as a
+            // decode-class error — the selector never emits these.
+            Ok(i) => return Uop::fault(ExecError::Decode(pc, encode(&i)), faults),
+            Err(e) => return Uop::fault(ExecError::Decode(pc, e.word), faults),
+        };
+        let r = |r: Reg| r.index() as u8;
+        let (rd, rs, rt, def) = (r(i.rd), r(i.rs), r(i.rt), r(i.def().unwrap_or(Reg::ZERO)));
+        let imm = i.imm as u32;
+        let half = imm & 0xffff;
+        use Kind as K;
+        use Op::*;
+        #[rustfmt::skip]
+        let (kind, d, s, t, imm) = match i.op {
+            Sll => (K::Sll, def, rt, 0, imm & 31),
+            Srl => (K::Srl, def, rt, 0, imm & 31),
+            Sra => (K::Sra, def, rt, 0, imm & 31),
+            Sllv => (K::Sll, def, rt, rs, 0),
+            Srlv => (K::Srl, def, rt, rs, 0),
+            Srav => (K::Sra, def, rt, rs, 0),
+            // `add`/`addi` are modelled without overflow traps (their
+            // wrapping behaviour matches `addu`/`addiu`).
+            Add | Addu => (K::Add, def, rs, rt, 0),
+            Sub | Subu => (K::Sub, def, rs, rt, 0),
+            And => (K::And, def, rs, rt, 0),
+            Or => (K::Or, def, rs, rt, 0),
+            Xor => (K::Xor, def, rs, rt, 0),
+            Nor => (K::Nor, def, rs, rt, 0),
+            Slt => (K::Slt, def, rs, rt, 0),
+            Sltu => (K::Sltu, def, rs, rt, 0),
+            Addi | Addiu => (K::Add, def, rs, 0, imm),
+            Slti => (K::Slt, def, rs, 0, imm),
+            Sltiu => (K::Sltu, def, rs, 0, imm),
+            Andi => (K::And, def, rs, 0, half),
+            Ori => (K::Or, def, rs, 0, half),
+            Xori => (K::Xor, def, rs, 0, half),
+            Lui => (K::Or, def, 0, 0, half << 16),
+            Mult => (K::Mult, 0, rs, rt, 0),
+            Multu => (K::Multu, 0, rs, rt, 0),
+            Div => (K::Div, 0, rs, rt, 0),
+            Divu => (K::Divu, 0, rs, rt, 0),
+            Mfhi => (K::Mfhi, rd, 0, 0, 0),
+            Mflo => (K::Mflo, rd, 0, 0, 0),
+            Mthi => (K::Mthi, 0, rs, 0, 0),
+            Mtlo => (K::Mtlo, 0, rs, 0, 0),
+            Lb => (K::Lb, rt, rs, 0, imm),
+            Lbu => (K::Lbu, rt, rs, 0, imm),
+            Lh => (K::Lh, rt, rs, 0, imm),
+            Lhu => (K::Lhu, rt, rs, 0, imm),
+            Lw => (K::Lw, rt, rs, 0, imm),
+            Sb => (K::Sb, 0, rs, rt, imm),
+            Sh => (K::Sh, 0, rs, rt, imm),
+            Sw => (K::Sw, 0, rs, rt, imm),
+            Beq => (K::Beq, 0, rs, rt, 0),
+            Bne => (K::Bne, 0, rs, rt, 0),
+            Blez => (K::Blez, 0, rs, 0, 0),
+            Bgtz => (K::Bgtz, 0, rs, 0, 0),
+            Bltz => (K::Bltz, 0, rs, 0, 0),
+            Bgez => (K::Bgez, 0, rs, 0, 0),
+            J => (K::J, 0, 0, 0, 0),
+            Jal => (K::J, r(Reg::RA), 0, 0, 0),
+            Jr => (K::Jr, 0, rs, 0, 0),
+            Jalr => (K::Jr, rd, rs, 0, 0),
+            Syscall => (K::Syscall, 0, 0, 0, 0),
+            Break => (K::Break, 0, 0, 0, 0),
+            Ext => unreachable!("resolved as a fault above"),
+        };
+        let target = if i.op.is_branch() {
+            i.branch_target(pc)
+        } else if matches!(i.op, J | Jal) {
+            i.jump_target(pc)
+        } else {
+            0
+        };
+        Uop {
+            kind,
+            d,
+            s,
+            t,
+            imm,
+            target,
+            rec: DynInstr::of(pc, &i),
+        }
+    }
+
+    /// A micro-op that fails with `e`.
+    fn fault(e: ExecError, faults: &mut Vec<ExecError>) -> Uop {
+        faults.push(e);
+        Uop {
+            kind: Kind::Fault,
+            d: 0,
+            s: 0,
+            t: 0,
+            imm: faults.len() as u32 - 1,
+            target: 0,
+            rec: DynInstr::of(0, &Instr::NOP),
+        }
+    }
+}
+
+/// The ALU operation `kind` on operands `a` and `b`: the one definition
+/// of ALU semantics, for base instructions and fused sites alike.
+#[inline(always)]
+fn alu(kind: Kind, a: u32, b: u32) -> u32 {
+    match kind {
+        Kind::Add => a.wrapping_add(b),
+        Kind::Sub => a.wrapping_sub(b),
+        Kind::And => a & b,
+        Kind::Or => a | b,
+        Kind::Xor => a ^ b,
+        Kind::Nor => !(a | b),
+        Kind::Slt => u32::from((a as i32) < (b as i32)),
+        Kind::Sltu => u32::from(a < b),
+        Kind::Sll => a << (b & 31),
+        Kind::Srl => a >> (b & 31),
+        Kind::Sra => ((a as i32) >> (b & 31)) as u32,
+        _ => unreachable!("{kind:?} is not an ALU micro-op"),
+    }
+}
+
+/// The register-file index of register byte `r` (always below 32; the
+/// mask only spares the bounds check).
+#[inline(always)]
+fn slot(r: u8) -> usize {
+    usize::from(r & 31)
+}
+
+/// A conditional branch's outcome: to `target` if `taken`, marking the
+/// record taken unless the target is the next word anyway.
+#[inline(always)]
+fn branch(rec: &mut DynInstr, next: &mut u32, target: u32, taken: bool) {
+    if taken && target != *next {
+        *next = target;
+        rec.flags |= TAKEN;
+    }
+}
+
+/// A fused site, resolved once.
+struct Site {
+    /// Its constituents' micro-ops, in `site_ops`.
+    ops: std::ops::Range<usize>,
+    conf: u16,
+    /// The site's configuration failed to load (see
+    /// [`FuncCore::inject_conf_faults`]).
+    faulted: bool,
+}
+
+/// Records per batch that the pipeline and [`FuncCore::run_to_end`] ask
+/// for: 6 KiB, so a batch stays in the L1 cache while it is consumed.
+const BATCH: usize = 256;
+
 /// Architectural machine state plus the program it runs.
 pub struct FuncCore<'a> {
     program: &'a Program,
-    /// The text segment decoded once, by word index. An undecodable word
-    /// is an error only if it executes.
-    text: Vec<Result<Decoded, DecodeError>>,
-    /// The fused site starting at each word index, if any, with its
-    /// record.
-    sites: Vec<Option<(&'a FusedSite, DynInstr)>>,
-    /// Operand and result values of the last step.
+    /// The text segment resolved once, by word index.
+    ops: Vec<Uop>,
+    /// The fused sites [`Kind::Fused`] micro-ops name.
+    sites: Vec<Site>,
+    /// Every site's constituents, each a copy of its word's micro-op.
+    site_ops: Vec<Uop>,
+    /// The errors [`Kind::Fault`] micro-ops raise.
+    faults: Vec<ExecError>,
+    /// Operand and result values of the last [`step`](FuncCore::step).
     values: StepValues,
+    /// Committed instructions at which [`ExecError::InstrLimit`] fires
+    /// (`u64::MAX` when unbounded).
+    budget: u64,
     /// General-purpose registers.
     pub regs: [u32; 32],
     pub hi: u32,
@@ -275,8 +561,6 @@ pub struct FuncCore<'a> {
     /// Fused-site visits that fell back to scalar execution because the
     /// site's PFU configuration is marked faulted (graceful degradation).
     pub conf_fault_fallbacks: u64,
-    /// PFU configurations whose loads are injected to fail.
-    faulted_confs: std::collections::HashSet<u16>,
     finished: bool,
 }
 
@@ -287,28 +571,59 @@ impl<'a> FuncCore<'a> {
         let mut regs = [0u32; 32];
         regs[Reg::SP.index()] = t1000_isa::program::STACK_TOP;
         regs[Reg::GP.index()] = program.data_base;
-        let text = (0..)
+        let mut faults = Vec::new();
+        let mut ops: Vec<Uop> = (program.text_base..)
             .step_by(4)
             .zip(&program.text)
-            .map(|(off, &w)| {
-                decode(w).map(|instr| Decoded {
-                    instr,
-                    rec: DynInstr::of(program.text_base + off, &instr),
-                })
-            })
+            .map(|(pc, &w)| Uop::resolve(pc, w, &mut faults))
             .collect();
-        let mut sites = vec![None; program.text.len()];
+        // Every site's constituents are resolved from the plain words
+        // before any site start is replaced by its fused micro-op.
+        let (mut sites, mut site_ops, mut starts) = (Vec::new(), Vec::new(), Vec::new());
         for site in fusion.sites() {
-            if let Some(i) = text_index(program, site.pc) {
-                let latency = fusion.def(site.conf).map_or(1, |d| d.pfu_latency);
-                sites[i] = Some((site, DynInstr::fused(site, latency)));
+            let Some(idx) = text_index(program, site.pc) else {
+                continue;
+            };
+            let first = site_ops.len();
+            for k in 0..site.len {
+                // A hand-built site running past the text segment fails
+                // at the PC that left it.
+                let pc = site.pc + 4 * k;
+                site_ops.push(match ops.get(idx + k as usize) {
+                    Some(&u) => u,
+                    None => Uop::fault(ExecError::PcOutOfRange(pc), &mut faults),
+                });
             }
+            let latency = fusion.def(site.conf).map_or(1, |d| d.pfu_latency);
+            starts.push((
+                idx,
+                Uop {
+                    kind: Kind::Fused,
+                    d: site.output.index() as u8,
+                    s: 0,
+                    t: 0,
+                    imm: sites.len() as u32,
+                    target: site.end_pc(),
+                    rec: DynInstr::fused(site, latency),
+                },
+            ));
+            sites.push(Site {
+                ops: first..site_ops.len(),
+                conf: site.conf,
+                faulted: false,
+            });
+        }
+        for (idx, u) in starts {
+            ops[idx] = u;
         }
         FuncCore {
             program,
-            text,
+            ops,
             sites,
+            site_ops,
+            faults,
             values: StepValues::default(),
+            budget: u64::MAX,
             regs,
             hi: 0,
             lo: 0,
@@ -317,9 +632,18 @@ impl<'a> FuncCore<'a> {
             sys: SyscallState::new(),
             icount: 0,
             conf_fault_fallbacks: 0,
-            faulted_confs: std::collections::HashSet::new(),
             finished: false,
         }
+    }
+
+    /// Bounds the run to `max_instructions` committed base instructions
+    /// (0 = unbounded): [`run`](FuncCore::run) fails with
+    /// [`ExecError::InstrLimit`] instead of starting a record past it.
+    pub fn limit_instructions(&mut self, max_instructions: u64) {
+        self.budget = match max_instructions {
+            0 => u64::MAX,
+            n => n,
+        };
     }
 
     /// Marks PFU configurations as failed-to-load. Any fused site using
@@ -330,7 +654,10 @@ impl<'a> FuncCore<'a> {
     /// latency. Fallbacks are counted in
     /// [`conf_fault_fallbacks`](FuncCore::conf_fault_fallbacks).
     pub fn inject_conf_faults(&mut self, confs: impl IntoIterator<Item = u16>) {
-        self.faulted_confs.extend(confs);
+        let confs: Vec<u16> = confs.into_iter().collect();
+        for site in &mut self.sites {
+            site.faulted |= confs.contains(&site.conf);
+        }
     }
 
     /// Whether the program has exited.
@@ -344,300 +671,259 @@ impl<'a> FuncCore<'a> {
         self.values
     }
 
-    fn reg(&self, r: Reg) -> u32 {
-        self.regs[r.index()]
-    }
-
-    fn set_reg(&mut self, r: Reg, v: u32) {
-        if !r.is_zero() {
-            self.regs[r.index()] = v;
-        }
-    }
-
-    /// The pre-decoded word at index `idx` (at address `pc`).
-    fn decoded(&self, idx: usize, pc: u32) -> Result<&Decoded, ExecError> {
-        match self.text.get(idx) {
-            Some(Ok(d)) => Ok(d),
-            Some(Err(e)) => Err(ExecError::Decode(pc, e.word)),
-            None => Err(ExecError::PcOutOfRange(pc)),
-        }
-    }
-
     /// Executes one *dynamic* instruction: either a single base instruction
     /// or, when the PC starts a fused site, the whole fused sequence.
-    /// Returns `None` once the program has finished.
+    /// Returns `None` once the program has finished. A batch of one
+    /// through [`run`](FuncCore::run), which also keeps the record's
+    /// values for [`values`](FuncCore::values).
     pub fn step(&mut self) -> Result<Option<DynInstr>, ExecError> {
-        if self.finished {
-            return Ok(None);
-        }
-        let Some(idx) = text_index(self.program, self.pc) else {
-            return Err(ExecError::PcOutOfRange(self.pc));
-        };
-        let Some((site, rec)) = self.sites[idx] else {
-            return self.exec_one(idx).map(Some);
-        };
-        if self.faulted_confs.contains(&site.conf) {
-            // The site's configuration failed to load: execute the first
-            // constituent unfused. The following PCs are not site starts,
-            // so the rest of the sequence also runs scalar, at its true
-            // latency.
-            self.conf_fault_fallbacks += 1;
-            return self.exec_one(idx).map(Some);
-        }
-        let input = |k: usize| site.inputs.get(k).map_or(0, |&r| self.reg(r));
-        let srcs = [input(0), input(1)];
-        // Execute every constituent architecturally. The selector
-        // guarantees the sequence is pure ALU straight-line code, so
-        // control cannot leave it mid-way; a hand-built site running past
-        // the text segment reports the PC that left it.
-        for k in 0..site.len {
-            let d = self.decoded(idx + k as usize, rec.pc + 4 * k)?;
-            let (i, def) = (d.instr, d.rec.gpr_def());
-            debug_assert!(
-                i.op.is_pfu_candidate(),
-                "fused site at 0x{:x} contains non-ALU op {:?}",
-                rec.pc,
-                i.op
-            );
-            let r = self.exec_alu(&i);
-            self.set_reg(def.unwrap_or(Reg::ZERO), r);
-            self.icount += 1;
-        }
-        self.pc = site.end_pc();
-        self.values = StepValues {
-            srcs,
-            result: Some(self.reg(site.output)),
-        };
-        Ok(Some(rec))
+        let mut out = Vec::with_capacity(1);
+        let mut last = self.values;
+        self.run(&mut out, 1, &mut |_: &DynInstr, v: StepValues| last = v)?;
+        self.values = last;
+        Ok(out.pop())
     }
 
-    /// Executes the base instruction at word index `idx` (the current PC).
-    fn exec_one(&mut self, idx: usize) -> Result<DynInstr, ExecError> {
-        let pc = self.pc;
-        let d = self.decoded(idx, pc)?;
-        let (i, mut rec) = (d.instr, d.rec);
-        self.icount += 1;
-        let [u0, u1] = rec.gpr_uses();
-        let srcs = [u0.map_or(0, |r| self.reg(r)), u1.map_or(0, |r| self.reg(r))];
-        let mut result = None;
-
-        let mut next_pc = pc.wrapping_add(4);
-        use Op::*;
-        match i.op {
-            // ---- ALU ----
-            op if op.is_pfu_candidate() => {
-                let v = self.exec_alu(&i);
-                self.set_reg(rec.gpr_def().unwrap_or(Reg::ZERO), v);
-                result = Some(v);
-            }
-            // ---- multiply / divide / HI-LO ----
-            Mult => {
-                let p = (self.reg(i.rs) as i32 as i64) * (self.reg(i.rt) as i32 as i64);
-                self.lo = p as u32;
-                self.hi = (p >> 32) as u32;
-            }
-            Multu => {
-                let p = (self.reg(i.rs) as u64) * (self.reg(i.rt) as u64);
-                self.lo = p as u32;
-                self.hi = (p >> 32) as u32;
-            }
-            Div => {
-                let (a, b) = (self.reg(i.rs) as i32, self.reg(i.rt) as i32);
-                // MIPS leaves HI/LO unpredictable on divide-by-zero; we
-                // define a deterministic result so runs are reproducible.
-                if b == 0 {
-                    self.lo = u32::MAX;
-                    self.hi = a as u32;
-                } else {
-                    self.lo = a.wrapping_div(b) as u32;
-                    self.hi = a.wrapping_rem(b) as u32;
-                }
-            }
-            Divu => {
-                let (a, b) = (self.reg(i.rs), self.reg(i.rt));
-                match a.checked_div(b) {
-                    Some(q) => {
-                        self.lo = q;
-                        self.hi = a % b;
-                    }
-                    None => {
-                        self.lo = u32::MAX;
-                        self.hi = a;
-                    }
-                }
-            }
-            Mfhi => {
-                let v = self.hi;
-                self.set_reg(i.rd, v);
-                result = Some(v);
-            }
-            Mflo => {
-                let v = self.lo;
-                self.set_reg(i.rd, v);
-                result = Some(v);
-            }
-            Mthi => self.hi = self.reg(i.rs),
-            Mtlo => self.lo = self.reg(i.rs),
-            // ---- memory ----
-            Lb | Lbu | Lh | Lhu | Lw => {
-                let addr = self.reg(i.rs).wrapping_add(i.imm as u32);
-                let v = self.load(pc, i.op, addr)?;
-                self.set_reg(i.rt, v);
-                rec.addr = addr;
-                result = Some(v);
-            }
-            Sb | Sh | Sw => {
-                let addr = self.reg(i.rs).wrapping_add(i.imm as u32);
-                self.store(pc, i.op, addr, self.reg(i.rt))?;
-                rec.addr = addr;
-            }
-            // ---- control ----
-            Beq => {
-                if self.reg(i.rs) == self.reg(i.rt) {
-                    next_pc = i.branch_target(pc);
-                }
-            }
-            Bne => {
-                if self.reg(i.rs) != self.reg(i.rt) {
-                    next_pc = i.branch_target(pc);
-                }
-            }
-            Blez => {
-                if (self.reg(i.rs) as i32) <= 0 {
-                    next_pc = i.branch_target(pc);
-                }
-            }
-            Bgtz => {
-                if (self.reg(i.rs) as i32) > 0 {
-                    next_pc = i.branch_target(pc);
-                }
-            }
-            Bltz => {
-                if (self.reg(i.rs) as i32) < 0 {
-                    next_pc = i.branch_target(pc);
-                }
-            }
-            Bgez => {
-                if (self.reg(i.rs) as i32) >= 0 {
-                    next_pc = i.branch_target(pc);
-                }
-            }
-            J => next_pc = i.jump_target(pc),
-            Jal => {
-                self.set_reg(Reg::RA, pc.wrapping_add(4));
-                next_pc = i.jump_target(pc);
-            }
-            Jr => next_pc = self.reg(i.rs),
-            Jalr => {
-                let t = self.reg(i.rs);
-                self.set_reg(i.rd, pc.wrapping_add(4));
-                next_pc = t;
-            }
-            // ---- system ----
-            Syscall => {
-                let code = self.reg(Reg::V0);
-                let arg = self.reg(Reg::A0);
-                let done = self
-                    .sys
-                    .execute(code, arg)
-                    .map_err(|e| ExecError::BadSyscall { pc, code: e.code })?;
-                self.finished = done;
-            }
-            Break => self.finished = true,
-            Ext => {
-                // A literal `ext` opcode in the text (as opposed to a
-                // fusion-map site) has no skeleton to execute; treat as a
-                // decode-class error — the selector never emits these.
-                return Err(ExecError::Decode(pc, t1000_isa::encode(&i)));
-            }
-            _ => unreachable!("op {:?} not covered", i.op),
-        }
-
-        if rec.flags & BRANCH != 0 && next_pc != pc.wrapping_add(4) {
-            rec.flags |= TAKEN;
-        }
-        self.pc = next_pc;
-        self.values = StepValues { srcs, result };
-        Ok(rec)
-    }
-
-    /// Pure ALU evaluation (shared by normal and fused execution).
-    fn exec_alu(&self, i: &Instr) -> u32 {
-        use Op::*;
-        let rs = self.reg(i.rs);
-        let rt = self.reg(i.rt);
-        match i.op {
-            Sll => rt << (i.imm as u32 & 31),
-            Srl => rt >> (i.imm as u32 & 31),
-            Sra => ((rt as i32) >> (i.imm as u32 & 31)) as u32,
-            Sllv => rt << (rs & 31),
-            Srlv => rt >> (rs & 31),
-            Srav => ((rt as i32) >> (rs & 31)) as u32,
-            // `add`/`addi` are modelled without overflow traps (their
-            // wrapping behaviour matches `addu`/`addiu`).
-            Add | Addu => rs.wrapping_add(rt),
-            Sub | Subu => rs.wrapping_sub(rt),
-            And => rs & rt,
-            Or => rs | rt,
-            Xor => rs ^ rt,
-            Nor => !(rs | rt),
-            Slt => u32::from((rs as i32) < (rt as i32)),
-            Sltu => u32::from(rs < rt),
-            Addi | Addiu => rs.wrapping_add(i.imm as u32),
-            Slti => u32::from((rs as i32) < i.imm),
-            Sltiu => u32::from(rs < i.imm as u32),
-            Andi => rs & (i.imm as u32 & 0xffff),
-            Ori => rs | (i.imm as u32 & 0xffff),
-            Xori => rs ^ (i.imm as u32 & 0xffff),
-            Lui => (i.imm as u32 & 0xffff) << 16,
-            _ => unreachable!("{:?} is not an ALU op", i.op),
-        }
-    }
-
-    fn load(&mut self, pc: u32, op: Op, addr: u32) -> Result<u32, ExecError> {
-        use Op::*;
-        Ok(match op {
-            Lb => self.mem.read_u8(addr) as i8 as i32 as u32,
-            Lbu => self.mem.read_u8(addr) as u32,
-            Lh => {
-                self.check_align(pc, addr, 2)?;
-                self.mem.read_u16(addr) as i16 as i32 as u32
-            }
-            Lhu => {
-                self.check_align(pc, addr, 2)?;
-                self.mem.read_u16(addr) as u32
-            }
-            Lw => {
-                self.check_align(pc, addr, 4)?;
-                self.mem.read_u32(addr)
-            }
-            _ => unreachable!(),
-        })
-    }
-
-    fn store(&mut self, pc: u32, op: Op, addr: u32, v: u32) -> Result<(), ExecError> {
-        use Op::*;
-        match op {
-            Sb => self.mem.write_u8(addr, v as u8),
-            Sh => {
-                self.check_align(pc, addr, 2)?;
-                self.mem.write_u16(addr, v as u16)
-            }
-            Sw => {
-                self.check_align(pc, addr, 4)?;
-                self.mem.write_u32(addr, v)
-            }
-            _ => unreachable!(),
+    /// Runs the program to its end, handing every record's values to
+    /// `values`.
+    pub fn run_to_end<V: ValueObserver>(&mut self, values: &mut V) -> Result<(), ExecError> {
+        let mut out = Vec::with_capacity(BATCH);
+        while !self.finished {
+            out.clear();
+            self.run(&mut out, BATCH, values)?;
         }
         Ok(())
     }
 
-    fn check_align(&self, pc: u32, addr: u32, width: u32) -> Result<(), ExecError> {
-        if !addr.is_multiple_of(width) {
-            Err(ExecError::Unaligned { pc, addr, width })
-        } else {
-            Ok(())
+    /// The interpreter: executes dynamic instructions, appending one
+    /// record each to `out`, until `out` holds `cap` records or the
+    /// program has finished. An instruction that fails emits no record
+    /// and leaves the PC on it; its error is returned after the records
+    /// already appended.
+    pub fn run<V: ValueObserver>(
+        &mut self,
+        out: &mut Vec<DynInstr>,
+        cap: usize,
+        values: &mut V,
+    ) -> Result<(), ExecError> {
+        let src = |regs: &[u32; 32], b: u8| {
+            if b == NO_REG {
+                0
+            } else {
+                regs[slot(b)]
+            }
+        };
+        while !self.finished && out.len() < cap {
+            if self.icount >= self.budget {
+                return Err(ExecError::InstrLimit(self.budget));
+            }
+            let pc = self.pc;
+            let idx = (pc.wrapping_sub(self.program.text_base) >> 2) as usize;
+            let mut u = match self.ops.get(idx) {
+                Some(&u) if pc & 3 == 0 => u,
+                _ => return Err(ExecError::PcOutOfRange(pc)),
+            };
+            if u.kind == Kind::Fused {
+                let site = &self.sites[u.imm as usize];
+                if site.faulted {
+                    // The site's configuration failed to load: execute the
+                    // first constituent unfused. The following PCs are not
+                    // site starts, so the rest of the sequence also runs
+                    // scalar, at its true latency.
+                    self.conf_fault_fallbacks += 1;
+                    u = self.site_ops[site.ops.start];
+                }
+            }
+            let mut rec = u.rec;
+            let srcs = if V::ON {
+                rec.uses.map(|b| src(&self.regs, b))
+            } else {
+                [0; 2]
+            };
+            if u.kind == Kind::Fused {
+                // The selector guarantees the sequence is pure ALU
+                // straight-line code, so control cannot leave it mid-way.
+                let site = &self.sites[u.imm as usize];
+                for c in &self.site_ops[site.ops.clone()] {
+                    if c.kind == Kind::Fault {
+                        return Err(self.faults[c.imm as usize].clone());
+                    }
+                    let (a, b) = (self.regs[slot(c.s)], self.regs[slot(c.t)]);
+                    self.regs[slot(c.d)] = alu(c.kind, a, b | c.imm);
+                    self.regs[0] = 0;
+                }
+                self.icount += u64::from(rec.fused_len);
+                self.pc = u.target;
+                if V::ON {
+                    let result = Some(self.regs[slot(u.d)]);
+                    values.observe(&rec, StepValues { srcs, result });
+                }
+                out.push(rec);
+                continue;
+            }
+            let (a, b) = (self.regs[slot(u.s)], self.regs[slot(u.t)]);
+            let mut next = pc.wrapping_add(4);
+            let aligned = |addr: u32, width: u32| {
+                if addr.is_multiple_of(width) {
+                    Ok(addr)
+                } else {
+                    Err(ExecError::Unaligned { pc, addr, width })
+                }
+            };
+            let mem = &mut self.mem;
+            let result = match u.kind {
+                k if k.is_alu() => Some(alu(k, a, b | u.imm)),
+                Kind::Mult => {
+                    let p = (a as i32 as i64) * (b as i32 as i64);
+                    (self.hi, self.lo) = ((p >> 32) as u32, p as u32);
+                    None
+                }
+                Kind::Multu => {
+                    let p = (a as u64) * (b as u64);
+                    (self.hi, self.lo) = ((p >> 32) as u32, p as u32);
+                    None
+                }
+                Kind::Div => {
+                    let (a, b) = (a as i32, b as i32);
+                    // MIPS leaves HI/LO unpredictable on divide-by-zero;
+                    // we define a deterministic result so runs are
+                    // reproducible.
+                    (self.hi, self.lo) = if b == 0 {
+                        (a as u32, u32::MAX)
+                    } else {
+                        (a.wrapping_rem(b) as u32, a.wrapping_div(b) as u32)
+                    };
+                    None
+                }
+                Kind::Divu => {
+                    (self.hi, self.lo) = match a.checked_div(b) {
+                        Some(q) => (a % b, q),
+                        None => (a, u32::MAX),
+                    };
+                    None
+                }
+                Kind::Mfhi => Some(self.hi),
+                Kind::Mflo => Some(self.lo),
+                Kind::Mthi => {
+                    self.hi = a;
+                    None
+                }
+                Kind::Mtlo => {
+                    self.lo = a;
+                    None
+                }
+                Kind::Lb => {
+                    rec.addr = a.wrapping_add(u.imm);
+                    Some(mem.read_u8(rec.addr) as i8 as i32 as u32)
+                }
+                Kind::Lbu => {
+                    rec.addr = a.wrapping_add(u.imm);
+                    Some(u32::from(mem.read_u8(rec.addr)))
+                }
+                Kind::Lh => {
+                    rec.addr = aligned(a.wrapping_add(u.imm), 2)?;
+                    Some(mem.read_u16(rec.addr) as i16 as i32 as u32)
+                }
+                Kind::Lhu => {
+                    rec.addr = aligned(a.wrapping_add(u.imm), 2)?;
+                    Some(u32::from(mem.read_u16(rec.addr)))
+                }
+                Kind::Lw => {
+                    rec.addr = aligned(a.wrapping_add(u.imm), 4)?;
+                    Some(mem.read_u32(rec.addr))
+                }
+                Kind::Sb => {
+                    rec.addr = a.wrapping_add(u.imm);
+                    mem.write_u8(rec.addr, b as u8);
+                    None
+                }
+                Kind::Sh => {
+                    rec.addr = aligned(a.wrapping_add(u.imm), 2)?;
+                    mem.write_u16(rec.addr, b as u16);
+                    None
+                }
+                Kind::Sw => {
+                    rec.addr = aligned(a.wrapping_add(u.imm), 4)?;
+                    mem.write_u32(rec.addr, b);
+                    None
+                }
+                Kind::Beq => {
+                    branch(&mut rec, &mut next, u.target, a == b);
+                    None
+                }
+                Kind::Bne => {
+                    branch(&mut rec, &mut next, u.target, a != b);
+                    None
+                }
+                Kind::Blez => {
+                    branch(&mut rec, &mut next, u.target, a as i32 <= 0);
+                    None
+                }
+                Kind::Bgtz => {
+                    branch(&mut rec, &mut next, u.target, a as i32 > 0);
+                    None
+                }
+                Kind::Bltz => {
+                    branch(&mut rec, &mut next, u.target, (a as i32) < 0);
+                    None
+                }
+                Kind::Bgez => {
+                    branch(&mut rec, &mut next, u.target, a as i32 >= 0);
+                    None
+                }
+                Kind::J => {
+                    self.regs[slot(u.d)] = next;
+                    next = u.target;
+                    None
+                }
+                Kind::Jr => {
+                    self.regs[slot(u.d)] = next;
+                    next = a;
+                    None
+                }
+                Kind::Syscall => {
+                    let code = self.regs[Reg::V0.index()];
+                    let arg = self.regs[Reg::A0.index()];
+                    self.finished = self
+                        .sys
+                        .execute(code, arg)
+                        .map_err(|e| ExecError::BadSyscall { pc, code: e.code })?;
+                    None
+                }
+                Kind::Break => {
+                    self.finished = true;
+                    None
+                }
+                Kind::Fault => return Err(self.faults[u.imm as usize].clone()),
+                Kind::Fused => unreachable!("fused sites execute above"),
+                _ => unreachable!("ALU kinds are matched first"),
+            };
+            if let Some(v) = result {
+                self.regs[slot(u.d)] = v;
+            }
+            self.regs[0] = 0;
+            self.icount += 1;
+            self.pc = next;
+            if V::ON {
+                values.observe(&rec, StepValues { srcs, result });
+            }
+            out.push(rec);
         }
+        Ok(())
+    }
+}
+
+/// The functional core as the pipeline's record source, in batches.
+impl RecordSource for &mut FuncCore<'_> {
+    type Error = ExecError;
+
+    fn fill(&mut self, buf: &mut Vec<DynInstr>) -> Result<(), ExecError> {
+        if self.finished && self.icount >= self.budget {
+            // The pipeline asks once more after the last record, and
+            // like every pull that checks the budget first.
+            return Err(ExecError::InstrLimit(self.budget));
+        }
+        self.run(buf, BATCH, &mut NoValues)
     }
 }
 
@@ -940,10 +1226,12 @@ main:
             let fusion = FusionMap::new();
             let c = FuncCore::new(&p, &fusion);
             let mut checked = 0;
-            for (k, d) in c.text.iter().enumerate() {
-                let Ok(Decoded { instr: i, rec }) = d else {
+            for (k, u) in c.ops.iter().enumerate() {
+                let Ok(i) = decode(p.text[k]) else {
+                    assert_eq!(u.kind, Kind::Fault);
                     continue;
                 };
+                let rec = &u.rec;
                 let ctx = format!("{name} word {k}: {i:?}");
                 let mut uses = i.uses();
                 let class = i.op.class();

@@ -44,12 +44,12 @@ pub mod syscall;
 
 pub use branch::{BranchModel, BranchStats, Predictor};
 pub use config::{CpuConfig, PfuCount};
-pub use func::{DynInstr, ExecError, FuncCore, StepValues};
+pub use func::{DynInstr, ExecError, FuncCore, StepValues, ValueObserver};
 pub use machine::{execute, simulate, simulate_with, simulate_with_faults, RunResult};
 pub use observe::{
     AttrCollector, CycleAttribution, CycleClass, NullSink, PcStalls, StallCause, TraceEvent,
     TraceSink, NUM_STALL_CAUSES, STALL_CAUSES,
 };
-pub use ooo::{FastPathStats, OooCore, TimingStats};
+pub use ooo::{FastPathStats, OooCore, RecordSource, TimingStats};
 pub use pfu::{PfuArray, PfuOutcome, PfuReplacement, PfuStats};
 pub use syscall::{Syscall, SyscallState};

@@ -2,7 +2,7 @@
 //! timing model.
 
 use crate::config::CpuConfig;
-use crate::func::{ExecError, FuncCore};
+use crate::func::{ExecError, FuncCore, NoValues};
 use crate::observe::{NullSink, TraceSink};
 use crate::ooo::{OooCore, TimingStats};
 use crate::syscall::SyscallState;
@@ -87,7 +87,7 @@ pub fn simulate_with_faults<S: TraceSink>(
 ) -> Result<RunResult, ExecError> {
     let mut func = FuncCore::new(program, fusion);
     func.inject_conf_faults(faulted_confs.iter().copied());
-    let limit = cfg.max_instructions;
+    func.limit_instructions(cfg.max_instructions);
     let mut ooo = OooCore::new(cfg);
     // Per-configuration stream sizes (recorded by the selector from the
     // hardware-cost model) feed the reload-traffic counter always, and
@@ -115,15 +115,7 @@ pub fn simulate_with_faults<S: TraceSink>(
         });
         ooo.set_conf_tables(words, load_cycles);
     }
-    let mut timing = ooo.run_with(
-        || {
-            if limit != 0 && func.icount >= limit {
-                return Err(ExecError::InstrLimit(limit));
-            }
-            func.step()
-        },
-        sink,
-    )?;
+    let mut timing = ooo.run_with(&mut func, sink)?;
     timing.pfu.load_faults = func.conf_fault_fallbacks;
     Ok(RunResult {
         timing,
@@ -139,12 +131,8 @@ pub fn execute(
     max_instructions: u64,
 ) -> Result<(SyscallState, u64), ExecError> {
     let mut func = FuncCore::new(program, fusion);
-    while !func.finished() {
-        if max_instructions != 0 && func.icount >= max_instructions {
-            return Err(ExecError::InstrLimit(max_instructions));
-        }
-        func.step()?;
-    }
+    func.limit_instructions(max_instructions);
+    func.run_to_end(&mut NoValues)?;
     Ok((func.sys, func.icount))
 }
 

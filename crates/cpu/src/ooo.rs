@@ -48,6 +48,12 @@
 //! flight. Occupancy is still limited by `ruu_size`, not by the ring's
 //! capacity. Records arrive from the functional core as 24-byte
 //! [`DynInstr`] values and are copied, not re-encoded, at each stage.
+//!
+//! The record stream is a [`RecordSource`], which fills a buffer a batch
+//! at a time; fetch and the replay fast path take records from that
+//! buffer. An error the source returns with a batch is held until the
+//! pipeline asks for the record after the batch's last one, so it
+//! surfaces at the same pull as if records were produced one by one.
 
 use crate::branch::{BranchStats, Predictor};
 use crate::config::CpuConfig;
@@ -65,6 +71,93 @@ use t1000_mem::{MemHierarchy, MemStats};
 mod fast_path;
 
 pub use fast_path::FastPathStats;
+
+/// A record stream the pipeline pulls from, a batch at a time.
+///
+/// A closure returning one record per call (`None` once the program has
+/// finished) is a source; so is a
+/// [`FuncCore`](crate::func::FuncCore), by `&mut`, which fills whole
+/// batches.
+pub trait RecordSource {
+    /// The error type. It must absorb [`ExecError`] so the cycle-fuel
+    /// watchdog ([`CpuConfig::max_cycles`]) can abort divergent runs.
+    type Error: From<ExecError>;
+
+    /// Appends the next records of the stream to `buf`: at least one, or
+    /// none once the stream has ended. An error comes after the records
+    /// appended with it.
+    fn fill(&mut self, buf: &mut Vec<DynInstr>) -> Result<(), Self::Error>;
+}
+
+impl<E: From<ExecError>, F: FnMut() -> Result<Option<DynInstr>, E>> RecordSource for F {
+    type Error = E;
+
+    fn fill(&mut self, buf: &mut Vec<DynInstr>) -> Result<(), E> {
+        buf.extend(self()?);
+        Ok(())
+    }
+}
+
+/// The pipeline's cursor over a [`RecordSource`]: the current batch, and
+/// how the stream goes on after it.
+struct Feed<R: RecordSource> {
+    source: R,
+    batch: Vec<DynInstr>,
+    /// Records of `batch` already pulled.
+    pos: usize,
+    /// What follows `batch`, once the source has said: the end of the
+    /// stream (`Ok`) or an error.
+    after: Option<Result<(), R::Error>>,
+}
+
+impl<R: RecordSource> Feed<R> {
+    fn new(source: R) -> Feed<R> {
+        Feed {
+            source,
+            batch: Vec::new(),
+            pos: 0,
+            after: None,
+        }
+    }
+
+    /// The next record, `None` at the end of the stream.
+    #[inline(always)]
+    fn next(&mut self) -> Result<Option<DynInstr>, R::Error> {
+        match self.batch.get(self.pos) {
+            Some(&rec) => {
+                self.pos += 1;
+                Ok(Some(rec))
+            }
+            None => self.refill(),
+        }
+    }
+
+    /// Starts the next batch, or reports what follows the last one.
+    #[inline(never)]
+    fn refill(&mut self) -> Result<Option<DynInstr>, R::Error> {
+        self.batch.clear();
+        self.pos = 0;
+        if self.after.is_none() {
+            if let Err(e) = self.source.fill(&mut self.batch) {
+                self.after = Some(Err(e));
+            } else if self.batch.is_empty() {
+                self.after = Some(Ok(()));
+            }
+        }
+        if let Some(&rec) = self.batch.first() {
+            self.pos = 1;
+            return Ok(Some(rec));
+        }
+        // The stream ends here: for good, or with the error, reported once.
+        match self.after.take() {
+            Some(Err(e)) => Err(e),
+            end => {
+                self.after = end;
+                Ok(None)
+            }
+        }
+    }
+}
 
 /// Final statistics of a timed run.
 #[derive(Clone, Debug)]
@@ -335,15 +428,9 @@ impl OooCore {
         }
     }
 
-    /// Runs the pipeline to completion over the record stream produced by
-    /// `source`. `source` returns `None` when the program has finished.
-    ///
-    /// The error type must absorb [`ExecError`] so the cycle-fuel
-    /// watchdog ([`CpuConfig::max_cycles`]) can abort divergent runs.
-    pub fn run<E: From<ExecError>>(
-        self,
-        source: impl FnMut() -> Result<Option<DynInstr>, E>,
-    ) -> Result<TimingStats, E> {
+    /// Runs the pipeline to completion over the record stream of
+    /// `source`.
+    pub fn run<R: RecordSource>(self, source: R) -> Result<TimingStats, R::Error> {
         self.run_with(source, &mut NullSink)
     }
 
@@ -351,11 +438,12 @@ impl OooCore {
     /// pipeline events to `sink`. Monomorphized per sink type: with
     /// [`NullSink`] every instrumentation branch is compiled out and this
     /// *is* the uninstrumented pipeline.
-    pub fn run_with<E: From<ExecError>, S: TraceSink>(
+    pub fn run_with<R: RecordSource, S: TraceSink>(
         mut self,
-        mut source: impl FnMut() -> Result<Option<DynInstr>, E>,
+        source: R,
         sink: &mut S,
-    ) -> Result<TimingStats, E> {
+    ) -> Result<TimingStats, R::Error> {
+        let mut feed = Feed::new(source);
         if S::EVENTS {
             // Trace events carry absolute cycle numbers; replayed
             // segments would have to rewrite them. Event tracing wants
@@ -369,7 +457,7 @@ impl OooCore {
             // still fires at the precise cycle it would have without the
             // fast path.
             if self.fast.enabled && std::mem::take(&mut self.fast.pending_boundary) {
-                self.fast_boundary::<E, S>(&mut source, sink)?;
+                self.fast_boundary(&mut feed, sink)?;
             }
             if self.cfg.max_cycles != 0 && self.cycle >= self.cfg.max_cycles {
                 // Out of fuel: a workload that has not drained by now is
@@ -389,7 +477,7 @@ impl OooCore {
             };
             self.issue(sink);
             self.dispatch(sink);
-            self.fetch(&mut source, sink)?;
+            self.fetch(&mut feed, sink)?;
             if self.drained && self.window.is_empty() && self.fetch_queue.is_empty() {
                 break;
             }
@@ -861,11 +949,11 @@ impl OooCore {
 
     /// Fetch up to `fetch_width` records from the trace into the fetch
     /// queue, charging I-cache latency per new cache line.
-    fn fetch<E, S: TraceSink>(
+    fn fetch<R: RecordSource, S: TraceSink>(
         &mut self,
-        source: &mut impl FnMut() -> Result<Option<DynInstr>, E>,
+        feed: &mut Feed<R>,
         sink: &mut S,
-    ) -> Result<(), E> {
+    ) -> Result<(), R::Error> {
         if self.drained {
             return Ok(());
         }
@@ -878,7 +966,7 @@ impl OooCore {
             if self.fetch_queue.len() >= self.cfg.fetch_queue {
                 break;
             }
-            let Some(rec) = self.next_record(&mut *source)? else {
+            let Some(rec) = self.next_record(feed)? else {
                 self.drained = true;
                 break;
             };
@@ -965,7 +1053,7 @@ mod tests {
     fn time(p: &Program, fusion: &FusionMap, cfg: CpuConfig) -> TimingStats {
         let mut core = FuncCore::new(p, fusion);
         let ooo = OooCore::new(cfg);
-        ooo.run(|| core.step()).unwrap()
+        ooo.run(&mut core).unwrap()
     }
 
     const EXIT: &str = "
@@ -1323,7 +1411,7 @@ loop:
         let mut core = FuncCore::new(p, fusion);
         let mut sink = crate::observe::AttrCollector::new();
         let ooo = OooCore::new(cfg);
-        let stats = ooo.run_with(|| core.step(), &mut sink).unwrap();
+        let stats = ooo.run_with(&mut core, &mut sink).unwrap();
         (stats, sink.attr)
     }
 
@@ -1501,7 +1589,7 @@ next:
         let mut core = FuncCore::new(&p, &fusion);
         let mut sink = crate::observe::AttrCollector::with_per_pc();
         OooCore::new(CpuConfig::baseline())
-            .run_with(|| core.step(), &mut sink)
+            .run_with(&mut core, &mut sink)
             .unwrap();
         let per_pc = sink.per_pc().unwrap();
         let loop_start = p.symbol("loop").unwrap();
@@ -1653,7 +1741,7 @@ loop:
             let mut core = FuncCore::new(&p, &fusion);
             let mut sink = crate::observe::AttrCollector::new();
             let err = OooCore::new(cfg)
-                .run_with(|| core.step(), &mut sink)
+                .run_with(&mut core, &mut sink)
                 .unwrap_err();
             (err, sink.attr)
         };
@@ -1748,7 +1836,7 @@ loop:
         let mut core = FuncCore::new(&p, &fusion);
         let mut sink = EventSink(Vec::new());
         let stats = OooCore::new(CpuConfig::baseline())
-            .run_with(|| core.step(), &mut sink)
+            .run_with(&mut core, &mut sink)
             .unwrap();
         assert_eq!(
             stats.fast,

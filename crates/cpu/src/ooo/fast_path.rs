@@ -82,7 +82,7 @@
 //! ([`TraceSink::EVENTS`]): trace events carry absolute cycle numbers,
 //! and a replayed segment would have to rewrite them.
 
-use super::{EntryState, OooCore};
+use super::{EntryState, Feed, OooCore, RecordSource};
 use crate::config::CpuConfig;
 use crate::func::DynInstr;
 use crate::observe::{CycleClass, StallCause, TraceSink};
@@ -460,8 +460,6 @@ pub(crate) struct FastPath {
     /// Ring records fetch has taken; the rest were pulled by replay and
     /// are fetch's before the source.
     cursor: usize,
-    /// The source returned `None`; never call it again.
-    done: bool,
     table: Table,
     /// Table size that triggers a clear ([`TABLE_BYTES`]; tests shrink
     /// it).
@@ -490,7 +488,6 @@ impl FastPath {
             ring: VecDeque::new(),
             ring_cap: cfg.ruu_size + cfg.fetch_queue + MAX_SEG,
             cursor: 0,
-            done: false,
             table: Table::default(),
             cap: TABLE_BYTES,
             origin: None,
@@ -511,17 +508,15 @@ impl FastPath {
     /// against the edges of `node` as they arrive. Returns the edge whose
     /// records they are, or `None` as soon as no edge can match; the
     /// records pulled so far stay in the ring for fetch.
-    fn pull_segment<E>(
+    fn pull_segment<R: RecordSource>(
         &mut self,
         node: u32,
-        source: &mut impl FnMut() -> Result<Option<DynInstr>, E>,
-    ) -> Result<Option<u32>, E> {
-        debug_assert!(!self.done);
+        feed: &mut Feed<R>,
+    ) -> Result<Option<u32>, R::Error> {
         let edges = &self.table.nodes[node as usize].edges;
         let mut edge = edges[0];
         for i in 0.. {
-            let Some(rec) = source()? else {
-                self.done = true;
+            let Some(rec) = feed.next()? else {
                 return Ok(None);
             };
             self.ring.push_back(rec);
@@ -564,22 +559,19 @@ impl OooCore {
     /// Fetch's view of the record stream: records replay pulled but did
     /// not consume come first, then the live source. Flags segment
     /// boundaries.
-    pub(super) fn next_record<E>(
+    #[inline(always)]
+    pub(super) fn next_record<R: RecordSource>(
         &mut self,
-        source: &mut impl FnMut() -> Result<Option<DynInstr>, E>,
-    ) -> Result<Option<DynInstr>, E> {
+        feed: &mut Feed<R>,
+    ) -> Result<Option<DynInstr>, R::Error> {
         let f = &mut self.fast;
         if !f.enabled {
-            return source();
+            return feed.next();
         }
         let rec = match f.ring.get(f.cursor) {
             Some(&rec) => rec,
             None => {
-                if f.done {
-                    return Ok(None);
-                }
-                let Some(rec) = source()? else {
-                    f.done = true;
+                let Some(rec) = feed.next()? else {
                     return Ok(None);
                 };
                 f.ring.push_back(rec);
@@ -602,11 +594,11 @@ impl OooCore {
     /// Handles a segment boundary on the accurate path: memoizes the
     /// segment just simulated, then replays from here if the memo knows
     /// this state, else starts recording the next segment.
-    pub(super) fn fast_boundary<E, S: TraceSink>(
+    pub(super) fn fast_boundary<R: RecordSource, S: TraceSink>(
         &mut self,
-        source: &mut impl FnMut() -> Result<Option<DynInstr>, E>,
+        feed: &mut Feed<R>,
         sink: &mut S,
-    ) -> Result<(), E> {
+    ) -> Result<(), R::Error> {
         debug_assert!(self.fast.preset.is_empty());
         if self.fast.table.bytes > self.fast.cap {
             self.fast.table = Table::default();
@@ -641,21 +633,21 @@ impl OooCore {
             self.start_recording(node);
             Ok(())
         } else {
-            self.replay(node, source, sink)
+            self.replay(node, feed, sink)
         }
     }
 
     /// Replays segments from `node` until the memo misses, then hands the
     /// state back to the accurate path.
-    fn replay<E, S: TraceSink>(
+    fn replay<R: RecordSource, S: TraceSink>(
         &mut self,
         mut node: u32,
-        source: &mut impl FnMut() -> Result<Option<DynInstr>, E>,
+        feed: &mut Feed<R>,
         sink: &mut S,
-    ) -> Result<(), E> {
+    ) -> Result<(), R::Error> {
         self.fast.stats.steady_loops += 1;
         loop {
-            let Some(edge) = self.fast.pull_segment(node, source)? else {
+            let Some(edge) = self.fast.pull_segment(node, feed)? else {
                 self.leave(node);
                 return Ok(());
             };
@@ -993,7 +985,7 @@ buf: .space 1024
         }
         CLEARS.with(|c| c.set(0));
         let mut sink = AttrCollector::new();
-        let stats = ooo.run_with(|| core.step(), &mut sink).unwrap();
+        let stats = ooo.run_with(&mut core, &mut sink).unwrap();
         let clears = CLEARS.with(|c| c.get());
         (stats, sink.attr, clears)
     }

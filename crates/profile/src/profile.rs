@@ -8,7 +8,7 @@
 //! whose profiled widths stay at or below a threshold (18 bits in the
 //! paper's experiments).
 
-use t1000_cpu::{ExecError, FuncCore, SyscallState};
+use t1000_cpu::{DynInstr, ExecError, FuncCore, StepValues, SyscallState};
 use t1000_isa::{FusionMap, Program};
 
 /// Significant bitwidth of a value interpreted as a signed 32-bit integer:
@@ -45,17 +45,13 @@ impl ExecProfile {
     pub fn collect(program: &Program, max_instructions: u64) -> Result<ExecProfile, ExecError> {
         let fusion = FusionMap::new();
         let mut core = FuncCore::new(program, &fusion);
+        core.limit_instructions(max_instructions);
         let mut counts = vec![0u64; program.len()];
         let mut widths = vec![0u8; program.len()];
-        while !core.finished() {
-            if max_instructions != 0 && core.icount >= max_instructions {
-                return Err(ExecError::InstrLimit(max_instructions));
-            }
-            let Some(rec) = core.step()? else { break };
+        core.run_to_end(&mut |rec: &DynInstr, vals: StepValues| {
             debug_assert_eq!(rec.fused_len, 1, "profiling runs without fusion");
             let idx = ((rec.pc - program.text_base) / 4) as usize;
             counts[idx] += 1;
-            let vals = core.values();
             let mut w = 0u8;
             for (r, v) in rec.gpr_uses().iter().zip(vals.srcs) {
                 if r.is_some() {
@@ -66,7 +62,7 @@ impl ExecProfile {
                 w = w.max(signed_width(res));
             }
             widths[idx] = widths[idx].max(w);
-        }
+        })?;
         Ok(ExecProfile {
             text_base: program.text_base,
             counts,
