@@ -12,12 +12,15 @@
 //! 3. **simulate** — one timing simulation per cell, with architectural
 //!    results verified against the workload's baseline run.
 //!
-//! Every figure binary and `run_all` is a thin view over the resulting
-//! [`EngineRun`]; none of them re-run selections or simulations.
+//! `t1000 bench --all` and every sweep binary are thin views over the
+//! resulting [`EngineRun`]; none of them re-run selections or
+//! simulations.
 //!
-//! The engine is fault-tolerant: each cell runs under `catch_unwind`
-//! with bounded deterministic retry, so one poisoned cell records a
-//! [`CellOutcome::Failed`] while every other cell completes. Watchdogs
+//! The engine is fault-tolerant: each cell gets exactly one attempt
+//! under `catch_unwind`, so one poisoned cell records a
+//! [`CellOutcome::Failed`] while every other cell completes. A cell is a
+//! pure function of (program, selection, machine), so a failed cell
+//! would fail the same way again and is never retried. Watchdogs
 //! ([`EngineConfig::max_cycles`] fuel, [`EngineConfig::wall_limit`])
 //! bound divergent work, completed cells stream to a checkpoint for
 //! `--resume`, and a [`FaultPlan`] can deterministically inject panics
@@ -53,7 +56,7 @@ use crate::fault::FaultPlan;
 use crate::plan::{Cell, MachineSpec, Plan, SelectionSpec};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use t1000_core::{ExtractConfig, Selection, Session};
@@ -166,10 +169,10 @@ fn quiet_catch_unwind<R>(f: impl FnOnce() -> R) -> Result<R, String> {
 // Error taxonomy
 // ---------------------------------------------------------------------
 
-/// Why a cell failed. The taxonomy is closed and each cause knows whether
-/// retrying can help: transient causes (an isolated panic) are retried on
-/// the fixed backoff schedule; deterministic causes (bad workload, fuel
-/// exhaustion, checksum divergence) fail immediately.
+/// Why a cell failed. The taxonomy is closed; [`FailureCause::kind`]
+/// also says whether the cell ran at all (`wall_clock`, or a cascading
+/// `unknown_workload`/`prepare`/`selection` failure, means it never
+/// started).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FailureCause {
     /// The cell names a workload the harness does not know.
@@ -193,12 +196,6 @@ pub enum FailureCause {
 }
 
 impl FailureCause {
-    /// Whether a retry can plausibly succeed. Only panics are treated as
-    /// transient; every other cause is deterministic for a fixed input.
-    pub fn retryable(&self) -> bool {
-        matches!(self, FailureCause::Panic(_))
-    }
-
     /// Stable snake_case tag used in the JSON artifact.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -238,26 +235,21 @@ impl std::fmt::Display for FailureCause {
     }
 }
 
-/// One cell's failure record: which cell, why, and after how many
-/// attempts.
+/// One cell's failure record: which cell, and why.
 #[derive(Clone, Debug)]
 pub struct EngineError {
     pub cell: Cell,
     pub cause: FailureCause,
-    /// Attempts made (0 = failed before the first attempt, e.g. a
-    /// cascading prepare/selection failure or the wall-clock watchdog).
-    pub attempts: u32,
 }
 
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} [{}]: {} (attempts: {})",
+            "{} [{}]: {}",
             self.cell.workload,
             self.cell.selection.algorithm(),
-            self.cause,
-            self.attempts
+            self.cause
         )
     }
 }
@@ -273,45 +265,6 @@ pub enum CellOutcome {
 // ---------------------------------------------------------------------
 // Engine configuration
 // ---------------------------------------------------------------------
-
-/// Bounded deterministic retry: up to `max_attempts` tries per cell, with
-/// a fixed backoff schedule between them — no randomness, so a retried
-/// run produces the same artifact as an untroubled one. Shared by the
-/// engine's local cell retry and artifact-write retry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per retryable failure (1 = no retry).
-    pub max_attempts: u32,
-    /// Milliseconds slept before attempt 2, 3, ... (the last entry
-    /// repeats for further attempts).
-    pub backoff_ms: &'static [u64],
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_ms: &[10, 50],
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The fixed delay before `attempt` (1-based; attempt 1 never waits).
-    pub fn backoff_before(&self, attempt: u32) -> Duration {
-        if attempt <= 1 {
-            return Duration::ZERO;
-        }
-        let i = (attempt - 2) as usize;
-        let ms = self
-            .backoff_ms
-            .get(i)
-            .or(self.backoff_ms.last())
-            .copied()
-            .unwrap_or(0);
-        Duration::from_millis(ms)
-    }
-}
 
 /// Knobs governing one engine invocation. `Default` is the clean path:
 /// no fuel limit, no wall-clock watchdog, no faults, no checkpoint.
@@ -497,8 +450,6 @@ pub struct EngineStats {
     pub threads: usize,
     /// Requested cells answered by an already-planned simulation.
     pub cells_deduped: usize,
-    /// Retry attempts consumed across all cells.
-    pub retries: u64,
     /// Cells that ended in [`CellOutcome::Failed`].
     pub failed_cells: usize,
     /// Cells restored from a `--resume` checkpoint instead of simulated.
@@ -553,8 +504,8 @@ impl EngineRun {
     }
 
     /// Aborts with the failure table unless every cell completed. The
-    /// contract of the single-purpose figure binaries, which have no
-    /// partial-output mode; `run_all` and the CLI report failures
+    /// contract of the single-purpose sweep binaries, which have no
+    /// partial-output mode; `t1000 bench --all` reports failures
     /// gracefully instead.
     pub fn expect_healthy(&self, what: &str) -> &EngineRun {
         if !self.failures.is_empty() {
@@ -669,7 +620,6 @@ pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineR
         Some(path) => checkpoint::open(path, scale, config.resume, cells),
         None => (HashMap::new(), None),
     };
-    let retries = AtomicU64::new(0);
     let checkpoint_writes = AtomicU32::new(0);
     let deadline = config.wall_limit.map(|d| Instant::now() + d);
 
@@ -677,11 +627,9 @@ pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineR
     // are already in it.
     let record_completed = |result: &CellResult| {
         let Some(log) = &log else { return };
-        let attempt = checkpoint_writes.fetch_add(1, Ordering::Relaxed) + 1;
-        if config.faults.checkpoint_write_fails(attempt) {
-            eprintln!(
-                "[t1000-bench] injected checkpoint I/O failure (write {attempt}); continuing"
-            );
+        let write = checkpoint_writes.fetch_add(1, Ordering::Relaxed) + 1;
+        if config.faults.checkpoint_write_fails(write) {
+            eprintln!("[t1000-bench] injected checkpoint I/O failure (write {write}); continuing");
         } else if let Err(e) = log.append(result) {
             // A failed write loses resume granularity, never results.
             eprintln!(
@@ -695,41 +643,24 @@ pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineR
         if let Some(r) = restored.get(&cell) {
             return CellOutcome::Completed(Box::new(r.clone()));
         }
-        let fail = |cause: FailureCause, attempts: u32| {
-            CellOutcome::Failed(EngineError {
-                cell,
-                cause,
-                attempts,
-            })
-        };
+        let fail = |cause: FailureCause| CellOutcome::Failed(EngineError { cell, cause });
         let prepared = match &sessions[&(cell.workload, cell.extract)] {
             Ok(p) => p,
-            Err(cause) => return fail(cause.clone(), 0),
+            Err(cause) => return fail(cause.clone()),
         };
         let selection_key = (cell.workload, cell.extract, cell.selection);
         if let Some(cause) = selection_failures.get(&selection_key) {
-            return fail(FailureCause::Selection(cause.to_string()), 0);
+            return fail(FailureCause::Selection(cause.to_string()));
         }
-        let result = retry_cell(deadline, |attempt| {
-            if attempt > 1 {
-                retries.fetch_add(1, Ordering::Relaxed);
-            }
-            simulate_cell(
-                idx,
-                attempt,
-                cell,
-                prepared,
-                &selections,
-                &selection_index,
-                config,
-            )
+        let result = run_once(deadline, || {
+            simulate_cell(idx, cell, prepared, &selections, &selection_index, config)
         });
         match result {
             Ok(result) => {
                 record_completed(&result);
                 CellOutcome::Completed(Box::new(result))
             }
-            Err((cause, attempts)) => fail(cause, attempts),
+            Err(cause) => fail(cause),
         }
     });
     let simulate_secs = t0.elapsed().as_secs_f64();
@@ -770,7 +701,6 @@ pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineR
         simulate_secs,
         threads,
         cells_deduped: plan.deduped(),
-        retries: retries.load(Ordering::Relaxed),
         failed_cells: failures.len(),
         cells_restored: restored.len(),
     };
@@ -1086,11 +1016,10 @@ impl CellRunner {
         self.run_cell_with(cell, selection.as_deref(), opts)
     }
 
-    /// [`CellRunner::run_cell`] under the engine's full robustness
-    /// machinery: `catch_unwind` panic isolation, bounded deterministic
-    /// retry for transient causes, and an optional wall-clock deadline
-    /// checked before each attempt ([`FailureCause::WallClock`] when it
-    /// has passed). The daemon's per-request execution path.
+    /// [`CellRunner::run_cell`] under the engine's robustness machinery:
+    /// one attempt under `catch_unwind` panic isolation, after checking
+    /// an optional wall-clock deadline ([`FailureCause::WallClock`] when
+    /// it has passed). The daemon's per-request execution path.
     // The error carries the full cell key on purpose (callers report it
     // without keeping the request around); one per request, never hot.
     #[allow(clippy::result_large_err)]
@@ -1100,19 +1029,15 @@ impl CellRunner {
         opts: &RunOptions,
         deadline: Option<Instant>,
     ) -> Result<CellResult, EngineError> {
-        let fail = |cause, attempts| EngineError {
-            cell,
-            cause,
-            attempts,
-        };
+        let fail = |cause| EngineError { cell, cause };
         let selection = match cell.selection {
             SelectionSpec::Baseline => None,
-            spec => Some(self.select(&spec).map_err(|cause| fail(cause, 0))?),
+            spec => Some(self.select(&spec).map_err(fail)?),
         };
-        retry_cell(deadline, |_| {
+        run_once(deadline, || {
             self.run_cell_with(cell, selection.as_deref(), opts)
         })
-        .map_err(|(cause, attempts)| fail(cause, attempts))
+        .map_err(fail)
     }
 
     /// Verification + measurement extraction shared by every run path.
@@ -1156,50 +1081,32 @@ impl CellRunner {
     }
 }
 
-/// Runs `attempt` (passed its 1-based number) under `catch_unwind` panic
-/// isolation with bounded deterministic retry of transient causes,
-/// checking the wall-clock `deadline` before each attempt. On failure,
-/// returns the cause and the attempts made.
-fn retry_cell(
+/// Runs a cell's simulation once under `catch_unwind` panic isolation,
+/// unless the wall-clock `deadline` has already passed.
+fn run_once(
     deadline: Option<Instant>,
-    mut attempt: impl FnMut(u32) -> Result<CellResult, FailureCause>,
-) -> Result<CellResult, (FailureCause, u32)> {
-    let policy = RetryPolicy::default();
-    let mut n = 0u32;
-    loop {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err((FailureCause::WallClock, n));
-        }
-        n += 1;
-        if n > 1 {
-            std::thread::sleep(policy.backoff_before(n));
-        }
-        let cause = match quiet_catch_unwind(|| attempt(n)) {
-            Ok(Ok(result)) => return Ok(result),
-            Ok(Err(cause)) => cause,
-            Err(msg) => FailureCause::Panic(msg),
-        };
-        if !cause.retryable() || n >= policy.max_attempts {
-            return Err((cause, n));
-        }
+    simulate: impl FnOnce() -> Result<CellResult, FailureCause>,
+) -> Result<CellResult, FailureCause> {
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return Err(FailureCause::WallClock);
     }
+    quiet_catch_unwind(simulate).unwrap_or_else(|msg| Err(FailureCause::Panic(msg)))
 }
 
-/// Simulates one cell (one attempt) for the batch engine. Injected faults
+/// Simulates one cell for the batch engine. Injected faults
 /// fire here: `panic@N` panics before the simulation starts; `pfu@N`
 /// fails every configuration load of the cell's selection, exercising the
 /// graceful-degradation (scalar fallback) path.
 fn simulate_cell(
     idx: usize,
-    attempt: u32,
     cell: Cell,
     runner: &CellRunner,
     selections: &[SelectionRecord],
     selection_index: &HashMap<(&'static str, ExtractConfig, SelectionSpec), usize>,
     config: &EngineConfig,
 ) -> Result<CellResult, FailureCause> {
-    if config.faults.cell_panics(idx, attempt) {
-        panic!("injected fault: cell {idx} attempt {attempt}");
+    if config.faults.cell_panics(idx) {
+        panic!("injected fault: cell {idx}");
     }
     let opts = config.run_options();
     match selection_index.get(&(cell.workload, cell.extract, cell.selection)) {
@@ -1234,11 +1141,6 @@ fn workload_infos(scale: Scale, cells: &[Cell]) -> Vec<WorkloadInfo> {
     infos
 }
 
-/// Convenience: execute the full `run_all` plan on the clean path.
-pub fn execute_run_all(scale: Scale) -> EngineRun {
-    execute(&crate::plan::run_all_plan(), scale)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1257,33 +1159,6 @@ mod tests {
     fn parallel_map_handles_empty_input() {
         let out: Vec<u32> = parallel_map(&[] as &[u32], 4, |&x| x);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn retry_backoff_is_fixed_and_deterministic() {
-        let r = RetryPolicy::default();
-        assert_eq!(r.backoff_before(1), Duration::ZERO);
-        assert_eq!(r.backoff_before(2), Duration::from_millis(10));
-        assert_eq!(r.backoff_before(3), Duration::from_millis(50));
-        // The schedule's last entry repeats.
-        assert_eq!(r.backoff_before(9), Duration::from_millis(50));
-    }
-
-    #[test]
-    fn failure_causes_know_their_retryability() {
-        assert!(FailureCause::Panic("boom".into()).retryable());
-        for cause in [
-            FailureCause::UnknownWorkload,
-            FailureCause::Timeout { max_cycles: 5 },
-            FailureCause::WallClock,
-            FailureCause::ChecksumMismatch {
-                got: 1,
-                expected: 2,
-            },
-            FailureCause::SemanticsChanged,
-        ] {
-            assert!(!cause.retryable(), "{cause:?} must not retry");
-        }
     }
 
     #[test]
@@ -1316,7 +1191,6 @@ mod tests {
         assert_eq!(run.stats.cells_requested, 3);
         assert_eq!(run.stats.selection_jobs, 1);
         assert_eq!(run.stats.selection_misses, 1);
-        assert_eq!(run.stats.retries, 0);
         assert_eq!(run.stats.failed_cells, 0);
 
         // Speedups are well-formed and the baseline is its own unit.
@@ -1418,6 +1292,6 @@ mod tests {
         assert!(run
             .failures
             .iter()
-            .all(|e| e.cause == FailureCause::WallClock && e.attempts == 0));
+            .all(|e| e.cause == FailureCause::WallClock));
     }
 }

@@ -8,16 +8,16 @@
 //!
 //! | arm | effect |
 //! |---|---|
-//! | `panic@N` | cell `N` (plan index) panics on **every** attempt |
-//! | `panic@NxK` | cell `N` panics on its first `K` attempts only (retry then succeeds) |
+//! | `panic@N` | cell `N` (plan index) panics: panic isolation fails that cell alone |
 //! | `pfu@N` | every PFU configuration load in cell `N` fails → graceful scalar fallback |
-//! | `io@artifact` | the first 2 artifact writes fail with a simulated I/O error |
-//! | `io@artifactxK` | the first `K` artifact writes fail |
-//! | `io@checkpoint` / `io@checkpointxK` | same, for checkpoint appends (that cell's line is skipped) |
+//! | `io@checkpoint` / `io@checkpointxK` | the first 2 (or `K`) checkpoint appends fail with a simulated I/O error; those cells' lines are skipped |
 //!
-//! Example: `--inject panic@3,pfu@6,io@artifactx1`.
+//! The arms test panic isolation, the PFU scalar fallback and
+//! `--resume`.
+//!
+//! Example: `--inject panic@3,pfu@6,io@checkpointx1`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Environment variable holding the default fault plan.
 pub const FAULT_ENV: &str = "T1000_INJECT";
@@ -26,14 +26,11 @@ pub const FAULT_ENV: &str = "T1000_INJECT";
 /// injects nothing and costs nothing on the hot path.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    /// cell index → number of leading attempts that panic
-    /// (`u32::MAX` = every attempt).
-    cell_panics: HashMap<usize, u32>,
+    /// Cells that panic.
+    cell_panics: HashSet<usize>,
     /// Cells whose PFU configuration loads all fail.
     pfu_faults: HashSet<usize>,
-    /// Leading artifact-write attempts that fail.
-    artifact_fails: u32,
-    /// Leading checkpoint-write attempts that fail.
+    /// Leading checkpoint writes that fail.
     checkpoint_fails: u32,
 }
 
@@ -45,10 +42,7 @@ impl FaultPlan {
 
     /// Whether any fault is armed.
     pub fn is_empty(&self) -> bool {
-        self.cell_panics.is_empty()
-            && self.pfu_faults.is_empty()
-            && self.artifact_fails == 0
-            && self.checkpoint_fails == 0
+        self.cell_panics.is_empty() && self.pfu_faults.is_empty() && self.checkpoint_fails == 0
     }
 
     /// Parses the `--inject` grammar (see the module docs).
@@ -60,9 +54,10 @@ impl FaultPlan {
                 .ok_or_else(|| format!("bad fault arm {arm:?}: expected kind@target"))?;
             match kind {
                 "panic" => {
-                    let (cell, count) = parse_indexed(target)
-                        .ok_or_else(|| format!("bad panic arm {arm:?}: expected panic@N[xK]"))?;
-                    plan.cell_panics.insert(cell, count.unwrap_or(u32::MAX));
+                    let cell: usize = target
+                        .parse()
+                        .map_err(|_| format!("bad panic arm {arm:?}: expected panic@N"))?;
+                    plan.cell_panics.insert(cell);
                 }
                 "pfu" => {
                     let cell: usize = target
@@ -73,23 +68,19 @@ impl FaultPlan {
                 "io" => {
                     let (site, count) = match target.split_once('x') {
                         Some((site, k)) => {
-                            let k: u32 = k
-                                .parse()
-                                .map_err(|_| format!("bad io arm {arm:?}: expected io@SITExK"))?;
+                            let k: u32 = k.parse().map_err(|_| {
+                                format!("bad io arm {arm:?}: expected io@checkpointxK")
+                            })?;
                             (site, k)
                         }
                         None => (target, 2),
                     };
-                    match site {
-                        "artifact" => plan.artifact_fails = count,
-                        "checkpoint" => plan.checkpoint_fails = count,
-                        other => {
-                            return Err(format!(
-                                "bad io arm {arm:?}: unknown site {other:?} \
-                                 (expected artifact or checkpoint)"
-                            ))
-                        }
+                    if site != "checkpoint" {
+                        return Err(format!(
+                            "bad io arm {arm:?}: unknown site {site:?} (expected checkpoint)"
+                        ));
                     }
+                    plan.checkpoint_fails = count;
                 }
                 other => return Err(format!("unknown fault kind {other:?} in {arm:?}")),
             }
@@ -105,9 +96,9 @@ impl FaultPlan {
         }
     }
 
-    /// Whether cell `idx` should panic on `attempt` (1-based).
-    pub fn cell_panics(&self, idx: usize, attempt: u32) -> bool {
-        self.cell_panics.get(&idx).is_some_and(|&k| attempt <= k)
+    /// Whether cell `idx` is injected to panic.
+    pub fn cell_panics(&self, idx: usize) -> bool {
+        self.cell_panics.contains(&idx)
     }
 
     /// Whether cell `idx`'s PFU configuration loads are injected to fail.
@@ -115,22 +106,9 @@ impl FaultPlan {
         self.pfu_faults.contains(&idx)
     }
 
-    /// Whether artifact-write `attempt` (1-based) should fail.
-    pub fn artifact_write_fails(&self, attempt: u32) -> bool {
-        attempt <= self.artifact_fails
-    }
-
-    /// Whether checkpoint-write `attempt` (1-based) should fail.
-    pub fn checkpoint_write_fails(&self, attempt: u32) -> bool {
-        attempt <= self.checkpoint_fails
-    }
-}
-
-/// Parses `N` or `NxK` into `(N, Some(K))`/`(N, None)`.
-fn parse_indexed(s: &str) -> Option<(usize, Option<u32>)> {
-    match s.split_once('x') {
-        Some((n, k)) => Some((n.parse().ok()?, Some(k.parse().ok()?))),
-        None => Some((s.parse().ok()?, None)),
+    /// Whether checkpoint write number `write` (1-based) should fail.
+    pub fn checkpoint_write_fails(&self, write: u32) -> bool {
+        write <= self.checkpoint_fails
     }
 }
 
@@ -142,36 +120,32 @@ mod tests {
     fn empty_plan_injects_nothing() {
         let p = FaultPlan::none();
         assert!(p.is_empty());
-        assert!(!p.cell_panics(0, 1));
+        assert!(!p.cell_panics(0));
         assert!(!p.pfu_fault(0));
-        assert!(!p.artifact_write_fails(1));
         assert!(!p.checkpoint_write_fails(1));
         assert!(FaultPlan::parse("").unwrap().is_empty());
     }
 
     #[test]
-    fn panic_arms_select_cell_and_attempts() {
+    fn panic_arms_select_a_cell() {
         let p = FaultPlan::parse("panic@3").unwrap();
-        assert!(p.cell_panics(3, 1) && p.cell_panics(3, 99));
-        assert!(!p.cell_panics(2, 1));
-
-        let p = FaultPlan::parse("panic@4x2").unwrap();
-        assert!(p.cell_panics(4, 1) && p.cell_panics(4, 2));
-        assert!(!p.cell_panics(4, 3), "attempt 3 must succeed");
+        assert!(p.cell_panics(3));
+        assert!(!p.cell_panics(2));
     }
 
     #[test]
     fn pfu_and_io_arms_parse() {
-        let p = FaultPlan::parse("pfu@6,io@artifact,io@checkpointx1").unwrap();
+        let p = FaultPlan::parse("pfu@6,io@checkpointx1").unwrap();
         assert!(p.pfu_fault(6) && !p.pfu_fault(5));
-        assert!(p.artifact_write_fails(2) && !p.artifact_write_fails(3));
         assert!(p.checkpoint_write_fails(1) && !p.checkpoint_write_fails(2));
+        let p = FaultPlan::parse("io@checkpoint").unwrap();
+        assert!(p.checkpoint_write_fails(2) && !p.checkpoint_write_fails(3));
     }
 
     #[test]
     fn combined_plan_with_spaces() {
-        let p = FaultPlan::parse(" panic@1x1 , pfu@2 ").unwrap();
-        assert!(p.cell_panics(1, 1) && !p.cell_panics(1, 2));
+        let p = FaultPlan::parse(" panic@1 , pfu@2 ").unwrap();
+        assert!(p.cell_panics(1) && !p.cell_panics(2));
         assert!(p.pfu_fault(2));
     }
 
@@ -181,6 +155,9 @@ mod tests {
             "panic",
             "panic@x",
             "panic@1x",
+            "panic@1x1",
+            "io@artifact",
+            "io@artifactx1",
             "pfu@",
             "abort@",
             "abort@x2",

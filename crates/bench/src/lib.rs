@@ -1,14 +1,14 @@
 //! # t1000-bench — experiment harness
 //!
-//! Regenerates every figure and table of the paper's evaluation. Each
-//! binary prints one artefact:
+//! Regenerates every figure and table of the paper's evaluation.
+//! `t1000 bench --all --scale full [--json FILE]` runs the paper's cells
+//! once and prints Fig. 2, §4.1, Fig. 6, Fig. 7 and §5.2 as one report
+//! ([`results::render_markdown`]), with every measurement in the
+//! `BENCH_results.json` artifact. Each binary here prints one sweep the
+//! report does not carry:
 //!
-//! | binary | paper artefact |
+//! | binary | artefact |
 //! |---|---|
-//! | `fig2` | Fig. 2 — greedy speedups (unlimited PFUs; 2 PFUs thrash) |
-//! | `table_greedy_stats` | §4.1 — greedy instruction counts and lengths |
-//! | `fig6` | Fig. 6 — selective speedups with 2/4/unlimited PFUs |
-//! | `fig7` | Fig. 7 — LUT-count histogram of selected instructions |
 //! | `reconfig_sweep` | §5.2 — robustness up to 500-cycle reconfiguration |
 //! | `bitwidth_sweep` | ablation: candidate bitwidth threshold |
 //! | `ports_sweep` | ablation: PFU input-port budget |
@@ -16,7 +16,6 @@
 //! | `pfu_policy_sweep` | ablation: PFU replacement policy (LRU/FIFO/random) |
 //! | `branch_sweep` | ablation: branch predictor (perfect/static/bimodal/gshare) |
 //! | `reload_sweep` | reload cost × prefetch depth × PFU count (config planes) |
-//! | `run_all` | every paper artefact above (no ablations), for EXPERIMENTS.md |
 //!
 //! Run with `--release`; full-scale runs simulate millions of cycles.
 
@@ -91,15 +90,6 @@ pub fn run_verified(p: &Prepared, sel: &Selection, cpu: CpuConfig) -> RunResult 
 /// >1 = faster), the y-axis of Figs. 2 and 6.
 pub fn speedup(p: &Prepared, run: &RunResult) -> f64 {
     p.baseline.timing.cycles as f64 / run.timing.cycles as f64
-}
-
-/// Formats a speedup table row.
-pub fn fmt_row(name: &str, cells: &[f64]) -> String {
-    let mut s = format!("{name:>10}");
-    for c in cells {
-        s.push_str(&format!("  {c:>8.3}"));
-    }
-    s
 }
 
 /// Simple wall-clock section timer for harness progress output.

@@ -377,8 +377,9 @@ pub fn workload_names() -> Vec<&'static str> {
     t1000_workloads::NAMES.to_vec()
 }
 
-/// The full `run_all` plan: every cell behind the Markdown report
-/// (workload inventory, Fig. 2, §4.1, Fig. 6, Fig. 7, §5.2).
+/// The paper plan `t1000 bench --all` runs: every cell behind the
+/// Markdown report (workload inventory, Fig. 2, §4.1, Fig. 6, Fig. 7,
+/// §5.2).
 pub fn run_all_plan() -> Plan {
     let mut plan = Plan::new();
     for w in workload_names() {

@@ -6,8 +6,7 @@
 //! each simulated cell actually produced, so CI can re-check a downloaded
 //! artifact without re-running the experiments ([`validate_artifact`]).
 
-use crate::engine::{CellResult, EngineError, EngineRun, RetryPolicy, SelectionRecord};
-use crate::fault::FaultPlan;
+use crate::engine::{CellResult, EngineError, EngineRun, SelectionRecord};
 use crate::json::Json;
 use crate::plan::{Cell, MachineSpec, SelectionSpec};
 use t1000_core::ExtractConfig;
@@ -48,7 +47,11 @@ use t1000_workloads::Scale;
 ///   simulating. `steady_loops`/`replayed_iters`/`deopts` now count
 ///   entries into replay, replayed segments and returns to the accurate
 ///   path. See `docs/FASTPATH.md`.
-pub const SCHEMA_VERSION: u64 = 7;
+/// * v8 — one attempt per cell: the engine no longer retries, so the
+///   `engine.retries` counter and each failed cell's attempt count and
+///   retry flag are gone. A failure's `cause` still says whether the
+///   cell ran. See `docs/ROBUSTNESS.md`.
+pub const SCHEMA_VERSION: u64 = 8;
 
 pub(crate) fn scale_str(scale: Scale) -> &'static str {
     match scale {
@@ -155,7 +158,7 @@ fn selection_spec_fields(spec: &SelectionSpec) -> Vec<(&'static str, Json)> {
     fields
 }
 
-/// One selection record as a schema-v7 `selections[]` entry. Public so
+/// One selection record as a schema-v8 `selections[]` entry. Public so
 /// the serving layer's `select` method can emit the identical document.
 pub fn selection_json(r: &SelectionRecord) -> Json {
     let (min_len, max_len) = r.seq_len_range();
@@ -194,7 +197,7 @@ fn cell_json(run: &EngineRun, c: &CellResult) -> Json {
     cell_result_json(c, run.speedup(c.cell))
 }
 
-/// One cell's measurements as a schema-v7 `cells[]` entry (`speedup` is
+/// One cell's measurements as a schema-v8 `cells[]` entry (`speedup` is
 /// relative to the caller's baseline; `None` → JSON `null`). The one
 /// writer of a cell's counters: the serving layer's `run` method and the
 /// `t1000 run --stats-json` document emit it too.
@@ -248,7 +251,7 @@ pub fn cell_result_json(c: &CellResult, speedup: Option<f64>) -> Json {
     Json::obj(fields)
 }
 
-/// Parses a schema-v7 `cells[]` document back into a [`CellResult`] for
+/// Parses a schema-v8 `cells[]` document back into a [`CellResult`] for
 /// `cell` — the inverse of [`cell_result_json`], used by `--resume` to
 /// restore the cell lines of a checkpoint. The caller supplies the
 /// expected [`Cell`] (the checkpoint keys each line by it), so only the
@@ -341,7 +344,6 @@ pub fn to_json(run: &EngineRun) -> Json {
                 ("prepare_secs", Json::Float(stats.prepare_secs)),
                 ("select_secs", Json::Float(stats.select_secs)),
                 ("simulate_secs", Json::Float(stats.simulate_secs)),
-                ("retries", Json::UInt(stats.retries)),
                 ("failed_cells", Json::UInt(stats.failed_cells as u64)),
             ]),
         ),
@@ -380,46 +382,12 @@ fn failure_json(e: &EngineError) -> Json {
         ("workload", Json::Str(e.cell.workload.to_string())),
         ("cause", Json::Str(e.cause.kind().to_string())),
         ("detail", Json::Str(e.cause.to_string())),
-        ("attempts", Json::UInt(e.attempts as u64)),
-        ("retryable", Json::Bool(e.cause.retryable())),
     ])
 }
 
 /// Writes `BENCH_results.json` to `path`.
 pub fn write_json(run: &EngineRun, path: &std::path::Path) -> std::io::Result<()> {
     std::fs::write(path, to_json(run).to_string_pretty())
-}
-
-/// [`write_json`] under the retry policy, honouring injected artifact-I/O
-/// faults: each failed attempt is reported and retried on the fixed
-/// backoff schedule; the last error propagates if every attempt fails.
-pub fn write_json_with_retry(
-    run: &EngineRun,
-    path: &std::path::Path,
-    faults: &FaultPlan,
-) -> std::io::Result<()> {
-    let text = to_json(run).to_string_pretty();
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        if attempt > 1 {
-            std::thread::sleep(RetryPolicy::default().backoff_before(attempt));
-        }
-        let result = if faults.artifact_write_fails(attempt) {
-            Err(std::io::Error::other(format!(
-                "injected artifact I/O failure (attempt {attempt})"
-            )))
-        } else {
-            std::fs::write(path, &text)
-        };
-        match result {
-            Ok(()) => return Ok(()),
-            Err(e) if attempt < RetryPolicy::default().max_attempts => {
-                eprintln!("[t1000-bench] artifact write attempt {attempt} failed: {e}; retrying");
-            }
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 /// Summary returned by a successful [`validate_artifact`] call.
@@ -495,12 +463,6 @@ pub fn validate_artifact(text: &str) -> Result<ArtifactSummary, String> {
             if f.get(key).and_then(Json::as_str).is_none() {
                 return Err(format!("failed cell {i}: bad {key}"));
             }
-        }
-        if f.get("attempts").and_then(Json::as_u64).is_none() {
-            return Err(format!("failed cell {i}: bad attempts"));
-        }
-        if f.get("retryable").and_then(Json::as_bool).is_none() {
-            return Err(format!("failed cell {i}: bad retryable"));
         }
     }
 
@@ -605,9 +567,9 @@ fn split_expect(spec: &str) -> Vec<&str> {
 /// Checks declarative `--expect key=value` assertions against an artifact,
 /// replacing the fragile `grep`-on-JSON checks CI used to carry. `spec` is
 /// a comma-separated list (commas inside parentheses belong to the value,
-/// e.g. `strategy=selective(pfus=2,threshold=0.005),retries=1`).
+/// e.g. `strategy=selective(pfus=2,threshold=0.005),failed_cells=0`).
 ///
-/// Supported keys: `retries` / `failed_cells` (engine counters), `cells` /
+/// Supported keys: `failed_cells` (engine counter), `cells` /
 /// `workloads` (array lengths), `scale` (artifact scale string),
 /// `strategy` (at least one cell was produced by that strategy id),
 /// `total_sim_khz` (the aggregate simulation rate over all cells —
@@ -631,7 +593,7 @@ pub fn check_expectations(text: &str, spec: &str) -> Result<Vec<String>, String>
             .split_once('=')
             .ok_or_else(|| format!("--expect `{part}`: expected key=value"))?;
         match key {
-            "retries" | "failed_cells" => {
+            "failed_cells" => {
                 let got = doc
                     .get("engine")
                     .and_then(|e| e.get(key))
@@ -740,7 +702,7 @@ pub fn check_expectations(text: &str, spec: &str) -> Result<Vec<String>, String>
             other => {
                 return Err(format!(
                     "--expect: unknown key `{other}` \
-                     (known: retries, failed_cells, cells, workloads, scale, strategy, \
+                     (known: failed_cells, cells, workloads, scale, strategy, \
                       total_sim_khz, schema, pfu_prefetch_hits)"
                 ));
             }
@@ -773,7 +735,7 @@ fn fmt3(v: Option<f64>) -> String {
     }
 }
 
-/// Renders the `run_all` Markdown report. Byte-identical to the output
+/// Renders the `t1000 bench --all` Markdown report. Byte-identical to the output
 /// the pre-engine harness produced when every cell completes: the figures
 /// are views over the same measurements. Failed cells render as `n/a`.
 pub fn render_markdown(run: &EngineRun) -> String {
@@ -975,17 +937,16 @@ pub fn render_failures(failures: &[EngineError]) -> String {
     let o = &mut out;
     let _ = writeln!(o, "{} cell(s) FAILED:", failures.len());
     let _ = writeln!(o);
-    let _ = writeln!(o, "| cell | workload | cause | attempts | detail |");
-    let _ = writeln!(o, "|---|---|---|---:|---|");
+    let _ = writeln!(o, "| cell | workload | cause | detail |");
+    let _ = writeln!(o, "|---|---|---|---|");
     for e in failures {
         let _ = writeln!(
             o,
-            "| {} [{}] | {} | {} | {} | {} |",
+            "| {} [{}] | {} | {} | {} |",
             e.cell.selection.algorithm(),
             machine_label(&e.cell.machine),
             e.cell.workload,
             e.cause.kind(),
-            e.attempts,
             e.cause
         );
     }
@@ -1044,7 +1005,7 @@ mod tests {
         let good = to_json(&run).to_string_pretty();
 
         // Wrong schema version.
-        let bad = good.replacen("\"schema_version\": 7", "\"schema_version\": 99", 1);
+        let bad = good.replacen("\"schema_version\": 8", "\"schema_version\": 99", 1);
         assert!(validate_artifact(&bad)
             .unwrap_err()
             .contains("schema_version"));
@@ -1100,12 +1061,12 @@ mod tests {
         let text = to_json(&run).to_string_pretty();
         let ok = check_expectations(
             &text,
-            "scale=test,cells=3,workloads=1,retries=0,failed_cells=0,\
-             strategy=selective(pfus=2,threshold=0.005),schema=7,pfu_prefetch_hits=0,\
+            "scale=test,cells=3,workloads=1,failed_cells=0,\
+             strategy=selective(pfus=2,threshold=0.005),schema=8,pfu_prefetch_hits=0,\
              total_sim_khz=1",
         )
         .expect("all expectations hold");
-        assert_eq!(ok.len(), 9);
+        assert_eq!(ok.len(), 8);
         // The parenthesised strategy id survived the comma split.
         assert!(ok.contains(&"strategy=selective(pfus=2,threshold=0.005)".to_string()));
 
@@ -1113,12 +1074,14 @@ mod tests {
             ("cells=99", "artifact has 3"),
             ("strategy=knapsack(luts=1)", "no cell uses it"),
             ("scale=full", "records test"),
-            ("schema=5", "records 7"),
+            ("schema=5", "records 8"),
             // A default (prefetch-off) run records zero hits, so any
             // positive floor must fail.
             ("pfu_prefetch_hits=1", "record only 0"),
             ("total_sim_khz=1e18", "aggregate rate"),
             ("shards=4", "unknown key"),
+            // A cell runs once, so the artifact has no retry counter.
+            ("retries=0", "unknown key"),
             ("bogus=1", "unknown key"),
             ("cells", "expected key=value"),
         ] {

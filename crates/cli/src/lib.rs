@@ -283,6 +283,9 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
             }
         }
     }
+    if p.flag("greedy") {
+        reject_unused("run", &p, "greedy", &["threshold", "reload-weight"])?;
+    }
     let max_instructions = p.get_u32("max-instr")?.map_or(0, u64::from);
     let (label, program, expected) = load_target(target, &p)?;
     // Escape hatch for A/B timing comparisons; results are bit-identical
@@ -426,21 +429,40 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     Ok(t1000_profile::report::render(&program, &cfg, &profile))
 }
 
+/// Rejects the selection options in `unused`, which `strategy` would
+/// otherwise silently ignore, naming the first one given.
+fn reject_unused(cmd: &str, p: &Parsed, strategy: &str, unused: &[&str]) -> Result<(), CliError> {
+    match unused.iter().find(|opt| p.get(opt).is_some()) {
+        Some(opt) => err(format!(
+            "{cmd}: --{opt} does not apply to the {strategy} strategy"
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Resolves `select`'s strategy from `--strategy`/`--greedy`/`--pfus`/
 /// `--threshold`/`--lut-budget`/`--reload-weight` into the pipeline's
-/// [`StrategySpec`].
+/// [`StrategySpec`]. An option the strategy does not read is an error.
 fn strategy_spec_for(p: &Parsed, pfus: Option<usize>) -> Result<StrategySpec, CliError> {
+    let name = match (p.get("strategy"), p.flag("greedy")) {
+        (Some(_), true) => return err("select: --greedy is --strategy greedy; give one of them"),
+        (Some(s), false) => s,
+        (None, true) => "greedy",
+        (None, false) => "selective",
+    };
+    let unused: &[&str] = match name {
+        "greedy" => &["pfus", "threshold", "reload-weight", "lut-budget"],
+        "selective" => &["lut-budget"],
+        "knapsack" => &["pfus", "threshold"],
+        _ => &[],
+    };
+    reject_unused("select", p, name, unused)?;
     let threshold = p.get_f64("threshold")?.unwrap_or(0.005);
     let reload_weight = p.get_f64("reload-weight")?.unwrap_or(0.0);
     let cfg = SelectConfig {
         pfus,
         gain_threshold: threshold,
         reload_weight,
-    };
-    let name = match p.get("strategy") {
-        Some(s) => s,
-        None if p.flag("greedy") => "greedy",
-        None => "selective",
     };
     match name {
         "greedy" => Ok(StrategySpec::Greedy),
@@ -492,9 +514,9 @@ fn cmd_select(args: &[String]) -> Result<String, CliError> {
         return err("select: expected exactly one input (a file or bench:<name>)");
     };
     let pfus = p.get_u32("pfus")?.map(|n| n as usize);
+    let spec = strategy_spec_for(&p, pfus.or(Some(4)))?;
     let (_, program, _) = load_target(target, &p)?;
     let session = Session::new(program).map_err(|e| CliError(e.to_string()))?;
-    let spec = strategy_spec_for(&p, pfus.or(Some(4)))?;
 
     let mut out = String::new();
     let sel = if p.flag("explain") {
@@ -622,8 +644,7 @@ fn max_cycles(p: &Parsed) -> Result<u64, CliError> {
 
 /// Assembles the engine's robustness configuration from CLI flags and
 /// their environment fallbacks (`T1000_INJECT`, `T1000_MAX_CYCLES`,
-/// `T1000_WALL_LIMIT_MS`). Retry always follows the default
-/// [`t1000_bench::engine::RetryPolicy`].
+/// `T1000_WALL_LIMIT_MS`).
 fn engine_config(p: &Parsed) -> Result<t1000_bench::engine::EngineConfig, CliError> {
     let faults = match p.get("inject") {
         Some(text) => t1000_bench::fault::FaultPlan::parse(text)
@@ -680,12 +701,8 @@ fn bench_all(
     }
     let run = t1000_bench::engine::execute_with(&plan, scale, &config);
     if let Some(path) = json {
-        t1000_bench::results::write_json_with_retry(
-            &run,
-            std::path::Path::new(path),
-            &config.faults,
-        )
-        .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+        t1000_bench::results::write_json(&run, std::path::Path::new(path))
+            .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
     }
     let mut out = t1000_bench::results::render_markdown(&run);
     let s = &run.stats;
@@ -998,8 +1015,8 @@ usage:\n\
             std::process::id()
         ));
         let json = json.to_string_lossy().into_owned();
-        // Cell 2 panics on every attempt; cell 6 loses all its PFU
-        // configurations and must degrade to scalar execution.
+        // Cell 2 panics; cell 6 loses all its PFU configurations and
+        // must degrade to scalar execution.
         let e = run(&s(&[
             "bench",
             "--all",
@@ -1050,16 +1067,23 @@ usage:\n\
             "--validate",
             &json,
             "--expect",
-            "scale=test,retries=0,failed_cells=0,strategy=selective(pfus=2,threshold=0.005)",
+            "scale=test,failed_cells=0,strategy=selective(pfus=2,threshold=0.005)",
         ]))
         .unwrap();
-        assert!(ok.contains("expectations: 4 satisfied"), "{ok}");
+        assert!(ok.contains("expectations: 3 satisfied"), "{ok}");
 
-        let e = run(&s(&["bench", "--validate", &json, "--expect", "retries=9"])).unwrap_err();
+        let e = run(&s(&[
+            "bench",
+            "--validate",
+            &json,
+            "--expect",
+            "failed_cells=9",
+        ]))
+        .unwrap_err();
         assert!(e.0.contains("EXPECTATION FAILED"), "{}", e.0);
 
         // --expect without --validate is a usage error.
-        let e = run(&s(&["bench", "--all", "--expect", "retries=0"])).unwrap_err();
+        let e = run(&s(&["bench", "--all", "--expect", "failed_cells=0"])).unwrap_err();
         assert!(e.0.contains("--expect requires --validate"), "{}", e.0);
         let _ = std::fs::remove_file(&json);
         let _ = std::fs::remove_file(format!("{json}.partial"));
@@ -1075,12 +1099,7 @@ usage:\n\
     fn bench_remote_and_retry_flags_are_guarded() {
         // `bench` has no multi-process, multi-machine or retry-tuning
         // options: each is rejected as unknown alongside --all.
-        for extra in [
-            ["--shards", "2"],
-            ["--remote", "h:1"],
-            ["--retries", "2"],
-            ["--backoff-ms", "1"],
-        ] {
+        for extra in [["--shards", "2"], ["--remote", "h:1"], ["--retries", "2"]] {
             let mut args = vec!["bench", "--all"];
             args.extend(extra);
             let e: CliError = run(&s(&args)).unwrap_err();
@@ -1264,6 +1283,72 @@ usage:\n\
                     "{e}"
                 );
             }
+        }
+        // Greedy reads neither a threshold nor a reload weight.
+        for extra in [&["--threshold", "0.5"][..], &["--reload-weight", "3"]] {
+            let mut args = vec!["run", "bench:g721_enc", "--pfus", "2", "--greedy"];
+            args.extend(extra);
+            let e = run(&s(&args)).unwrap_err();
+            assert!(
+                e.0.contains(&format!(
+                    "{} does not apply to the greedy strategy",
+                    extra[0]
+                )),
+                "{e}"
+            );
+        }
+    }
+
+    #[test]
+    fn select_rejects_options_the_strategy_ignores() {
+        let src = tmp("sel_unused.s", KERNEL);
+        for (strategy, opt) in [
+            ("greedy", &["--threshold", "0.5"][..]),
+            ("greedy", &["--reload-weight", "3"]),
+            ("greedy", &["--lut-budget", "200"]),
+            ("greedy", &["--pfus", "2"]),
+            ("selective", &["--lut-budget", "200"]),
+            ("knapsack", &["--threshold", "0.5"]),
+            ("knapsack", &["--pfus", "2"]),
+        ] {
+            let mut args = vec!["select", src.as_str(), "--strategy", strategy];
+            args.extend(opt);
+            let e = run(&s(&args)).unwrap_err();
+            assert!(
+                e.0.contains(&format!(
+                    "{} does not apply to the {strategy} strategy",
+                    opt[0]
+                )),
+                "{strategy} {opt:?}: {e}"
+            );
+        }
+        // `--greedy` names the strategy too: with --strategy one is dropped.
+        let e = run(&s(&["select", &src, "--greedy", "--threshold", "0.5"])).unwrap_err();
+        assert!(e.0.contains("--threshold does not apply"), "{e}");
+        let e = run(&s(&["select", &src, "--greedy", "--strategy", "knapsack"])).unwrap_err();
+        assert!(e.0.contains("--greedy"), "{e}");
+        // What a strategy reads is still accepted.
+        for args in [
+            &[
+                "--strategy",
+                "selective",
+                "--pfus",
+                "2",
+                "--threshold",
+                "0.01",
+            ][..],
+            &[
+                "--strategy",
+                "knapsack",
+                "--lut-budget",
+                "200",
+                "--reload-weight",
+                "1",
+            ],
+        ] {
+            let mut full = vec!["select", src.as_str()];
+            full.extend(args);
+            assert!(run(&s(&full)).is_ok(), "{args:?}");
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! A daemon that accepts concurrent selection/simulation requests over a
 //! newline-delimited JSON-RPC protocol (stdio or a Unix socket) and
-//! answers with schema-v7-compatible result documents. The full wire
+//! answers with schema-v8-compatible result documents. The full wire
 //! protocol — methods, schemas, error codes, shedding
 //! semantics — is specified in `docs/SERVING.md`.
 //!
@@ -14,9 +14,9 @@
 //!   program hash, so the profiling pass and the per-`StrategySpec`
 //!   selection memo-cache are warm across clients;
 //! * per-request execution goes through
-//!   [`CellRunner::run_cell_isolated`]: `catch_unwind` panic isolation,
-//!   bounded deterministic retry, cycle fuel, and the per-request
-//!   deadline;
+//!   [`CellRunner::run_cell_isolated`]: one attempt under `catch_unwind`
+//!   panic isolation, bounded by cycle fuel; the per-request deadline is
+//!   checked before work starts, not during a simulation;
 //! * work requests (`select`, `run`) fan out onto a bounded worker pool
 //!   behind a bounded queue — when the queue is full the request is shed
 //!   immediately with a `429`-style [`code::QUEUE_FULL`] error instead of
@@ -72,7 +72,7 @@ use t1000_workloads::Scale;
 pub mod code {
     /// Unparseable request, unknown method, or invalid `params`.
     pub const BAD_REQUEST: u64 = 400;
-    /// The request's `deadline_ms` expired before or during execution.
+    /// The request's `deadline_ms` expired before its work started.
     pub const DEADLINE_EXCEEDED: u64 = 408;
     /// The bounded worker queue is full; the request was shed.
     pub const QUEUE_FULL: u64 = 429;
@@ -401,16 +401,13 @@ fn error_response(
     Json::obj(vec![("id", id.clone()), ("error", Json::obj(e))])
 }
 
-fn cell_failure(id: &Json, cause: &FailureCause, attempts: u32) -> Json {
+fn cell_failure(id: &Json, cause: &FailureCause) -> Json {
     error_response(
         id,
         code::CELL_FAILED,
         "cell_failed",
         &cause.to_string(),
-        vec![
-            ("cause", Json::Str(cause.kind().to_string())),
-            ("attempts", Json::UInt(u64::from(attempts))),
-        ],
+        vec![("cause", Json::Str(cause.kind().to_string()))],
     )
 }
 
@@ -630,7 +627,7 @@ impl Server {
         }
         let runner = match self.runner_for(work) {
             Ok(r) => r,
-            Err(cause) => return cell_failure(&work.id, &cause, 0),
+            Err(cause) => return cell_failure(&work.id, &cause),
         };
         match work.method {
             WorkMethod::Select => match runner.select(&work.selection) {
@@ -648,7 +645,7 @@ impl Server {
                         }),
                     )
                 }
-                Err(cause) => cell_failure(&work.id, &cause, 0),
+                Err(cause) => cell_failure(&work.id, &cause),
             },
             WorkMethod::Run => {
                 let cell = Cell::new(work.label, work.selection, work.machine);
@@ -670,11 +667,11 @@ impl Server {
                             &work.id,
                             code::DEADLINE_EXCEEDED,
                             "deadline_exceeded",
-                            "deadline expired during execution",
-                            vec![("attempts", Json::UInt(u64::from(e.attempts)))],
+                            "deadline expired before the simulation started",
+                            vec![],
                         )
                     }
-                    Err(e) => cell_failure(&work.id, &e.cause, e.attempts),
+                    Err(e) => cell_failure(&work.id, &e.cause),
                 }
             }
         }

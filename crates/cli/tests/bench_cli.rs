@@ -54,11 +54,11 @@ fn resume_skips_checkpointed_cells_and_reproduces_the_artifact() {
         "a healthy run must delete its checkpoint"
     );
 
-    // Interrupted run: cell 2 panics on every attempt, so the command
-    // exits nonzero but leaves every other cell in the checkpoint.
+    // Interrupted run: cell 2 panics, so the command exits nonzero but
+    // leaves every other cell in the checkpoint.
     let path = tmp("resume.json");
     let partial = format!("{path}.partial");
-    let (ok, log) = bench_all(&path, &["--inject", "panic@2x3"]);
+    let (ok, log) = bench_all(&path, &["--inject", "panic@2"]);
     assert!(!ok, "injected run should report the failure:\n{log}");
     assert!(
         Path::new(&partial).exists(),

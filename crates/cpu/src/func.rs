@@ -918,11 +918,6 @@ impl RecordSource for &mut FuncCore<'_> {
     type Error = ExecError;
 
     fn fill(&mut self, buf: &mut Vec<DynInstr>) -> Result<(), ExecError> {
-        if self.finished && self.icount >= self.budget {
-            // The pipeline asks once more after the last record, and
-            // like every pull that checks the budget first.
-            return Err(ExecError::InstrLimit(self.budget));
-        }
         self.run(buf, BATCH, &mut NoValues)
     }
 }

@@ -206,7 +206,9 @@ fn record_streams_match_their_goldens() {
 /// `(case, fast path, error, cycle)`: the error `simulate` returns and
 /// the cycles classified before it, on the case's own budget and then
 /// on cycle fuel that runs out two cycles before the error's cycle, one
-/// before, at it and one after.
+/// before, at it and one after. `exact_budget` ends on its last budgeted
+/// instruction, so `simulate` completes it as `execute` does: its rows
+/// are the fuel around its last cycle, and one cycle more completes it.
 #[rustfmt::skip]
 const FAULTS: &[(&str, bool, ExecError, u64)] = &[
     ("decode", true, Decode(4194384, 67436544), 632),
@@ -269,16 +271,12 @@ const FAULTS: &[(&str, bool, ExecError, u64)] = &[
     ("mid_loop_budget", false, CycleLimit(443), 443),
     ("mid_loop_budget", false, CycleLimit(444), 444),
     ("mid_loop_budget", false, InstrLimit(1234), 444),
-    ("exact_budget", true, InstrLimit(2406), 737),
-    ("exact_budget", true, CycleLimit(735), 735),
-    ("exact_budget", true, CycleLimit(736), 736),
-    ("exact_budget", true, CycleLimit(737), 737),
-    ("exact_budget", true, InstrLimit(2406), 737),
-    ("exact_budget", false, InstrLimit(2406), 737),
-    ("exact_budget", false, CycleLimit(735), 735),
-    ("exact_budget", false, CycleLimit(736), 736),
-    ("exact_budget", false, CycleLimit(737), 737),
-    ("exact_budget", false, InstrLimit(2406), 737),
+    ("exact_budget", true, CycleLimit(756), 756),
+    ("exact_budget", true, CycleLimit(757), 757),
+    ("exact_budget", true, CycleLimit(758), 758),
+    ("exact_budget", false, CycleLimit(756), 756),
+    ("exact_budget", false, CycleLimit(757), 757),
+    ("exact_budget", false, CycleLimit(758), 758),
 ];
 
 /// What `execute` returns: the checksum and committed instructions, or
@@ -297,12 +295,14 @@ const EXECUTED: &[(&str, Executed)] = &[
     ("exact_budget", Ok((14695981039346656037, 2406))),
 ];
 
-/// The error `simulate` returns on `p` under `cfg`, and the cycles
-/// classified before it surfaced.
-fn fault_at(p: &Program, cfg: CpuConfig) -> (ExecError, u64) {
+/// What `simulate` returns on `p` under `cfg`: the checksum and
+/// committed instructions, or the error; and the cycles classified
+/// before it returned.
+fn simulated(p: &Program, cfg: CpuConfig) -> (Executed, u64) {
     let mut sink = AttrCollector::new();
-    let e = simulate_with(p, &FusionMap::new(), cfg, &mut sink).unwrap_err();
-    (e, sink.attr.total_cycles)
+    let run = simulate_with(p, &FusionMap::new(), cfg, &mut sink)
+        .map(|r| (r.sys.checksum, r.timing.base_instructions));
+    (run, sink.attr.total_cycles)
 }
 
 /// A loop of 300 iterations whose iteration 100 sets `$t6` to 1 and
@@ -381,23 +381,30 @@ fn functional_errors_surface_where_they_did() {
     let mut got = Vec::new();
     let mut executed = Vec::new();
     for (name, p, cfg) in cases {
-        let run = t1000_cpu::execute(p, &FusionMap::new(), cfg.max_instructions);
-        executed.push((name, run.map(|(sys, icount)| (sys.checksum, icount))));
+        let run = t1000_cpu::execute(p, &FusionMap::new(), cfg.max_instructions)
+            .map(|(sys, icount)| (sys.checksum, icount));
+        executed.push((name, run.clone()));
         for fast_path in [true, false] {
-            let (e, cycle) = fault_at(p, CpuConfig { fast_path, ..cfg });
-            got.push((name, fast_path, e, cycle));
-            // Fuel that runs out just before, at and after the error's
-            // cycle.
+            let cfg = CpuConfig { fast_path, ..cfg };
+            let (result, cycle) = simulated(p, cfg);
+            match result {
+                Err(e) => got.push((name, fast_path, e, cycle)),
+                Ok(done) => assert_eq!(Ok(done), run, "{name}: simulate disagrees with execute"),
+            }
+            // Fuel that runs out just before, at and after the cycle the
+            // run ended on.
             for max_cycles in cycle - 2..=cycle + 1 {
-                let (e, at) = fault_at(
-                    p,
-                    CpuConfig {
-                        fast_path,
-                        max_cycles,
-                        ..cfg
-                    },
-                );
-                got.push((name, fast_path, e, at));
+                let (result, at) = simulated(p, CpuConfig { max_cycles, ..cfg });
+                match result {
+                    Err(e) => got.push((name, fast_path, e, at)),
+                    Ok(done) => {
+                        assert_eq!(
+                            (Ok(done), at),
+                            (run.clone(), cycle),
+                            "{name}: fuel {max_cycles}"
+                        )
+                    }
+                }
             }
         }
     }

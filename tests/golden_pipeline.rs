@@ -487,7 +487,9 @@ fn budget_knapsack_respects_the_lut_budget_greedy_exceeds() {
 /// `host_ns`, `sim_khz`, `fast_path`), and the config-plane reload
 /// counters (v6: `pfu_prefetch_hits`, `pfu_hidden_reload_cycles`,
 /// `pfu_exposed_reload_cycles`, `pfu_stream_words`). v7 adds no cell
-/// field: it adds `replayed_cycles` inside `fast_path`. Guards the
+/// field: it adds `replayed_cycles` inside `fast_path`. v8 leaves cells
+/// alone too: it drops the engine's retry counter and the failure
+/// records' attempt fields. Guards the
 /// "identical modulo the schema-version/strategy/throughput/reload
 /// fields" guarantee without re-running the full-scale suite — and, on a
 /// default (single-plane, no-prefetch) machine, pins every new counter
@@ -512,8 +514,8 @@ fn artifact_v6_adds_only_strategy_throughput_and_reload_fields() {
 
     assert_eq!(
         doc.get("schema_version").and_then(Json::as_u64),
-        Some(7),
-        "replay coverage in cycles requires the v7 schema"
+        Some(8),
+        "one attempt per cell requires the v8 schema"
     );
     let keys = |j: &Json| -> Vec<String> {
         match j {
