@@ -294,19 +294,31 @@ fn parse_work(id: &Json, method: WorkMethod, params: Option<&Json>) -> Result<Wo
 
     // -- Strategy axis (defaults mirror `t1000 run`/`select`). ----------
     let pfus = p_u64(params, "pfus")?.unwrap_or(2) as usize;
-    let threshold = p_f64(params, "threshold")?.unwrap_or(0.005);
-    let lut_budget = p_u64(params, "lut_budget")?.unwrap_or(256) as u32;
-    let selection = match p_str(params, "strategy")?.unwrap_or("selective") {
+    let threshold = p_f64(params, "threshold")?;
+    let lut_budget = p_u64(params, "lut_budget")?;
+    let strategy = p_str(params, "strategy")?.unwrap_or("selective");
+    let selection = match strategy {
         "baseline" => SelectionSpec::Baseline,
         "greedy" => SelectionSpec::Greedy,
-        "selective" => SelectionSpec::selective(Some(pfus), threshold),
-        "knapsack" => SelectionSpec::knapsack(lut_budget),
+        "selective" => SelectionSpec::selective(Some(pfus), threshold.unwrap_or(0.005)),
+        "knapsack" => SelectionSpec::knapsack(lut_budget.unwrap_or(256) as u32),
         other => {
             return Err(format!(
                 "`strategy` must be baseline|greedy|selective|knapsack, got `{other}`"
             ))
         }
     };
+    // A parameter the strategy does not read is refused, not dropped.
+    for (name, given, reader) in [
+        ("threshold", threshold.is_some(), "selective"),
+        ("lut_budget", lut_budget.is_some(), "knapsack"),
+    ] {
+        if given && strategy != reader {
+            return Err(format!(
+                "`{name}` applies only to strategy `{reader}`, not `{strategy}`"
+            ));
+        }
+    }
     if method == WorkMethod::Select && selection == SelectionSpec::Baseline {
         return Err("select: strategy `baseline` has no selection job".into());
     }
@@ -1006,6 +1018,34 @@ mod tests {
         assert_eq!(requests.get("malformed").and_then(Json::as_u64), Some(2));
         assert_eq!(requests.get("failed").and_then(Json::as_u64), Some(11));
         assert_eq!(requests.get("shed").and_then(Json::as_u64), Some(0));
+    }
+
+    #[test]
+    fn parameters_the_strategy_ignores_are_refused() {
+        let server = Server::new(&ServeConfig::default());
+        for (line, name) in [
+            (
+                r#"{"id": 1, "method": "run", "params": {"workload": "g721_enc", "strategy": "greedy", "pfus": 2, "threshold": 0.5, "lut_budget": 7}}"#,
+                "`threshold`",
+            ),
+            (
+                r#"{"id": 2, "method": "select", "params": {"workload": "g721_enc", "strategy": "knapsack", "threshold": 0.9}}"#,
+                "`threshold`",
+            ),
+            (
+                r#"{"id": 3, "method": "run", "params": {"workload": "g721_enc", "strategy": "selective", "lut_budget": 7}}"#,
+                "`lut_budget`",
+            ),
+        ] {
+            let resp = j(&server.handle_line(line));
+            assert_eq!(error_code(&resp), code::BAD_REQUEST, "{line}");
+            let message = resp.get("error").unwrap().get("message").unwrap();
+            assert!(
+                message.as_str().unwrap().contains(name),
+                "{line}: {}",
+                resp.to_string_compact()
+            );
+        }
     }
 
     #[test]

@@ -161,6 +161,27 @@ impl DynInstr {
         DynInstr { addr: 0, ..self }
     }
 
+    /// Whether `self` and `other` differ at most in their memory address:
+    /// `self.shape() == other.shape()`, compared in place.
+    #[inline]
+    pub(crate) fn same_shape(&self, other: &DynInstr) -> bool {
+        self.pc == other.pc
+            && self.latency == other.latency
+            && self.fused_len == other.fused_len
+            && self.conf == other.conf
+            && self.class == other.class
+            && self.def == other.def
+            && self.uses == other.uses
+            && self.flags == other.flags
+    }
+
+    /// Whether the record is a taken conditional branch, the end of a
+    /// replay segment: one test of the flags.
+    #[inline]
+    pub(crate) fn ends_segment(&self) -> bool {
+        self.flags & (BRANCH | TAKEN) == BRANCH | TAKEN
+    }
+
     /// Memory reference, if any: (byte address, is_write).
     #[inline]
     pub fn mem(&self) -> Option<(u32, bool)> {

@@ -173,6 +173,53 @@ impl CycleAttribution {
     }
 }
 
+/// The attribution of a run of cycles in compact form: what replay adds
+/// for one memoized segment ([`TraceSink::segment`]). Counters are `u32`
+/// because a memoized segment classifies at most 65,536 cycles.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AttrDelta {
+    /// Cycles classified.
+    pub total_cycles: u32,
+    /// Cycles that committed at least one instruction.
+    pub busy_cycles: u32,
+    /// Busy cycles that were commit-bandwidth-bound.
+    pub commit_bound_cycles: u32,
+    /// Stalled cycles, indexed by [`StallCause::index`].
+    pub stalls: [u32; NUM_STALL_CAUSES],
+}
+
+impl AttrDelta {
+    /// The attribution of `classes`. They must number at most `u32::MAX`.
+    pub fn of(classes: &[CycleClass]) -> AttrDelta {
+        let mut d = AttrDelta {
+            total_cycles: classes.len() as u32,
+            ..AttrDelta::default()
+        };
+        for class in classes {
+            match *class {
+                CycleClass::Busy { commit_bound, .. } => {
+                    d.busy_cycles += 1;
+                    d.commit_bound_cycles += u32::from(commit_bound);
+                }
+                CycleClass::Stall { cause, .. } => d.stalls[cause.index()] += 1,
+            }
+        }
+        d
+    }
+}
+
+impl CycleAttribution {
+    /// Adds the cycles of `delta`.
+    pub fn add(&mut self, delta: &AttrDelta) {
+        self.total_cycles += u64::from(delta.total_cycles);
+        self.busy_cycles += u64::from(delta.busy_cycles);
+        self.commit_bound_cycles += u64::from(delta.commit_bound_cycles);
+        for (s, d) in self.stalls.iter_mut().zip(delta.stalls) {
+            *s += u64::from(d);
+        }
+    }
+}
+
 /// Per-PC stall counters (cycles charged to the instruction at each PC),
 /// the substrate for per-loop roll-ups.
 pub type PcStalls = HashMap<u32, [u64; NUM_STALL_CAUSES]>;
@@ -259,6 +306,19 @@ pub trait TraceSink {
     fn cycle(&mut self, class: CycleClass) {
         let _ = class;
     }
+
+    /// The classifications of a whole replayed segment, in order, and
+    /// their attribution `delta` (`delta == AttrDelta::of(classes)`).
+    /// Only called when `ATTR` is true. The default walks `classes`
+    /// through [`TraceSink::cycle`], so a sink that reads each cycle (per
+    /// PC, say) sees the cycles it would see without the fast path; a
+    /// sink that only sums them can add `delta` in one step instead.
+    fn segment(&mut self, classes: &[CycleClass], delta: &AttrDelta) {
+        let _ = delta;
+        for &class in classes {
+            self.cycle(class);
+        }
+    }
 }
 
 /// The disabled sink: all hooks compile away.
@@ -328,6 +388,19 @@ impl TraceSink for AttrCollector {
             }
         }
     }
+
+    /// Aggregate-only collection adds the segment's delta; per-PC
+    /// collection walks its cycles.
+    #[inline]
+    fn segment(&mut self, classes: &[CycleClass], delta: &AttrDelta) {
+        if self.per_pc.is_none() {
+            self.attr.add(delta);
+        } else {
+            for &class in classes {
+                self.cycle(class);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -380,6 +453,42 @@ mod tests {
             "pc-attributed stall must be recorded"
         );
         assert_eq!(per_pc.len(), 1, "pc-less stalls stay aggregate-only");
+    }
+
+    #[test]
+    fn a_segment_delta_adds_what_its_cycles_add() {
+        let classes = [
+            CycleClass::Busy {
+                commits: 4,
+                commit_bound: true,
+            },
+            CycleClass::Stall {
+                cause: StallCause::MemData,
+                pc: Some(0x40_0010),
+            },
+            CycleClass::Stall {
+                cause: StallCause::FrontendEmpty,
+                pc: None,
+            },
+            CycleClass::Busy {
+                commits: 2,
+                commit_bound: false,
+            },
+        ];
+        let delta = AttrDelta::of(&classes);
+        let mut walked = AttrCollector::with_per_pc();
+        let mut added = AttrCollector::new();
+        for _ in 0..3 {
+            walked.segment(&classes, &delta);
+            added.segment(&classes, &delta);
+        }
+        assert_eq!(added.attr, walked.attr);
+        assert_eq!(added.attr.total_cycles, 12);
+        assert!(added.attr.checks_out());
+        assert_eq!(
+            walked.per_pc().unwrap()[&0x40_0010][StallCause::MemData.index()],
+            3
+        );
     }
 
     #[test]

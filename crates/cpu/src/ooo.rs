@@ -54,6 +54,9 @@
 //! buffer. An error the source returns with a batch is held until the
 //! pipeline asks for the record after the batch's last one, so it
 //! surfaces at the same pull as if records were produced one by one.
+//! Replay reads ahead of fetch without taking the error: records it
+//! pulled go to fetch first, so fetch meets the error where it would
+//! with the fast path off.
 
 use crate::branch::{BranchStats, Predictor};
 use crate::config::CpuConfig;
@@ -135,17 +138,8 @@ impl<R: RecordSource> Feed<R> {
     /// Starts the next batch, or reports what follows the last one.
     #[inline(never)]
     fn refill(&mut self) -> Result<Option<DynInstr>, R::Error> {
-        self.batch.clear();
-        self.pos = 0;
-        if self.after.is_none() {
-            if let Err(e) = self.source.fill(&mut self.batch) {
-                self.after = Some(Err(e));
-            } else if self.batch.is_empty() {
-                self.after = Some(Ok(()));
-            }
-        }
-        if let Some(&rec) = self.batch.first() {
-            self.pos = 1;
+        if let Some(&rec) = self.rest().first() {
+            self.pos += 1;
             return Ok(Some(rec));
         }
         // The stream ends here: for good, or with the error, reported once.
@@ -156,6 +150,30 @@ impl<R: RecordSource> Feed<R> {
                 Ok(None)
             }
         }
+    }
+
+    /// The records of the current batch not yet pulled, after starting
+    /// the next batch if this one is used up. Empty at the end of the
+    /// stream or before an error, which stays held for [`Feed::next`].
+    #[inline]
+    fn rest(&mut self) -> &[DynInstr] {
+        if self.pos == self.batch.len() && self.after.is_none() {
+            self.batch.clear();
+            self.pos = 0;
+            if let Err(e) = self.source.fill(&mut self.batch) {
+                self.after = Some(Err(e));
+            } else if self.batch.is_empty() {
+                self.after = Some(Ok(()));
+            }
+        }
+        &self.batch[self.pos..]
+    }
+
+    /// Marks the first `n` records of [`Feed::rest`] pulled.
+    #[inline]
+    fn consume(&mut self, n: usize) {
+        debug_assert!(self.pos + n <= self.batch.len());
+        self.pos += n;
     }
 }
 
@@ -457,7 +475,7 @@ impl OooCore {
             // still fires at the precise cycle it would have without the
             // fast path.
             if self.fast.enabled && std::mem::take(&mut self.fast.pending_boundary) {
-                self.fast_boundary(&mut feed, sink)?;
+                self.fast_boundary(&mut feed, sink);
             }
             if self.cfg.max_cycles != 0 && self.cycle >= self.cfg.max_cycles {
                 // Out of fuel: a workload that has not drained by now is

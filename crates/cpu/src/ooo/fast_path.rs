@@ -31,29 +31,39 @@
 //!   kind, the index of its record among those in flight at the node
 //!   followed by the segment's, and its cycle offset; the trie branches on
 //!   its outcome (a latency, a PFU ready time as an offset from the call's
-//!   cycle, or a misprediction penalty). A leaf holds the segment's cycle,
+//!   cycle, or a misprediction penalty). The trie's first path, the
+//!   calls first recorded, lies in order in the arenas. A leaf,
+//!   in an arena apart from the call points, holds the segment's cycle,
 //!   slot, base-instruction and fetch-stall deltas, its per-cycle
-//!   classifications, and the successor node.
+//!   classifications and their sum ([`AttrDelta`]), and the successor
+//!   node.
 //!
 //! # Replay
 //!
-//! At a boundary whose node has edges, replay pulls the next segment's
-//! records from the source, picks the edge with the same records, and
-//! walks its trie: each call is performed on the real component with the
-//! real address and cycle, and its outcome selects the next step. At a
-//! leaf the deltas are applied, the classifications are re-emitted to an
-//! attributing sink, and replay continues from the successor.
+//! At a boundary whose node has edges, replay pulls the next segment
+//! whole: it scans the source's current batch for the first taken branch
+//! and appends the records up to it to a ring of the last pulled records
+//! in one copy. It then picks the edge with the same records, comparing
+//! each record once with its address masked out
+//! ([`DynInstr::same_shape`]), and walks the edge's calls: each is
+//! performed on the real component with the real address and cycle, along
+//! the first path while the outcomes match it and through the trie's arms
+//! once one does not. At the leaf the deltas are applied,
+//! the segment's attribution goes to an attributing sink in one call
+//! ([`TraceSink::segment`]), and replay continues from the successor.
 //!
 //! A miss — a record sequence or an outcome the node has not seen, a
-//! successor with no edges yet, the end of the stream, or cycle fuel that
-//! would run out inside the segment — returns to the accurate path
-//! without losing work. The pipeline is rebuilt from the node, with the
-//! in-flight records (addresses included) taken from a ring of the last
-//! pulled records. The segment's pulled records are handed to fetch
-//! before the source, and the results of the calls replay already
-//! performed are handed to the first calls the accurate path makes, so no
-//! access happens twice. The accurate path records every segment it
-//! simulates as an edge, so the next visit replays it.
+//! successor with no edges yet, the end of the stream or an error before
+//! the segment's end, or cycle fuel that would run out inside the
+//! segment — returns to the accurate path without losing work. The
+//! pipeline is rebuilt from the node, with the in-flight records
+//! (addresses included) taken from the ring. The segment's pulled records
+//! are handed to fetch before the source, so fetch meets the end of the
+//! stream or a held error at the cycle it would without the fast path.
+//! The results of the calls replay already performed are handed to the
+//! first calls the accurate path makes, so no access happens twice. The
+//! accurate path records every segment it simulates as an edge, so the
+//! next visit replays it.
 //!
 //! # Why this is bit-identical
 //!
@@ -74,7 +84,12 @@
 //! # Bounds
 //!
 //! The table is capped at [`TABLE_BYTES`] and cleared when it grows past
-//! it. Segments longer than [`MAX_SEG`] records, [`MAX_CALLS`] component
+//! it. The charge per node, edge, record, trie point, arm, leaf and
+//! classified cycle is a fixed number of bytes ([`NODE_BYTES`] and the
+//! constants after it), not the size of the type that holds it: where the
+//! table clears decides what replay covers, and so the `fast_path`
+//! counters in the artifact, which must not move when the layout does.
+//! Segments longer than [`MAX_SEG`] records, [`MAX_CALLS`] component
 //! calls or [`MAX_CLASSES`] classified cycles are simulated but not
 //! memoized.
 //!
@@ -85,11 +100,11 @@
 use super::{EntryState, Feed, OooCore, RecordSource};
 use crate::config::CpuConfig;
 use crate::func::DynInstr;
-use crate::observe::{CycleClass, StallCause, TraceSink};
+use crate::observe::{AttrDelta, CycleClass, StallCause, TraceSink};
 use crate::pfu::PfuOutcome;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::mem::size_of;
+use std::ops::Index;
 use t1000_isa::ConfId;
 
 /// Memo table budget in bytes; the table is cleared when it grows past it.
@@ -102,6 +117,29 @@ const MAX_CALLS: usize = 1 << 14;
 const MAX_CLASSES: usize = 1 << 16;
 /// End of a list in the table.
 const NONE: u32 = u32::MAX;
+/// Marks a trie reference as an index into [`Table::leaves`] rather than
+/// [`Table::points`].
+const LEAF: u32 = 1 << 31;
+
+/// What the table budget charges for a node, in bytes, before its key's
+/// entries. This and the charges below are the sizes of the items in the
+/// layout the budget was set with; they stay fixed when the layout
+/// changes, so the table clears where it always did (see "Bounds").
+const NODE_BYTES: usize = 272;
+/// Charge per RUU entry of a node's key.
+const SLOT_BYTES: usize = 56;
+/// Charge per record of a node's fetch queue or of an edge.
+const RECORD_BYTES: usize = 24;
+/// Charge per edge, its entry in its node's list included.
+const EDGE_BYTES: usize = 28;
+/// Charge per trie point: a call, or a leaf.
+const POINT_BYTES: usize = 56;
+/// Charge per trie arm.
+const ARM_BYTES: usize = 16;
+/// Charge per classified cycle of a leaf.
+const CLASS_BYTES: usize = 16;
+/// Dead ring records that may pile up before the ring compacts.
+const RING_SLACK: usize = 1024;
 
 /// Fast-path effectiveness counters, reported in
 /// [`TimingStats`](super::TimingStats). All zero when the fast path is
@@ -162,9 +200,7 @@ impl Canon {
     }
 
     fn bytes(&self) -> usize {
-        size_of::<Node>()
-            + self.window.len() * size_of::<Slot>()
-            + self.fetch_queue.len() * size_of::<DynInstr>()
+        NODE_BYTES + self.window.len() * SLOT_BYTES + self.fetch_queue.len() * RECORD_BYTES
     }
 }
 
@@ -179,8 +215,18 @@ struct Node {
 struct Edge {
     /// The segment's records, without addresses.
     recs: Box<[DynInstr]>,
-    /// First point of the call trie.
+    /// Start of the call trie: a point, or a leaf (with [`LEAF`] set)
+    /// if the segment made no calls.
     root: u32,
+    /// The trie's first path, the calls first recorded for the segment,
+    /// lies in order in the arenas, so replay follows it by index rather
+    /// than by chasing arms: its `i`th call is the point `root - i`, and
+    /// the arm that call first took is `first_arms + calls - 1 - i`.
+    first_arms: u32,
+    /// The number of calls on the first path.
+    calls: u32,
+    /// The leaf at the end of the first path.
+    first_leaf: u32,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -203,27 +249,31 @@ struct Call {
     off: u64,
 }
 
-/// A point of an edge's call trie.
-enum Point {
-    /// Perform `call`; its outcome picks one of the arms listed from
-    /// `arms`.
-    Call { call: Call, arms: u32 },
-    /// The end of the segment.
-    Leaf(Leaf),
+/// A call point of an edge's trie: perform `call`; its outcome picks one
+/// of the arms listed from `arms`.
+#[derive(Clone, Copy)]
+struct Point {
+    call: Call,
+    arms: u32,
 }
 
 struct Arm {
     outcome: u64,
+    /// A point, or a leaf with [`LEAF`] set.
     to: u32,
     next: u32,
 }
 
+/// The end of a segment.
 struct Leaf {
     cycles: u64,
     slots: u64,
     base_instructions: u64,
     fetch_stall_cycles: u64,
+    /// The segment's cycle classifications (attributing sinks only), and
+    /// their sum.
     classes: Box<[CycleClass]>,
+    attr: AttrDelta,
     succ: u32,
 }
 
@@ -304,6 +354,7 @@ struct Table {
     edges: Vec<Edge>,
     points: Vec<Point>,
     arms: Vec<Arm>,
+    leaves: Vec<Leaf>,
     bytes: usize,
 }
 
@@ -333,15 +384,10 @@ impl Table {
     }
 
     /// The edge of `node` whose records have the shapes of `seg`.
-    fn find_edge<'a>(
-        &self,
-        node: u32,
-        seg: impl ExactSizeIterator<Item = &'a DynInstr> + Clone,
-    ) -> Option<u32> {
-        let n = seg.len();
+    fn find_edge(&self, node: u32, seg: &[DynInstr]) -> Option<u32> {
         self.nodes[node as usize].edges.iter().copied().find(|&e| {
             let recs = &self.edges[e as usize].recs;
-            recs.len() == n && recs.iter().zip(seg.clone()).all(|(r, s)| *r == s.shape())
+            recs.len() == seg.len() && recs.iter().zip(seg).all(|(r, s)| r.same_shape(s))
         })
     }
 
@@ -358,48 +404,54 @@ impl Table {
     }
 
     fn push_point(&mut self, point: Point) -> u32 {
-        self.bytes += size_of::<Point>();
-        if let Point::Leaf(leaf) = &point {
-            self.bytes += leaf.classes.len() * size_of::<CycleClass>();
-        }
+        self.bytes += POINT_BYTES;
         self.points.push(point);
         self.points.len() as u32 - 1
     }
 
+    /// Adds `leaf`; returns its trie reference.
+    fn push_leaf(&mut self, leaf: Leaf) -> u32 {
+        self.bytes += POINT_BYTES + leaf.classes.len() * CLASS_BYTES;
+        self.leaves.push(leaf);
+        (self.leaves.len() as u32 - 1) | LEAF
+    }
+
     fn push_arm(&mut self, arm: Arm) -> u32 {
-        self.bytes += size_of::<Arm>();
+        self.bytes += ARM_BYTES;
         self.arms.push(arm);
         self.arms.len() as u32 - 1
     }
 
     /// A fresh trie path: `trace`'s calls, then `leaf`.
     fn chain(&mut self, trace: &[(Call, u64)], leaf: Leaf) -> u32 {
-        let mut to = self.push_point(Point::Leaf(leaf));
+        let mut to = self.push_leaf(leaf);
         for &(call, outcome) in trace.iter().rev() {
             let arms = self.push_arm(Arm {
                 outcome,
                 to,
                 next: NONE,
             });
-            to = self.push_point(Point::Call { call, arms });
+            to = self.push_point(Point { call, arms });
         }
         to
     }
 
     /// Adds the segment `seg` out of `from`, whose calls and outcomes were
     /// `trace` and whose end is `leaf`.
-    fn add_edge<'a>(
-        &mut self,
-        from: u32,
-        seg: impl ExactSizeIterator<Item = &'a DynInstr> + Clone,
-        trace: &[(Call, u64)],
-        leaf: Leaf,
-    ) {
-        let Some(edge) = self.find_edge(from, seg.clone()) else {
+    fn add_edge(&mut self, from: u32, seg: &[DynInstr], trace: &[(Call, u64)], leaf: Leaf) {
+        let Some(edge) = self.find_edge(from, seg) else {
+            let (first_arms, first_leaf) = (self.arms.len() as u32, self.leaves.len() as u32);
             let root = self.chain(trace, leaf);
-            let recs: Box<[DynInstr]> = seg.map(|r| r.shape()).collect();
-            self.bytes += size_of::<Edge>() + recs.len() * size_of::<DynInstr>() + 4;
-            self.edges.push(Edge { recs, root });
+            debug_assert_eq!(self.arms.len(), first_arms as usize + trace.len());
+            let recs: Box<[DynInstr]> = seg.iter().map(|r| r.shape()).collect();
+            self.bytes += EDGE_BYTES + recs.len() * RECORD_BYTES;
+            self.edges.push(Edge {
+                recs,
+                root,
+                first_arms,
+                calls: trace.len() as u32,
+                first_leaf: first_leaf | LEAF,
+            });
             self.nodes[from as usize]
                 .edges
                 .push(self.edges.len() as u32 - 1);
@@ -407,10 +459,11 @@ impl Table {
         };
         let mut p = self.edges[edge as usize].root;
         for (i, &(call, outcome)) in trace.iter().enumerate() {
-            let Point::Call { call: known, arms } = self.points[p as usize] else {
+            if p & LEAF != 0 {
                 debug_assert!(false, "memo trie ends before the recorded calls");
                 return;
-            };
+            }
+            let Point { call: known, arms } = self.points[p as usize];
             debug_assert_eq!(known, call, "same state, records and outcomes, other call");
             match self.arm(arms, outcome) {
                 Some(to) => p = to,
@@ -421,18 +474,69 @@ impl Table {
                         to,
                         next: arms,
                     });
-                    if let Point::Call { arms, .. } = &mut self.points[p as usize] {
-                        *arms = arm;
-                    }
+                    self.points[p as usize].arms = arm;
                     return;
                 }
             }
         }
         debug_assert!(
-            matches!(&self.points[p as usize], Point::Leaf(l)
-                if l.succ == leaf.succ && l.cycles == leaf.cycles && l.slots == leaf.slots),
+            p & LEAF != 0 && {
+                let l = &self.leaves[(p & !LEAF) as usize];
+                l.succ == leaf.succ && l.cycles == leaf.cycles && l.slots == leaf.slots
+            },
             "a memoized segment re-simulated differently"
         );
+    }
+}
+
+/// The last pulled records, oldest first, in one buffer: the live ones
+/// are `buf[head..]`. Dropping the oldest records moves `head`; the dead
+/// prefix is moved out once it is as long as the live part and at least
+/// [`RING_SLACK`], so each record is moved a bounded number of times on
+/// average and the live records are always one slice.
+#[derive(Default)]
+struct Ring {
+    buf: Vec<DynInstr>,
+    head: usize,
+}
+
+impl Ring {
+    fn len(&self) -> usize {
+        self.buf.len() - self.head
+    }
+
+    fn as_slice(&self) -> &[DynInstr] {
+        &self.buf[self.head..]
+    }
+
+    fn get(&self, i: usize) -> Option<&DynInstr> {
+        self.buf.get(self.head + i)
+    }
+
+    fn push(&mut self, rec: DynInstr) {
+        self.buf.push(rec);
+    }
+
+    fn extend(&mut self, recs: &[DynInstr]) {
+        self.buf.extend_from_slice(recs);
+    }
+
+    /// Drops the `n` oldest records.
+    fn drop_front(&mut self, n: usize) {
+        debug_assert!(n <= self.len());
+        self.head += n;
+        if self.head >= RING_SLACK && self.head >= self.len() {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+    }
+}
+
+impl Index<usize> for Ring {
+    type Output = DynInstr;
+
+    fn index(&self, i: usize) -> &DynInstr {
+        &self.buf[self.head + i]
     }
 }
 
@@ -455,7 +559,7 @@ pub(crate) struct FastPath {
     pub(super) pending_boundary: bool,
     /// The last pulled records: those in flight at the last boundary,
     /// then the ones pulled since.
-    ring: VecDeque<DynInstr>,
+    ring: Ring,
     ring_cap: usize,
     /// Ring records fetch has taken; the rest were pulled by replay and
     /// are fetch's before the source.
@@ -473,8 +577,9 @@ pub(crate) struct FastPath {
     /// It outgrew a per-segment bound and will not be memoized.
     overflow: bool,
     /// Results of calls replay performed before missing, for the accurate
-    /// path's first calls.
-    preset: VecDeque<Ret>,
+    /// path's first calls; the first `preset_used` are taken.
+    preset: Vec<Ret>,
+    preset_used: usize,
     /// Key buffer reused across boundaries.
     scratch: Canon,
     stats: FastPathStats,
@@ -485,7 +590,7 @@ impl FastPath {
         FastPath {
             enabled: cfg.fast_path,
             pending_boundary: false,
-            ring: VecDeque::new(),
+            ring: Ring::default(),
             ring_cap: cfg.ruu_size + cfg.fetch_queue + MAX_SEG,
             cursor: 0,
             table: Table::default(),
@@ -494,7 +599,8 @@ impl FastPath {
             trace: Vec::new(),
             classes: Vec::new(),
             overflow: false,
-            preset: VecDeque::new(),
+            preset: Vec::new(),
+            preset_used: 0,
             scratch: Canon::default(),
             stats: FastPathStats::default(),
         }
@@ -504,42 +610,29 @@ impl FastPath {
         self.stats
     }
 
-    /// Pulls the next segment's records into the ring, matching them
-    /// against the edges of `node` as they arrive. Returns the edge whose
-    /// records they are, or `None` as soon as no edge can match; the
-    /// records pulled so far stay in the ring for fetch.
-    fn pull_segment<R: RecordSource>(
-        &mut self,
-        node: u32,
-        feed: &mut Feed<R>,
-    ) -> Result<Option<u32>, R::Error> {
-        let edges = &self.table.nodes[node as usize].edges;
-        let mut edge = edges[0];
-        for i in 0.. {
-            let Some(rec) = feed.next()? else {
-                return Ok(None);
+    /// Appends the next segment's records to the ring: those up to and
+    /// including the first taken branch, found by scanning the source's
+    /// batches. Returns false if the stream ends or an error comes first,
+    /// or no taken branch comes within [`MAX_SEG`] records (more than any
+    /// edge holds). The records pulled stay in the ring for fetch either
+    /// way, and an error stays held by the feed, so fetch meets it at the
+    /// cycle it would without the fast path.
+    fn pull_segment<R: RecordSource>(&mut self, feed: &mut Feed<R>) -> bool {
+        let mut room = MAX_SEG;
+        loop {
+            let rest = feed.rest();
+            let scan = &rest[..rest.len().min(room)];
+            let (n, whole) = match scan.iter().position(DynInstr::ends_segment) {
+                Some(i) => (i + 1, true),
+                None => (scan.len(), false),
             };
-            self.ring.push_back(rec);
-            let recs = &self.table.edges[edge as usize].recs;
-            if recs.get(i) != Some(&rec.shape()) {
-                // Another edge that shares the records matched so far.
-                let prefix = &recs[..i];
-                let other = edges.iter().copied().find(|&e| {
-                    let r = &self.table.edges[e as usize].recs;
-                    r.get(i) == Some(&rec.shape()) && r[..i] == *prefix
-                });
-                match other {
-                    Some(e) => edge = e,
-                    None => return Ok(None),
-                }
-            }
-            if rec.taken() == Some(true) {
-                // Segments end at their first taken branch, so the edge
-                // ends here too.
-                return Ok(Some(edge));
+            self.ring.extend(&scan[..n]);
+            feed.consume(n);
+            room -= n;
+            if whole || n == 0 || room == 0 {
+                return whole;
             }
         }
-        unreachable!()
     }
 
     /// Records one cycle classification into the segment being recorded.
@@ -574,10 +667,10 @@ impl OooCore {
                 let Some(rec) = feed.next()? else {
                     return Ok(None);
                 };
-                f.ring.push_back(rec);
+                f.ring.push(rec);
                 if f.ring.len() > f.ring_cap {
                     // Only a segment longer than `MAX_SEG` gets here.
-                    f.ring.pop_front();
+                    f.ring.drop_front(1);
                     f.cursor -= 1;
                     f.overflow = true;
                 }
@@ -585,7 +678,7 @@ impl OooCore {
             }
         };
         f.cursor += 1;
-        if rec.taken() == Some(true) {
+        if rec.ends_segment() {
             f.pending_boundary = true;
         }
         Ok(Some(rec))
@@ -598,8 +691,10 @@ impl OooCore {
         &mut self,
         feed: &mut Feed<R>,
         sink: &mut S,
-    ) -> Result<(), R::Error> {
-        debug_assert!(self.fast.preset.is_empty());
+    ) {
+        debug_assert_eq!(self.fast.preset_used, self.fast.preset.len());
+        self.fast.preset.clear();
+        self.fast.preset_used = 0;
         if self.fast.table.bytes > self.fast.cap {
             self.fast.table = Table::default();
             self.fast.origin = None;
@@ -619,21 +714,21 @@ impl OooCore {
                     base_instructions: self.base_instructions - o.base_instructions,
                     fetch_stall_cycles: self.fetch_stall_cycles - o.fetch_stall_cycles,
                     classes: f.classes.as_slice().into(),
+                    attr: AttrDelta::of(&f.classes),
                     succ: node,
                 };
                 f.table
-                    .add_edge(o.node, f.ring.range(start..), &f.trace, leaf);
+                    .add_edge(o.node, &f.ring.as_slice()[start..], &f.trace, leaf);
             }
         }
         let stale = f.ring.len() - (self.window.len() + self.fetch_queue.len());
-        f.ring.drain(..stale);
+        f.ring.drop_front(stale);
         f.cursor -= stale;
         debug_assert_eq!(f.cursor, f.ring.len());
         if f.table.nodes[node as usize].edges.is_empty() {
             self.start_recording(node);
-            Ok(())
         } else {
-            self.replay(node, feed, sink)
+            self.replay(node, feed, sink);
         }
     }
 
@@ -644,44 +739,38 @@ impl OooCore {
         mut node: u32,
         feed: &mut Feed<R>,
         sink: &mut S,
-    ) -> Result<(), R::Error> {
+    ) {
         self.fast.stats.steady_loops += 1;
         loop {
-            let Some(edge) = self.fast.pull_segment(node, feed)? else {
+            // The ring holds exactly the records in flight at `node`.
+            let inflight = self.fast.ring.len();
+            let f = &mut self.fast;
+            let edge = match f.pull_segment(feed) {
+                true => f.table.find_edge(node, &f.ring.as_slice()[inflight..]),
+                false => None,
+            };
+            let Some(edge) = edge else {
                 self.leave(node);
-                return Ok(());
+                return;
             };
-            let start = self.cycle;
-            let mut p = self.fast.table.edges[edge as usize].root;
-            while let Point::Call { call, arms } = self.fast.table.points[p as usize] {
-                let ret = self.perform(call, start);
-                self.fast.preset.push_back(ret);
-                match self.fast.table.arm(arms, ret.outcome(start + call.off)) {
-                    Some(to) => p = to,
-                    None => {
-                        self.leave(node);
-                        return Ok(());
-                    }
-                }
-            }
-            let Point::Leaf(leaf) = &self.fast.table.points[p as usize] else {
-                unreachable!()
+            let Some(leaf) = self.walk(edge) else {
+                self.leave(node);
+                return;
             };
+            let leaf = &self.fast.table.leaves[leaf as usize];
             let cycles = leaf.cycles;
             if self.cfg.max_cycles != 0 && self.cycle + cycles > self.cfg.max_cycles {
                 // Out of fuel inside this segment: the accurate path
                 // stops at the exact cycle.
                 self.leave(node);
-                return Ok(());
+                return;
             }
             self.cycle += cycles;
             self.slots += leaf.slots;
             self.base_instructions += leaf.base_instructions;
             self.fetch_stall_cycles += leaf.fetch_stall_cycles;
             if S::ATTR {
-                for &class in leaf.classes.iter() {
-                    sink.cycle(class);
-                }
+                sink.segment(&leaf.classes, &leaf.attr);
             }
             node = leaf.succ;
             let f = &mut self.fast;
@@ -690,12 +779,36 @@ impl OooCore {
             f.preset.clear();
             let succ = &f.table.nodes[node as usize];
             let stale = f.ring.len() - succ.canon.inflight();
-            f.ring.drain(..stale);
+            f.ring.drop_front(stale);
             if succ.edges.is_empty() {
                 self.leave(node);
-                return Ok(());
+                return;
             }
         }
+    }
+
+    /// Performs the calls of `edge` for a segment starting now: along its
+    /// first path while the outcomes match it, then through the trie.
+    /// Returns the index of the leaf reached, or `None` at an outcome the
+    /// trie has not seen.
+    fn walk(&mut self, edge: u32) -> Option<u32> {
+        let e = &self.fast.table.edges[edge as usize];
+        let (root, end, mut p) = (e.root, e.first_arms + e.calls, e.first_leaf);
+        for i in 0..e.calls {
+            let Point { call, arms } = self.fast.table.points[(root - i) as usize];
+            let outcome = self.replay_call(call);
+            if outcome != self.fast.table.arms[(end - 1 - i) as usize].outcome {
+                // Off the first path: on into the trie.
+                p = self.fast.table.arm(arms, outcome)?;
+                break;
+            }
+        }
+        while p & LEAF == 0 {
+            let Point { call, arms } = self.fast.table.points[p as usize];
+            let outcome = self.replay_call(call);
+            p = self.fast.table.arm(arms, outcome)?;
+        }
+        Some(p & !LEAF)
     }
 
     /// Returns from replay to the accurate path at `node`: rebuilds the
@@ -771,7 +884,7 @@ impl OooCore {
         let (cycle, head) = (self.cycle, self.head_seq);
         let abs = |r: Rel| (r != 0).then(|| head + u64::from(r) - 1);
         let c = &self.fast.table.nodes[node as usize].canon;
-        let mut recs = self.fast.ring.iter().copied();
+        let mut recs = self.fast.ring.as_slice().iter().copied();
         self.window.clear();
         for s in &c.window {
             let e = self.window.push_back();
@@ -810,12 +923,14 @@ impl OooCore {
         self.rebuild_wakeup();
     }
 
-    /// Performs a memoized call on the real component, for a segment that
-    /// started at cycle `start`.
-    fn perform(&mut self, call: Call, start: u64) -> Ret {
+    /// Performs a memoized call on the real component, for the segment
+    /// that starts at the current cycle, and returns its outcome. The
+    /// result is kept for the accurate path's first calls, in case replay
+    /// misses before the segment's end.
+    fn replay_call(&mut self, call: Call) -> u64 {
         let rec = self.fast.ring[call.idx as usize];
-        let now = start + call.off;
-        match (call.kind, rec.mem(), rec.conf(), rec.taken()) {
+        let now = self.cycle + call.off;
+        let ret = match (call.kind, rec.mem(), rec.conf(), rec.taken()) {
             (Kind::Fetch, ..) => Ret::Lat(self.mem.fetch(rec.pc)),
             (Kind::Data, Some((addr, is_write)), ..) => Ret::Lat(self.mem.data(addr, is_write)),
             (Kind::Pfu, _, Some(conf), _) => Ret::Pfu(self.pfus.request_outcome(conf, now)),
@@ -824,7 +939,9 @@ impl OooCore {
                 Ret::Penalty(self.predictor.observe(rec.pc, taken, rec.backward()))
             }
             _ => unreachable!("memo call {call:?} names a record of another kind"),
-        }
+        };
+        self.fast.preset.push(ret);
+        ret.outcome(now)
     }
 
     /// A component call from the accurate path, with the fast path on,
@@ -834,8 +951,11 @@ impl OooCore {
     /// the wrappers below inline to a flag test and the plain call.
     #[inline(never)]
     fn through(&mut self, kind: Kind, seq: u64, perform: impl FnOnce(&mut OooCore) -> Ret) -> Ret {
-        let ret = match self.fast.preset.pop_front() {
-            Some(ret) => ret,
+        let ret = match self.fast.preset.get(self.fast.preset_used) {
+            Some(&ret) => {
+                self.fast.preset_used += 1;
+                ret
+            }
             None => perform(self),
         };
         let f = &mut self.fast;
@@ -930,8 +1050,9 @@ mod tests {
     use crate::observe::{AttrCollector, CycleAttribution};
     use crate::TimingStats;
     use std::cell::Cell;
+    use std::collections::VecDeque;
     use t1000_asm::assemble;
-    use t1000_isa::FusionMap;
+    use t1000_isa::{FusionMap, Instr};
 
     thread_local! {
         /// Table clears on this thread.
@@ -1021,5 +1142,64 @@ buf: .space 1024
         }
         assert!(cleared_and_replayed, "no budget both cleared and replayed");
         assert_eq!(fast_attr, slow_attr);
+    }
+
+    #[test]
+    fn the_ring_keeps_its_records_across_compactions() {
+        // Each round is a boundary: a segment arrives, one record at a
+        // time or as one slice, and all but the records in flight are
+        // dropped. A deque is the model.
+        let mut ring = Ring::default();
+        let mut model = VecDeque::new();
+        let (mut next, mut compactions, mut x) = (0u32, 0, 12345u64);
+        for round in 0..20_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let seg: Vec<DynInstr> = (0..(x >> 33) as usize % 40)
+                .map(|_| {
+                    next += 1;
+                    DynInstr::of(next * 4, &Instr::NOP)
+                })
+                .collect();
+            if round % 2 == 0 {
+                ring.extend(&seg);
+            } else {
+                seg.iter().for_each(|&r| ring.push(r));
+            }
+            model.extend(seg);
+            let stale = model.len().saturating_sub((x >> 20) as usize % 50);
+            let head = ring.head;
+            ring.drop_front(stale);
+            model.drain(..stale);
+            compactions += usize::from(ring.head < head);
+            assert_eq!(ring.len(), model.len());
+            assert!(ring.as_slice().iter().eq(model.iter()), "round {round}");
+            assert!(ring.buf.len() <= RING_SLACK + 2 * ring.len());
+            if let Some(i) = (x as usize).checked_rem(model.len()) {
+                assert_eq!(ring[i], model[i]);
+            }
+            assert_eq!(ring.get(model.len()), None);
+        }
+        assert!(compactions > 10, "{compactions} compactions");
+    }
+
+    #[test]
+    fn same_shape_is_equality_without_the_address() {
+        let p = assemble(LCG).unwrap();
+        let fusion = FusionMap::new();
+        let mut core = FuncCore::new(&p, &fusion);
+        let mut recs = Vec::new();
+        while let (Some(rec), true) = (core.step().unwrap(), recs.len() < 400) {
+            recs.push(rec);
+        }
+        let mut moved = 0;
+        for a in &recs {
+            for b in &recs {
+                assert_eq!(a.same_shape(b), a.shape() == b.shape(), "{a:?} {b:?}");
+                moved += usize::from(a.same_shape(b) && a != b);
+            }
+        }
+        assert!(moved > 0, "no two records differ only in their address");
     }
 }

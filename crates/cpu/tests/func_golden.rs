@@ -211,41 +211,41 @@ fn record_streams_match_their_goldens() {
 /// are the fuel around its last cycle, and one cycle more completes it.
 #[rustfmt::skip]
 const FAULTS: &[(&str, bool, ExecError, u64)] = &[
-    ("decode", true, Decode(4194384, 67436544), 632),
-    ("decode", true, CycleLimit(630), 630),
-    ("decode", true, CycleLimit(631), 631),
-    ("decode", true, Decode(4194384, 67436544), 632),
-    ("decode", true, Decode(4194384, 67436544), 632),
+    ("decode", true, Decode(4194384, 67436544), 636),
+    ("decode", true, CycleLimit(634), 634),
+    ("decode", true, CycleLimit(635), 635),
+    ("decode", true, CycleLimit(636), 636),
+    ("decode", true, Decode(4194384, 67436544), 636),
     ("decode", false, Decode(4194384, 67436544), 636),
     ("decode", false, CycleLimit(634), 634),
     ("decode", false, CycleLimit(635), 635),
     ("decode", false, CycleLimit(636), 636),
     ("decode", false, Decode(4194384, 67436544), 636),
-    ("escape", true, PcOutOfRange(5242940), 532),
-    ("escape", true, CycleLimit(530), 530),
-    ("escape", true, CycleLimit(531), 531),
-    ("escape", true, PcOutOfRange(5242940), 532),
-    ("escape", true, PcOutOfRange(5242940), 532),
+    ("escape", true, PcOutOfRange(5242940), 535),
+    ("escape", true, CycleLimit(533), 533),
+    ("escape", true, CycleLimit(534), 534),
+    ("escape", true, CycleLimit(535), 535),
+    ("escape", true, PcOutOfRange(5242940), 535),
     ("escape", false, PcOutOfRange(5242940), 535),
     ("escape", false, CycleLimit(533), 533),
     ("escape", false, CycleLimit(534), 534),
     ("escape", false, CycleLimit(535), 535),
     ("escape", false, PcOutOfRange(5242940), 535),
-    ("unaligned", true, Unaligned { pc: 4194352, addr: 268435458, width: 4 }, 435),
-    ("unaligned", true, CycleLimit(433), 433),
-    ("unaligned", true, CycleLimit(434), 434),
-    ("unaligned", true, Unaligned { pc: 4194352, addr: 268435458, width: 4 }, 435),
-    ("unaligned", true, Unaligned { pc: 4194352, addr: 268435458, width: 4 }, 435),
+    ("unaligned", true, Unaligned { pc: 4194352, addr: 268435458, width: 4 }, 437),
+    ("unaligned", true, CycleLimit(435), 435),
+    ("unaligned", true, CycleLimit(436), 436),
+    ("unaligned", true, CycleLimit(437), 437),
+    ("unaligned", true, Unaligned { pc: 4194352, addr: 268435458, width: 4 }, 437),
     ("unaligned", false, Unaligned { pc: 4194352, addr: 268435458, width: 4 }, 437),
     ("unaligned", false, CycleLimit(435), 435),
     ("unaligned", false, CycleLimit(436), 436),
     ("unaligned", false, CycleLimit(437), 437),
     ("unaligned", false, Unaligned { pc: 4194352, addr: 268435458, width: 4 }, 437),
-    ("syscall", true, BadSyscall { pc: 4194356, code: 77 }, 938),
-    ("syscall", true, CycleLimit(936), 936),
-    ("syscall", true, CycleLimit(937), 937),
-    ("syscall", true, BadSyscall { pc: 4194356, code: 77 }, 938),
-    ("syscall", true, BadSyscall { pc: 4194356, code: 77 }, 938),
+    ("syscall", true, BadSyscall { pc: 4194356, code: 77 }, 944),
+    ("syscall", true, CycleLimit(942), 942),
+    ("syscall", true, CycleLimit(943), 943),
+    ("syscall", true, CycleLimit(944), 944),
+    ("syscall", true, BadSyscall { pc: 4194356, code: 77 }, 944),
     ("syscall", false, BadSyscall { pc: 4194356, code: 77 }, 944),
     ("syscall", false, CycleLimit(942), 942),
     ("syscall", false, CycleLimit(943), 943),
@@ -254,18 +254,18 @@ const FAULTS: &[(&str, bool, ExecError, u64)] = &[
     ("spin", true, InstrLimit(20000), 9534),
     ("spin", true, CycleLimit(9532), 9532),
     ("spin", true, CycleLimit(9533), 9533),
-    ("spin", true, InstrLimit(20000), 9534),
+    ("spin", true, CycleLimit(9534), 9534),
     ("spin", true, InstrLimit(20000), 9534),
     ("spin", false, InstrLimit(20000), 9534),
     ("spin", false, CycleLimit(9532), 9532),
     ("spin", false, CycleLimit(9533), 9533),
     ("spin", false, CycleLimit(9534), 9534),
     ("spin", false, InstrLimit(20000), 9534),
-    ("mid_loop_budget", true, InstrLimit(1234), 443),
-    ("mid_loop_budget", true, CycleLimit(441), 441),
+    ("mid_loop_budget", true, InstrLimit(1234), 444),
     ("mid_loop_budget", true, CycleLimit(442), 442),
-    ("mid_loop_budget", true, InstrLimit(1234), 443),
-    ("mid_loop_budget", true, InstrLimit(1234), 443),
+    ("mid_loop_budget", true, CycleLimit(443), 443),
+    ("mid_loop_budget", true, CycleLimit(444), 444),
+    ("mid_loop_budget", true, InstrLimit(1234), 444),
     ("mid_loop_budget", false, InstrLimit(1234), 444),
     ("mid_loop_budget", false, CycleLimit(442), 442),
     ("mid_loop_budget", false, CycleLimit(443), 443),

@@ -8,8 +8,54 @@ use t1000_bench::plan::{Cell, MachineSpec, Plan, SelectionSpec};
 use t1000_bench::results::{to_json, validate_artifact};
 use t1000_bench::runstats::{attr_json, validate_attribution};
 use t1000_core::{SelectConfig, Session};
-use t1000_cpu::{AttrCollector, CpuConfig, StallCause};
+use t1000_cpu::{simulate_with, AttrCollector, CpuConfig, StallCause};
+use t1000_isa::FusionMap;
 use t1000_workloads::{all, Scale};
+
+/// Replay gives an aggregate-only collector each segment's attribution as
+/// one delta (`TraceSink::segment`) and walks the segment's cycles for a
+/// per-PC one. On every kernel, baseline and selective(2) on 2 PFUs with
+/// a 10-cycle reload, both sum to what the accurate path classifies cycle
+/// by cycle, and the per-PC counters agree too.
+#[test]
+fn segment_deltas_and_the_class_walk_match_the_accurate_path() {
+    for w in all(Scale::Test) {
+        let session = Session::new(w.program().unwrap()).unwrap();
+        let sel = session.selective(&SelectConfig {
+            pfus: Some(2),
+            gain_threshold: 0.005,
+            reload_weight: 0.0,
+        });
+        let cells = [
+            ("baseline", FusionMap::new(), CpuConfig::baseline()),
+            (
+                "selective(2) 2/10",
+                sel.fusion.clone(),
+                CpuConfig::with_pfus(2).reconfig(10),
+            ),
+        ];
+        for (label, fusion, cfg) in cells {
+            let ctx = format!("{} {label}", w.name);
+            let run = |fast_path: bool, mut sink: AttrCollector| {
+                let r = simulate_with(
+                    session.program(),
+                    &fusion,
+                    CpuConfig { fast_path, ..cfg },
+                    &mut sink,
+                )
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                (r.timing, sink)
+            };
+            let (fast, delta) = run(true, AttrCollector::new());
+            let (_, walk) = run(true, AttrCollector::with_per_pc());
+            let (_, slow) = run(false, AttrCollector::with_per_pc());
+            assert!(fast.fast.replayed_iters > 0, "{ctx}: {:?}", fast.fast);
+            assert_eq!(delta.attr, slow.attr, "{ctx}: segment deltas");
+            assert_eq!(walk.attr, slow.attr, "{ctx}: class walk");
+            assert_eq!(walk.per_pc(), slow.per_pc(), "{ctx}: per-PC stalls");
+        }
+    }
+}
 
 /// The accounting invariant holds on every kernel, for the baseline and
 /// a fused machine alike: `busy + Σ stalls == total cycles`, with
