@@ -12,19 +12,18 @@
 //! 3. **simulate** — one timing simulation per cell, with architectural
 //!    results verified against the workload's baseline run.
 //!
-//! `t1000 bench --all` and every sweep binary are thin views over the
-//! resulting [`EngineRun`]; none of them re-run selections or
-//! simulations.
+//! `t1000 bench --all` and every `t1000 bench --plan NAME` sweep are thin
+//! views over the resulting [`EngineRun`]; none of them re-run
+//! selections or simulations.
 //!
 //! The engine is fault-tolerant: each cell gets exactly one attempt
 //! under `catch_unwind`, so one poisoned cell records a
 //! [`CellOutcome::Failed`] while every other cell completes. A cell is a
 //! pure function of (program, selection, machine), so a failed cell
-//! would fail the same way again and is never retried. Watchdogs
-//! ([`EngineConfig::max_cycles`] fuel, [`EngineConfig::wall_limit`])
-//! bound divergent work, completed cells stream to a checkpoint for
-//! `--resume`, and a [`FaultPlan`] can deterministically inject panics
-//! and PFU configuration faults for testing (see `docs/ROBUSTNESS.md`).
+//! would fail the same way again and is never retried. Cycle fuel
+//! ([`EngineConfig::max_cycles`]) bounds divergent work, and a
+//! [`FaultPlan`] can deterministically inject panics and PFU
+//! configuration faults for testing (see `docs/ROBUSTNESS.md`).
 //!
 //! A one-cell experiment end to end (the engine adds the implied
 //! PFU-less baseline cell automatically):
@@ -51,26 +50,31 @@
 //! }
 //! ```
 
-use crate::checkpoint;
 use crate::fault::FaultPlan;
 use crate::plan::{Cell, MachineSpec, Plan, SelectionSpec};
 use std::collections::HashMap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use t1000_core::{ExtractConfig, Selection, Session};
 use t1000_cpu::{AttrCollector, CycleAttribution, ExecError, TraceSink};
 use t1000_workloads::{Scale, Workload};
 
 /// Worker-pool size: `T1000_THREADS` if set, else the machine's
-/// available parallelism.
-pub fn num_threads() -> usize {
-    if let Ok(v) = std::env::var("T1000_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
+/// available parallelism. A value that is not a thread count is an
+/// error, which `t1000 bench` and `t1000 serve` report before they start;
+/// [`execute_with`] falls back to the machine's parallelism.
+pub fn num_threads() -> Result<usize, String> {
+    match std::env::var("T1000_THREADS") {
+        Ok(v) => v
+            .parse::<usize>()
+            .map(|n| n.max(1))
+            .map_err(|_| format!("T1000_THREADS: `{v}` is not a thread count")),
+        Err(_) => Ok(available_threads()),
     }
+}
+
+fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -185,7 +189,8 @@ pub enum FailureCause {
     Simulate(String),
     /// Simulation fuel exhausted (`EngineConfig::max_cycles`).
     Timeout { max_cycles: u64 },
-    /// The engine's wall-clock watchdog expired before the cell started.
+    /// The deadline passed before the cell started (a `t1000 serve`
+    /// request's `deadline_ms`; see [`CellRunner::run_cell_isolated`]).
     WallClock,
     /// The simulated checksum diverges from the Rust reference.
     ChecksumMismatch { got: u64, expected: u64 },
@@ -222,7 +227,7 @@ impl std::fmt::Display for FailureCause {
             FailureCause::Timeout { max_cycles } => {
                 write!(f, "simulation fuel exhausted ({max_cycles} cycles)")
             }
-            FailureCause::WallClock => write!(f, "wall-clock watchdog expired"),
+            FailureCause::WallClock => write!(f, "deadline passed before the cell started"),
             FailureCause::ChecksumMismatch { got, expected } => write!(
                 f,
                 "checksum 0x{got:016x} diverges from reference 0x{expected:016x}"
@@ -267,21 +272,18 @@ pub enum CellOutcome {
 // ---------------------------------------------------------------------
 
 /// Knobs governing one engine invocation. `Default` is the clean path:
-/// no fuel limit, no wall-clock watchdog, no faults, no checkpoint.
+/// no fuel limit and no faults.
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
     /// Per-simulation cycle fuel (0 = unlimited). Threaded into
     /// `CpuConfig::max_cycles`; exhaustion fails the cell with
     /// [`FailureCause::Timeout`].
     pub max_cycles: u64,
-    /// Engine-level wall-clock watchdog: cells not yet started when the
-    /// deadline passes are marked [`FailureCause::WallClock`] and skipped.
-    pub wall_limit: Option<Duration>,
     /// Deterministic fault injection (see [`crate::fault`]).
     pub faults: FaultPlan,
     /// Zero the wall-clock seconds fields in [`EngineStats`] — and the
     /// per-cell `host_ns`/`sim_khz` measurements — so repeated runs
-    /// produce byte-identical artifacts (used by `--resume` tests).
+    /// produce byte-identical artifacts (the CI determinism digests).
     pub deterministic: bool,
     /// Disable the pipeline-memo replay fast path
     /// ([`t1000_cpu::CpuConfig::fast_path`], on by default) for every
@@ -289,12 +291,6 @@ pub struct EngineConfig {
     /// this knob exists to measure the accurate path's host throughput
     /// (`--no-fast-path`).
     pub no_fast_path: bool,
-    /// Append completed cells to this checkpoint file as they finish
-    /// (see [`crate::checkpoint`]).
-    pub checkpoint: Option<PathBuf>,
-    /// Restore completed cells from the checkpoint instead of
-    /// re-simulating them.
-    pub resume: bool,
 }
 
 // ---------------------------------------------------------------------
@@ -452,8 +448,6 @@ pub struct EngineStats {
     pub cells_deduped: usize,
     /// Cells that ended in [`CellOutcome::Failed`].
     pub failed_cells: usize,
-    /// Cells restored from a `--resume` checkpoint instead of simulated.
-    pub cells_restored: usize,
 }
 
 /// Everything one engine invocation produced.
@@ -502,18 +496,6 @@ impl EngineRun {
             .get(&(cell.workload, cell.extract, cell.selection))
             .map(|&i| &self.selections[i])
     }
-
-    /// Aborts with the failure table unless every cell completed. The
-    /// contract of the single-purpose sweep binaries, which have no
-    /// partial-output mode; `t1000 bench --all` reports failures
-    /// gracefully instead.
-    pub fn expect_healthy(&self, what: &str) -> &EngineRun {
-        if !self.failures.is_empty() {
-            eprint!("{}", crate::results::render_failures(&self.failures));
-            panic!("{what}: {} cell(s) failed", self.failures.len());
-        }
-        self
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -547,7 +529,7 @@ fn selection_keys(plan: &Plan) -> Vec<(&'static str, ExtractConfig, SelectionSpe
 
 /// [`execute`] with explicit robustness configuration.
 pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineRun {
-    let threads = num_threads();
+    let threads = num_threads().unwrap_or_else(|_| available_threads());
     let cells = plan.cells();
 
     // ---- Phase 1: prepare one session per (workload, extract). --------
@@ -614,35 +596,10 @@ pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineR
     }
     let select_secs = t0.elapsed().as_secs_f64();
 
-    // ---- Phase 3: simulate every cell, isolated and checkpointed. ------
+    // ---- Phase 3: simulate every cell, panic-isolated. -----------------
     let t0 = Instant::now();
-    let (restored, log) = match &config.checkpoint {
-        Some(path) => checkpoint::open(path, scale, config.resume, cells),
-        None => (HashMap::new(), None),
-    };
-    let checkpoint_writes = AtomicU32::new(0);
-    let deadline = config.wall_limit.map(|d| Instant::now() + d);
-
-    // Each completion appends one line to the checkpoint; restored cells
-    // are already in it.
-    let record_completed = |result: &CellResult| {
-        let Some(log) = &log else { return };
-        let write = checkpoint_writes.fetch_add(1, Ordering::Relaxed) + 1;
-        if config.faults.checkpoint_write_fails(write) {
-            eprintln!("[t1000-bench] injected checkpoint I/O failure (write {write}); continuing");
-        } else if let Err(e) = log.append(result) {
-            // A failed write loses resume granularity, never results.
-            eprintln!(
-                "[t1000-bench] checkpoint write failed: {e}; no further cells are checkpointed"
-            );
-        }
-    };
-
     let indexed: Vec<(usize, Cell)> = cells.iter().copied().enumerate().collect();
     let outcomes: Vec<CellOutcome> = parallel_map(&indexed, threads, |&(idx, cell)| {
-        if let Some(r) = restored.get(&cell) {
-            return CellOutcome::Completed(Box::new(r.clone()));
-        }
         let fail = |cause: FailureCause| CellOutcome::Failed(EngineError { cell, cause });
         let prepared = match &sessions[&(cell.workload, cell.extract)] {
             Ok(p) => p,
@@ -652,14 +609,11 @@ pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineR
         if let Some(cause) = selection_failures.get(&selection_key) {
             return fail(FailureCause::Selection(cause.to_string()));
         }
-        let result = run_once(deadline, || {
+        let result = run_once(None, || {
             simulate_cell(idx, cell, prepared, &selections, &selection_index, config)
         });
         match result {
-            Ok(result) => {
-                record_completed(&result);
-                CellOutcome::Completed(Box::new(result))
-            }
+            Ok(result) => CellOutcome::Completed(Box::new(result)),
             Err(cause) => fail(cause),
         }
     });
@@ -702,7 +656,6 @@ pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineR
         threads,
         cells_deduped: plan.deduped(),
         failed_cells: failures.len(),
-        cells_restored: restored.len(),
     };
     if config.deterministic {
         // Wall-clock is the only nondeterministic content in the
@@ -934,9 +887,9 @@ impl CellRunner {
     /// Simulates `cell` with a pre-resolved `selection` (`None` =
     /// baseline). This is the batch engine's entry point: the engine
     /// resolves selections in its select phase, so a simulation never
-    /// touches the memo cache and cache counters stay deterministic
-    /// under `--resume`. The canonical baseline cell reuses the
-    /// reference run when `opts` match the prepare-time options.
+    /// touches the memo cache and cache counters stay deterministic. The
+    /// canonical baseline cell reuses the reference run when `opts` match
+    /// the prepare-time options.
     pub fn run_cell_with(
         &self,
         cell: Cell,
@@ -1018,8 +971,9 @@ impl CellRunner {
 
     /// [`CellRunner::run_cell`] under the engine's robustness machinery:
     /// one attempt under `catch_unwind` panic isolation, after checking
-    /// an optional wall-clock deadline ([`FailureCause::WallClock`] when
-    /// it has passed). The daemon's per-request execution path.
+    /// an optional deadline ([`FailureCause::WallClock`] when it has
+    /// passed before the cell starts). The daemon's per-request execution
+    /// path.
     // The error carries the full cell key on purpose (callers report it
     // without keeping the request around); one per request, never hot.
     #[allow(clippy::result_large_err)]
@@ -1082,7 +1036,7 @@ impl CellRunner {
 }
 
 /// Runs a cell's simulation once under `catch_unwind` panic isolation,
-/// unless the wall-clock `deadline` has already passed.
+/// unless the `deadline` has already passed.
 fn run_once(
     deadline: Option<Instant>,
     simulate: impl FnOnce() -> Result<CellResult, FailureCause>,
@@ -1275,23 +1229,30 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_watchdog_skips_unstarted_cells() {
-        let mut plan = Plan::new();
-        plan.push(Cell::new(
+    fn run_cell_isolated_fails_a_passed_deadline_before_the_cell_starts() {
+        let opts = RunOptions::default();
+        let runner =
+            CellRunner::for_workload("gsm_dec", ExtractConfig::default(), Scale::Test, &opts)
+                .unwrap();
+        let cell = Cell::new(
             "gsm_dec",
             SelectionSpec::Greedy,
             MachineSpec::with_pfus(2, 10),
-        ));
-        let config = EngineConfig {
-            wall_limit: Some(Duration::ZERO),
-            ..EngineConfig::default()
+        );
+        // A deadline that has already passed refuses the cell unstarted.
+        let Err(e) = runner.run_cell_isolated(cell, &opts, Some(Instant::now())) else {
+            panic!("a passed deadline must refuse the cell");
         };
-        let run = execute_with(&plan, Scale::Test, &config);
-        assert!(run.cells.is_empty());
-        assert_eq!(run.stats.failed_cells, 2);
-        assert!(run
-            .failures
-            .iter()
-            .all(|e| e.cause == FailureCause::WallClock));
+        assert_eq!(e.cause, FailureCause::WallClock);
+        assert_eq!(e.cell, cell);
+        assert_eq!(
+            e.cause.to_string(),
+            "deadline passed before the cell started"
+        );
+        // Without a deadline the same cell completes and verifies.
+        let r = runner
+            .run_cell_isolated(cell, &opts, None)
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(r.checksum, runner.expected_checksum());
     }
 }

@@ -10,12 +10,10 @@
 //! |---|---|
 //! | `panic@N` | cell `N` (plan index) panics: panic isolation fails that cell alone |
 //! | `pfu@N` | every PFU configuration load in cell `N` fails → graceful scalar fallback |
-//! | `io@checkpoint` / `io@checkpointxK` | the first 2 (or `K`) checkpoint appends fail with a simulated I/O error; those cells' lines are skipped |
 //!
-//! The arms test panic isolation, the PFU scalar fallback and
-//! `--resume`.
+//! The arms test panic isolation and the PFU scalar fallback.
 //!
-//! Example: `--inject panic@3,pfu@6,io@checkpointx1`.
+//! Example: `--inject panic@3,pfu@6`.
 
 use std::collections::HashSet;
 
@@ -30,8 +28,6 @@ pub struct FaultPlan {
     cell_panics: HashSet<usize>,
     /// Cells whose PFU configuration loads all fail.
     pfu_faults: HashSet<usize>,
-    /// Leading checkpoint writes that fail.
-    checkpoint_fails: u32,
 }
 
 impl FaultPlan {
@@ -42,7 +38,7 @@ impl FaultPlan {
 
     /// Whether any fault is armed.
     pub fn is_empty(&self) -> bool {
-        self.cell_panics.is_empty() && self.pfu_faults.is_empty() && self.checkpoint_fails == 0
+        self.cell_panics.is_empty() && self.pfu_faults.is_empty()
     }
 
     /// Parses the `--inject` grammar (see the module docs).
@@ -64,23 +60,6 @@ impl FaultPlan {
                         .parse()
                         .map_err(|_| format!("bad pfu arm {arm:?}: expected pfu@N"))?;
                     plan.pfu_faults.insert(cell);
-                }
-                "io" => {
-                    let (site, count) = match target.split_once('x') {
-                        Some((site, k)) => {
-                            let k: u32 = k.parse().map_err(|_| {
-                                format!("bad io arm {arm:?}: expected io@checkpointxK")
-                            })?;
-                            (site, k)
-                        }
-                        None => (target, 2),
-                    };
-                    if site != "checkpoint" {
-                        return Err(format!(
-                            "bad io arm {arm:?}: unknown site {site:?} (expected checkpoint)"
-                        ));
-                    }
-                    plan.checkpoint_fails = count;
                 }
                 other => return Err(format!("unknown fault kind {other:?} in {arm:?}")),
             }
@@ -105,11 +84,6 @@ impl FaultPlan {
     pub fn pfu_fault(&self, idx: usize) -> bool {
         self.pfu_faults.contains(&idx)
     }
-
-    /// Whether checkpoint write number `write` (1-based) should fail.
-    pub fn checkpoint_write_fails(&self, write: u32) -> bool {
-        write <= self.checkpoint_fails
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +96,6 @@ mod tests {
         assert!(p.is_empty());
         assert!(!p.cell_panics(0));
         assert!(!p.pfu_fault(0));
-        assert!(!p.checkpoint_write_fails(1));
         assert!(FaultPlan::parse("").unwrap().is_empty());
     }
 
@@ -135,11 +108,12 @@ mod tests {
 
     #[test]
     fn pfu_and_io_arms_parse() {
-        let p = FaultPlan::parse("pfu@6,io@checkpointx1").unwrap();
+        let p = FaultPlan::parse("pfu@6").unwrap();
         assert!(p.pfu_fault(6) && !p.pfu_fault(5));
-        assert!(p.checkpoint_write_fails(1) && !p.checkpoint_write_fails(2));
-        let p = FaultPlan::parse("io@checkpoint").unwrap();
-        assert!(p.checkpoint_write_fails(2) && !p.checkpoint_write_fails(3));
+        assert!(!p.cell_panics(6));
+        // No operation takes I/O faults: `io` parses as an unknown kind.
+        let e = FaultPlan::parse("io@artifact").unwrap_err();
+        assert!(e.contains("unknown fault kind \"io\""), "{e}");
     }
 
     #[test]
@@ -158,6 +132,7 @@ mod tests {
             "panic@1x1",
             "io@artifact",
             "io@artifactx1",
+            "io@checkpoint",
             "pfu@",
             "abort@",
             "abort@x2",

@@ -4,18 +4,20 @@
 //! `t1000 bench --all --scale full [--json FILE]` runs the paper's cells
 //! once and prints Fig. 2, §4.1, Fig. 6, Fig. 7 and §5.2 as one report
 //! ([`results::render_markdown`]), with every measurement in the
-//! `BENCH_results.json` artifact. Each binary here prints one sweep the
-//! report does not carry:
+//! `BENCH_results.json` artifact. `t1000 bench --plan NAME` runs one of
+//! the sweeps the report does not carry ([`plan::NAMED_PLANS`]) through
+//! the same engine, artifact and validator, and prints it as a pivot
+//! table ([`results::render_pivot`]):
 //!
-//! | binary | artefact |
+//! | plan | sweep |
 //! |---|---|
-//! | `reconfig_sweep` | §5.2 — robustness up to 500-cycle reconfiguration |
-//! | `bitwidth_sweep` | ablation: candidate bitwidth threshold |
-//! | `ports_sweep` | ablation: PFU input-port budget |
-//! | `width_sweep` | ablation: machine issue width (1/2/4/8-wide) |
-//! | `pfu_policy_sweep` | ablation: PFU replacement policy (LRU/FIFO/random) |
-//! | `branch_sweep` | ablation: branch predictor (perfect/static/bimodal/gshare) |
-//! | `reload_sweep` | reload cost × prefetch depth × PFU count (config planes) |
+//! | `reconfig` | §5.2 — robustness up to 500-cycle reconfiguration |
+//! | `bitwidth` | ablation: candidate bitwidth threshold |
+//! | `ports` | ablation: PFU input-port budget |
+//! | `width` | ablation: machine issue width (1/2/4/8-wide) |
+//! | `branch` | ablation: branch predictor (perfect/static/bimodal/gshare) |
+//! | `pfu_policy` | ablation: PFU replacement policy (LRU/FIFO/random) |
+//! | `reload` | reload cost × prefetch depth × PFU count (config planes) |
 //!
 //! Run with `--release`; full-scale runs simulate millions of cycles.
 
@@ -23,7 +25,6 @@
 // not unwrap/expect panics. Tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod checkpoint;
 pub mod engine;
 pub mod fault;
 pub mod json;
@@ -31,19 +32,9 @@ pub mod plan;
 pub mod results;
 pub mod runstats;
 
-use std::time::Instant;
 use t1000_core::{Error, Selection, Session};
 use t1000_cpu::{CpuConfig, RunResult};
-use t1000_workloads::{Scale, Workload};
-
-/// Scale selection from the environment: `T1000_SCALE=test` switches the
-/// harness to small inputs (used by integration tests and CI smoke runs).
-pub fn scale_from_env() -> Scale {
-    match std::env::var("T1000_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        _ => Scale::Full,
-    }
-}
+use t1000_workloads::Workload;
 
 /// One benchmark's sessions and baseline run, shared across experiments.
 pub struct Prepared {
@@ -90,24 +81,4 @@ pub fn run_verified(p: &Prepared, sel: &Selection, cpu: CpuConfig) -> RunResult 
 /// >1 = faster), the y-axis of Figs. 2 and 6.
 pub fn speedup(p: &Prepared, run: &RunResult) -> f64 {
     p.baseline.timing.cycles as f64 / run.timing.cycles as f64
-}
-
-/// Simple wall-clock section timer for harness progress output.
-pub struct Timer(Instant, String);
-
-impl Timer {
-    pub fn start(label: &str) -> Timer {
-        eprintln!("[t1000-bench] {label}...");
-        Timer(Instant::now(), label.to_string())
-    }
-}
-
-impl Drop for Timer {
-    fn drop(&mut self) {
-        eprintln!(
-            "[t1000-bench] {} done in {:.1}s",
-            self.1,
-            self.0.elapsed().as_secs_f64()
-        );
-    }
 }

@@ -452,6 +452,201 @@ pub fn run_all_plan_with_strategies() -> Plan {
     plan
 }
 
+/// A cell counter a named plan shows beside each speedup.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Counter {
+    /// The branch predictor's hit rate.
+    BranchAccuracy,
+    /// PFU configuration loads.
+    Reconfigurations,
+    /// Reload cycles the config planes hid, and those left exposed as
+    /// stalls.
+    ReloadCycles,
+}
+
+/// A design-space sweep over one cell grid: every workload × row × column
+/// cell of [`NamedPlan::cell`]. `t1000 bench --plan NAME` runs it through
+/// the engine, artifact and validator `--all` uses.
+pub struct NamedPlan {
+    pub name: &'static str,
+    pub title: &'static str,
+    /// Row labels: the selections (for `reload`, selection × PFU count).
+    pub rows: &'static [&'static str],
+    /// Column labels: the swept axis.
+    pub cols: &'static [&'static str],
+    /// The cell at (workload, row index, column index).
+    pub cell: fn(&'static str, usize, usize) -> Cell,
+    /// The counter pivoted beside the speedup, if any.
+    pub counter: Option<Counter>,
+}
+
+impl NamedPlan {
+    /// Every cell of the grid, workload-major.
+    pub fn plan(&self) -> Plan {
+        let mut plan = Plan::new();
+        for w in workload_names() {
+            for row in 0..self.rows.len() {
+                for col in 0..self.cols.len() {
+                    plan.push((self.cell)(w, row, col));
+                }
+            }
+        }
+        plan
+    }
+}
+
+/// The named plan called `name`.
+pub fn named_plan(name: &str) -> Option<&'static NamedPlan> {
+    NAMED_PLANS.iter().find(|p| p.name == name)
+}
+
+/// The sweeps beyond the `--all` report, in the order `t1000 help` lists
+/// them.
+pub const NAMED_PLANS: &[NamedPlan] = &[
+    // §5.2: "we retain our excellent speedups even with reconfiguration
+    // times as high as 500 cycles"; greedy collapses instead.
+    NamedPlan {
+        name: "reconfig",
+        title: "§5.2 — reconfiguration-penalty sweep, 2 PFUs",
+        rows: &["selective(2)", "greedy"],
+        cols: &["0 cy", "10 cy", "50 cy", "100 cy", "250 cy", "500 cy"],
+        cell: |w, row, col| {
+            let selection = [SelectionSpec::selective_std(Some(2)), SelectionSpec::Greedy][row];
+            let penalty = [0, 10, 50, 100, 250, 500][col];
+            Cell::new(w, selection, MachineSpec::with_pfus(2, penalty))
+        },
+        counter: None,
+    },
+    // §4 fixes candidates at 18 bits, "a parameter that can be varied".
+    NamedPlan {
+        name: "bitwidth",
+        title: "Ablation — candidate bitwidth threshold, selective, 4 PFUs",
+        rows: &["selective(4)"],
+        cols: &["8b", "12b", "18b", "24b", "32b"],
+        cell: |w, _, col| Cell {
+            extract: ExtractConfig {
+                max_width: [8, 12, 18, 24, 32][col],
+                ..Default::default()
+            },
+            ..Cell::new(
+                w,
+                SelectionSpec::selective_std(Some(4)),
+                MachineSpec::with_pfus(4, 10),
+            )
+        },
+        counter: None,
+    },
+    // §1 limits sequences to two inputs for register-file ports; this is
+    // what the limit costs.
+    NamedPlan {
+        name: "ports",
+        title: "Ablation — PFU input ports, selective, 4 PFUs",
+        rows: &["selective(4)"],
+        cols: &["2-in", "3-in", "4-in"],
+        cell: |w, _, col| Cell {
+            extract: ExtractConfig {
+                max_inputs: [2, 3, 4][col],
+                ..Default::default()
+            },
+            ..Cell::new(
+                w,
+                SelectionSpec::selective_std(Some(4)),
+                MachineSpec::with_pfus(4, 10),
+            )
+        },
+        counter: None,
+    },
+    // §7: PFUs pay off differently on superscalar and simple machines.
+    // Each width is compared against an equally narrow baseline.
+    NamedPlan {
+        name: "width",
+        title: "Ablation — issue width, selective, 2 PFUs, 10-cy reconfig",
+        rows: &["selective(2)"],
+        cols: &["1-wide", "2-wide", "4-wide", "8-wide"],
+        cell: |w, _, col| {
+            let machine = MachineSpec {
+                issue_width: Some([1, 2, 4, 8][col]),
+                ..MachineSpec::with_pfus(2, 10)
+            };
+            Cell::new(w, SelectionSpec::selective_std(Some(2)), machine)
+        },
+        counter: None,
+    },
+    // §3.1 assumes perfect prediction. Each predictor is compared against
+    // a baseline with the same predictor.
+    NamedPlan {
+        name: "branch",
+        title: "Ablation — branch predictor, selective, 2 PFUs, 10-cy reconfig",
+        rows: &["selective(2)"],
+        cols: &["perfect", "static", "bimodal", "gshare"],
+        cell: |w, _, col| {
+            let branch = [
+                BranchModel::Perfect,
+                BranchModel::Static { penalty: 6 },
+                BranchModel::Bimodal {
+                    entries: 2048,
+                    penalty: 6,
+                },
+                BranchModel::Gshare {
+                    entries: 4096,
+                    penalty: 6,
+                },
+            ][col];
+            let machine = MachineSpec {
+                branch,
+                ..MachineSpec::with_pfus(2, 10)
+            };
+            Cell::new(w, SelectionSpec::selective_std(Some(2)), machine)
+        },
+        counter: Some(Counter::BranchAccuracy),
+    },
+    // §2.2 specifies LRU. Greedy at 2 PFUs is where replacement matters.
+    NamedPlan {
+        name: "pfu_policy",
+        title: "Ablation — PFU replacement policy, greedy, 2 PFUs, 10-cy reconfig",
+        rows: &["greedy"],
+        cols: &["lru", "fifo", "random"],
+        cell: |w, _, col| {
+            let replacement = [
+                PfuReplacement::Lru,
+                PfuReplacement::Fifo,
+                PfuReplacement::Random,
+            ][col];
+            let machine = MachineSpec {
+                replacement,
+                ..MachineSpec::with_pfus(2, 10)
+            };
+            Cell::new(w, SelectionSpec::Greedy, machine)
+        },
+        counter: Some(Counter::Reconfigurations),
+    },
+    // The config planes: prefetch depth 2 double-buffers, depth 0 is the
+    // paper's blocking machine.
+    NamedPlan {
+        name: "reload",
+        title: "Reload cost × prefetch depth × PFU count",
+        rows: &[
+            "greedy, 1 PFU",
+            "greedy, 2 PFUs",
+            "greedy, 4 PFUs",
+            "selective(2), 1 PFU",
+            "selective(2), 2 PFUs",
+            "selective(2), 4 PFUs",
+        ],
+        cols: &["10 cy", "10 cy, prefetch 2", "500 cy", "500 cy, prefetch 2"],
+        cell: |w, row, col| {
+            let selection = [SelectionSpec::Greedy, SelectionSpec::selective_std(Some(2))][row / 3];
+            let machine = MachineSpec::with_pfus([1, 2, 4][row % 3], [10, 500][col / 2]);
+            let machine = match col % 2 {
+                0 => machine,
+                _ => machine.config_plane(2, 2, 0.0),
+            };
+            Cell::new(w, selection, machine)
+        },
+        counter: Some(Counter::ReloadCycles),
+    },
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,6 +718,22 @@ mod tests {
             assert!(matches!(c.selection, SelectionSpec::Knapsack { .. }));
             assert_eq!(c.machine, MachineSpec::with_pfus(4, 10));
         }
+    }
+
+    #[test]
+    fn named_plans_are_distinct_grids_over_every_workload() {
+        let mut names = HashSet::new();
+        for named in NAMED_PLANS {
+            assert!(names.insert(named.name), "duplicate plan {}", named.name);
+            assert_eq!(named_plan(named.name).map(|n| n.title), Some(named.title));
+            // Every (row, column) label names its own cell: no grid point
+            // repeats another, so no label is a duplicate of another.
+            let plan = named.plan();
+            let grid = named.rows.len() * named.cols.len();
+            assert_eq!(plan.requested(), 8 * grid, "{}", named.name);
+            assert_eq!(plan.deduped(), 0, "{}", named.name);
+        }
+        assert!(named_plan("all").is_none());
     }
 
     #[test]

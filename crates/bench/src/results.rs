@@ -8,7 +8,7 @@
 
 use crate::engine::{CellResult, EngineError, EngineRun, SelectionRecord};
 use crate::json::Json;
-use crate::plan::{Cell, MachineSpec, SelectionSpec};
+use crate::plan::{Cell, Counter, MachineSpec, NamedPlan, SelectionSpec};
 use t1000_core::ExtractConfig;
 use t1000_cpu::{BranchModel, PfuCount, PfuReplacement};
 use t1000_workloads::Scale;
@@ -252,13 +252,12 @@ pub fn cell_result_json(c: &CellResult, speedup: Option<f64>) -> Json {
 }
 
 /// Parses a schema-v8 `cells[]` document back into a [`CellResult`] for
-/// `cell` — the inverse of [`cell_result_json`], used by `--resume` to
-/// restore the cell lines of a checkpoint. The caller supplies the
-/// expected [`Cell`] (the checkpoint keys each line by it), so only the
-/// measurement fields and the attribution are read; `speedup` is ignored
-/// (the resumed run recomputes it against its own baseline). Every
-/// numeric field round-trips exactly: integers are exact in the JSON
-/// layer and floats are printed shortest-round-trip.
+/// `cell` — the inverse of [`cell_result_json`], through which
+/// [`validate_artifact`] reads every artifact cell. The caller supplies
+/// the expected [`Cell`], so only the measurement fields and the
+/// attribution are read; `speedup` is ignored. Every numeric field
+/// round-trips exactly: integers are exact in the JSON layer and floats
+/// are printed shortest-round-trip.
 pub fn cell_result_from_json(doc: &Json, cell: Cell) -> Result<CellResult, String> {
     let u64f = |key: &str| -> Result<u64, String> {
         doc.get(key)
@@ -377,8 +376,11 @@ pub fn to_json(run: &EngineRun) -> Json {
 }
 
 fn failure_json(e: &EngineError) -> Json {
+    // The cell's key is its complete configuration (the `Debug` rendering
+    // embeds workload, extraction, selection and machine): two failures
+    // share a key exactly when they are the same simulation.
     Json::obj(vec![
-        ("cell", Json::Str(crate::checkpoint::cell_key(&e.cell))),
+        ("cell", Json::Str(format!("{:?}", e.cell))),
         ("workload", Json::Str(e.cell.workload.to_string())),
         ("cause", Json::Str(e.cause.kind().to_string())),
         ("detail", Json::Str(e.cause.to_string())),
@@ -481,7 +483,7 @@ pub fn validate_artifact(text: &str) -> Result<ArtifactSummary, String> {
         let (&label, &reference) = expected
             .get_key_value(name)
             .ok_or_else(|| format!("cell {i}: workload {name} not in workloads array"))?;
-        // Every counter parses through the checkpoint's cell parser (which
+        // Every counter parses through the cell-document parser (which
         // reads only the workload of the cell it is handed): u64 counters,
         // the fast-path block, and (schema v2) an attribution that
         // partitions the cell's cycles over the closed stall taxonomy.
@@ -576,9 +578,9 @@ fn split_expect(spec: &str) -> Vec<&str> {
 /// `Σ cycles / Σ host_secs / 1000` — is at least the given value; `0`
 /// holds for `--deterministic` artifacts, whose host time is zeroed),
 /// `schema=N` (the artifact's exact `schema_version`), and
-/// `pfu_prefetch_hits=N` (the config-plane prefetch hit count summed over
-/// all cells is at least `N` — the CI hook proving reconfiguration hiding
-/// actually engaged on a prefetch-enabled run).
+/// `pfu_prefetch_hits=N` / `pfu_hidden_reload_cycles=N` (that config-plane
+/// counter summed over all cells is at least `N` — the CI hook proving
+/// reconfiguration hiding actually engaged on a prefetch-enabled run).
 /// Returns the satisfied assertions for reporting; the first unmet or
 /// malformed assertion is the error.
 pub fn check_expectations(text: &str, spec: &str) -> Result<Vec<String>, String> {
@@ -679,31 +681,30 @@ pub fn check_expectations(text: &str, spec: &str) -> Result<Vec<String>, String>
                     return Err(format!("--expect schema={want}: artifact records {got}"));
                 }
             }
-            "pfu_prefetch_hits" => {
+            "pfu_prefetch_hits" | "pfu_hidden_reload_cycles" => {
                 let want: u64 = want
                     .parse()
                     .map_err(|_| format!("--expect {key}: `{want}` is not an integer"))?;
                 let cells = doc
                     .get("cells")
                     .and_then(Json::as_array)
-                    .ok_or("--expect pfu_prefetch_hits: artifact has no cells array")?;
+                    .ok_or_else(|| format!("--expect {key}: artifact has no cells array"))?;
                 let mut got = 0u64;
                 for (i, c) in cells.iter().enumerate() {
-                    got += c.get(key).and_then(Json::as_u64).ok_or_else(|| {
-                        format!("--expect pfu_prefetch_hits: cell {i}: bad {key}")
-                    })?;
+                    got += c
+                        .get(key)
+                        .and_then(Json::as_u64)
+                        .ok_or_else(|| format!("--expect {key}: cell {i}: bad {key}"))?;
                 }
                 if got < want {
-                    return Err(format!(
-                        "--expect pfu_prefetch_hits={want}: cells record only {got}"
-                    ));
+                    return Err(format!("--expect {key}={want}: cells record only {got}"));
                 }
             }
             other => {
                 return Err(format!(
                     "--expect: unknown key `{other}` \
                      (known: failed_cells, cells, workloads, scale, strategy, \
-                      total_sim_khz, schema, pfu_prefetch_hits)"
+                      total_sim_khz, schema, pfu_prefetch_hits, pfu_hidden_reload_cycles)"
                 ));
             }
         }
@@ -953,6 +954,87 @@ pub fn render_failures(failures: &[EngineError]) -> String {
     out
 }
 
+/// Renders a named plan's run: the speedup of every workload × row over
+/// the plan's columns, then a geomean row per row label. The plan's
+/// counter stands in parentheses beside each speedup, summed over the
+/// workloads in the geomean rows (averaged, for a rate). Failed cells
+/// render as `n/a`.
+pub fn render_pivot(run: &EngineRun, named: &NamedPlan) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let o = &mut out;
+    let _ = writeln!(o, "# {}", named.title);
+    let _ = writeln!(o);
+    let counter = match named.counter {
+        Some(Counter::BranchAccuracy) => "; branch accuracy in parentheses",
+        Some(Counter::Reconfigurations) => "; reconfigurations in parentheses",
+        Some(Counter::ReloadCycles) => "; reload cycles hidden/exposed in parentheses",
+        None => "",
+    };
+    let _ = writeln!(
+        o,
+        "Scale: {} | speedup over each cell's own baseline{counter}",
+        scale_str(run.scale)
+    );
+    let _ = writeln!(o);
+    let _ = writeln!(o, "| bench | selection | {} |", named.cols.join(" | "));
+    let _ = writeln!(o, "|---|---|{}", "---:|".repeat(named.cols.len()));
+    // One grid point over the workloads `over`: the speedup (a geomean
+    // over several workloads, exactly the cell's own for one) and the
+    // counter; `n/a` if any cell failed.
+    let entry = |over: &[&'static str], row: usize, col: usize| {
+        let Some(group) = over
+            .iter()
+            .map(|&w| {
+                let cell = (named.cell)(w, row, col);
+                Some((run.speedup(cell)?, run.cell(cell)?))
+            })
+            .collect::<Option<Vec<_>>>()
+        else {
+            return "n/a".to_string();
+        };
+        let speedup = match group.as_slice() {
+            [(s, _)] => *s,
+            _ => {
+                let log_sum: f64 = group.iter().map(|(s, _)| s.ln()).sum();
+                (log_sum / group.len() as f64).exp()
+            }
+        };
+        let sum = |f: fn(&CellResult) -> u64| group.iter().map(|(_, c)| f(c)).sum::<u64>();
+        match named.counter {
+            None => format!("{speedup:.3}"),
+            Some(Counter::BranchAccuracy) => {
+                let total: f64 = group.iter().map(|(_, c)| c.branch_accuracy).sum();
+                format!("{speedup:.3} ({:.1}%)", 100.0 * total / group.len() as f64)
+            }
+            Some(Counter::Reconfigurations) => {
+                format!("{speedup:.3} ({})", sum(|c| c.reconfigurations))
+            }
+            Some(Counter::ReloadCycles) => format!(
+                "{speedup:.3} ({}/{})",
+                sum(|c| c.pfu_hidden_reload_cycles),
+                sum(|c| c.pfu_exposed_reload_cycles)
+            ),
+        }
+    };
+    let line = |label: &str, over: &[&'static str], row: usize| {
+        let cols: Vec<String> = (0..named.cols.len())
+            .map(|col| entry(over, row, col))
+            .collect();
+        format!("| {label} | {} | {} |", named.rows[row], cols.join(" | "))
+    };
+    let names: Vec<&'static str> = run.workloads.iter().map(|w| w.name).collect();
+    for &w in &names {
+        for row in 0..named.rows.len() {
+            let _ = writeln!(o, "{}", line(w, &[w], row));
+        }
+    }
+    for row in 0..named.rows.len() {
+        let _ = writeln!(o, "{}", line("geomean", &names, row));
+    }
+    out
+}
+
 fn machine_label(m: &MachineSpec) -> String {
     match m.pfus {
         PfuCount::Fixed(n) => format!("{n} PFUs, {}cy", m.reconfig_cycles),
@@ -1063,10 +1145,10 @@ mod tests {
             &text,
             "scale=test,cells=3,workloads=1,failed_cells=0,\
              strategy=selective(pfus=2,threshold=0.005),schema=8,pfu_prefetch_hits=0,\
-             total_sim_khz=1",
+             pfu_hidden_reload_cycles=0,total_sim_khz=1",
         )
         .expect("all expectations hold");
-        assert_eq!(ok.len(), 8);
+        assert_eq!(ok.len(), 9);
         // The parenthesised strategy id survived the comma split.
         assert!(ok.contains(&"strategy=selective(pfus=2,threshold=0.005)".to_string()));
 
@@ -1078,6 +1160,7 @@ mod tests {
             // A default (prefetch-off) run records zero hits, so any
             // positive floor must fail.
             ("pfu_prefetch_hits=1", "record only 0"),
+            ("pfu_hidden_reload_cycles=1", "record only 0"),
             ("total_sim_khz=1e18", "aggregate rate"),
             ("shards=4", "unknown key"),
             // A cell runs once, so the artifact has no retry counter.
@@ -1091,11 +1174,11 @@ mod tests {
     }
 
     #[test]
-    fn cell_documents_round_trip_through_the_checkpoint_parser() {
+    fn cell_documents_round_trip_through_the_cell_parser() {
         let run = small_run();
         for c in &run.cells {
             let doc = cell_result_json(c, None);
-            let back = cell_result_from_json(&doc, c.cell).expect("checkpoint parse");
+            let back = cell_result_from_json(&doc, c.cell).expect("cell parse");
             // Re-rendering proves every field round-tripped exactly.
             assert_eq!(
                 cell_result_json(&back, None).to_string_compact(),

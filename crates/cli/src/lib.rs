@@ -81,14 +81,9 @@ const BENCH_VALUE_OPTS: &[&str] = &[
     "pfu-planes",
     "pfu-prefetch",
     "conf-compress",
+    "plan",
 ];
-const BENCH_FLAG_OPTS: &[&str] = &[
-    "all",
-    "resume",
-    "deterministic",
-    "strategies",
-    "no-fast-path",
-];
+const BENCH_FLAG_OPTS: &[&str] = &["all", "deterministic", "strategies", "no-fast-path"];
 pub(crate) const SERVE_VALUE_OPTS: &[&str] = &["socket", "workers", "queue"];
 pub(crate) const SERVE_FLAGS: &[&str] = &[];
 
@@ -125,9 +120,11 @@ fn usage() -> String {
      \x20 t1000 select  <file|bench:name> [--strategy greedy|selective|knapsack] [--pfus N]\n\
      \x20               [--greedy] [--threshold F] [--lut-budget N] [--reload-weight W] [--explain] [--scale test|full]\n\
      \x20 t1000 bench   <name> [--scale test|full] [--pfus N] [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
-     \x20 t1000 bench   --all [--scale test|full] [--json FILE] [--resume]\n\
+     \x20 t1000 bench   --all [--scale test|full] [--json FILE]\n\
      \x20               [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
      \x20               [--deterministic] [--inject PLAN] [--max-cycles N] [--strategies] [--no-fast-path]\n\
+     \x20 t1000 bench   --plan reconfig|bitwidth|ports|width|branch|pfu_policy|reload [--scale test|full]\n\
+     \x20               [--json FILE] [--deterministic] [--inject PLAN] [--max-cycles N] [--no-fast-path]\n\
      \x20 t1000 bench   --validate <BENCH_results.json> [--expect KEY=VALUE,...]\n\
      \x20 t1000 serve   [--socket PATH] [--workers N] [--queue N]  (JSON-RPC daemon; docs/SERVING.md)\n"
         .to_string()
@@ -567,17 +564,61 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
         return err("bench: --expect requires --validate FILE");
     }
     let (planes, prefetch, compress) = config_plane(&p)?;
+    if let Some(name) = p.get("plan") {
+        let named = t1000_bench::plan::named_plan(name).ok_or_else(|| {
+            let known: Vec<&str> = t1000_bench::plan::NAMED_PLANS
+                .iter()
+                .map(|n| n.name)
+                .collect();
+            CliError(format!(
+                "bench: unknown plan `{name}` (one of {})",
+                known.join(", ")
+            ))
+        })?;
+        if let Some(bench) = p.positional.first() {
+            return err(format!(
+                "bench: --plan runs every workload; it takes no benchmark name (got `{bench}`)"
+            ));
+        }
+        // The plan fixes its cells: an option that would reshape them is
+        // rejected, not dropped.
+        let fixed = [
+            "all",
+            "pfus",
+            "strategies",
+            "pfu-planes",
+            "pfu-prefetch",
+            "conf-compress",
+        ];
+        if let Some(opt) = p.given().find(|o| fixed.contains(o)) {
+            return err(format!("bench: --{opt} does not apply to --plan {name}"));
+        }
+        let config = engine_config(&p)?;
+        return run_plan(&named.plan(), scale, p.get("json"), &config, |run| {
+            t1000_bench::results::render_pivot(run, named)
+        });
+    }
     if p.flag("all") {
         if p.get("pfus").is_some() {
             return err("bench: --pfus sets one benchmark's PFU count; --all runs the paper's");
         }
+        let mut plan = if p.flag("strategies") {
+            t1000_bench::plan::run_all_plan_with_strategies()
+        } else {
+            t1000_bench::plan::run_all_plan()
+        };
+        // Default knobs keep the untouched plan object, so the artifact
+        // stays byte-identical to pre-v6 runs (cell order included).
+        if (planes, prefetch, compress) != (1, 0, 0.0) {
+            plan = plan.with_config_plane(planes, prefetch, compress);
+        }
         let config = engine_config(&p)?;
-        return bench_all(
+        return run_plan(
+            &plan,
             scale,
             p.get("json"),
             &config,
-            p.flag("strategies"),
-            (planes, prefetch, compress),
+            t1000_bench::results::render_markdown,
         );
     }
     for (opt, given) in [
@@ -590,12 +631,9 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
             return err(format!("bench: --{opt} requires --all"));
         }
     }
-    if p.flag("resume") {
-        return err("bench: --resume requires --all (and --json FILE for the checkpoint)");
-    }
     let [name] = p.positional.as_slice() else {
         return err(format!(
-            "bench: expected one benchmark name (one of {:?}), --all, or --validate FILE",
+            "bench: expected one benchmark name (one of {:?}), --all, --plan NAME, or --validate FILE",
             t1000_workloads::NAMES
         ));
     };
@@ -643,8 +681,7 @@ fn max_cycles(p: &Parsed) -> Result<u64, CliError> {
 }
 
 /// Assembles the engine's robustness configuration from CLI flags and
-/// their environment fallbacks (`T1000_INJECT`, `T1000_MAX_CYCLES`,
-/// `T1000_WALL_LIMIT_MS`).
+/// their environment fallbacks (`T1000_INJECT`, `T1000_MAX_CYCLES`).
 fn engine_config(p: &Parsed) -> Result<t1000_bench::engine::EngineConfig, CliError> {
     let faults = match p.get("inject") {
         Some(text) => t1000_bench::fault::FaultPlan::parse(text)
@@ -652,59 +689,32 @@ fn engine_config(p: &Parsed) -> Result<t1000_bench::engine::EngineConfig, CliErr
         None => t1000_bench::fault::FaultPlan::from_env()
             .map_err(|e| CliError(format!("T1000_INJECT: {e}")))?,
     };
-    let max_cycles = max_cycles(p)?;
-    let wall_limit = match std::env::var("T1000_WALL_LIMIT_MS") {
-        Ok(v) => Some(std::time::Duration::from_millis(v.parse::<u64>().map_err(
-            |_| CliError(format!("T1000_WALL_LIMIT_MS: `{v}` is not milliseconds")),
-        )?)),
-        Err(_) => None,
-    };
     Ok(t1000_bench::engine::EngineConfig {
-        max_cycles,
-        wall_limit,
+        max_cycles: max_cycles(p)?,
         faults,
         deterministic: p.flag("deterministic"),
         no_fast_path: p.flag("no-fast-path"),
-        resume: p.flag("resume"),
-        // The checkpoint path is wired in bench_all once --json is known.
-        ..Default::default()
     })
 }
 
-/// `bench --all`: the full experiment suite through the shared engine,
-/// optionally writing the `BENCH_results.json` artifact. Cells that fail
-/// are tabulated and the command exits nonzero; completed cells are
-/// checkpointed next to the artifact so `--resume` can pick them up.
-fn bench_all(
+/// `bench --all` and `bench --plan NAME`: runs `plan` through the shared
+/// engine, optionally writing the `BENCH_results.json` artifact, and
+/// prints `render`'s report. Cells that fail are tabulated and the
+/// command exits nonzero.
+fn run_plan(
+    plan: &t1000_bench::plan::Plan,
     scale: t1000_workloads::Scale,
     json: Option<&str>,
     config: &t1000_bench::engine::EngineConfig,
-    strategies: bool,
-    (planes, prefetch, compress): (u32, u32, f64),
+    render: impl FnOnce(&t1000_bench::engine::EngineRun) -> String,
 ) -> Result<String, CliError> {
-    let mut config = config.clone();
-    let checkpoint = json.map(|path| std::path::PathBuf::from(format!("{path}.partial")));
-    if config.resume && checkpoint.is_none() {
-        return err("bench: --resume needs --json FILE (the checkpoint lives at FILE.partial)");
-    }
-    config.checkpoint = checkpoint.clone();
-
-    let mut plan = if strategies {
-        t1000_bench::plan::run_all_plan_with_strategies()
-    } else {
-        t1000_bench::plan::run_all_plan()
-    };
-    // Default knobs keep the untouched plan object, so the artifact stays
-    // byte-identical to pre-v6 runs (cell order included).
-    if (planes, prefetch, compress) != (1, 0, 0.0) {
-        plan = plan.with_config_plane(planes, prefetch, compress);
-    }
-    let run = t1000_bench::engine::execute_with(&plan, scale, &config);
+    t1000_bench::engine::num_threads().map_err(CliError)?;
+    let run = t1000_bench::engine::execute_with(plan, scale, config);
     if let Some(path) = json {
         t1000_bench::results::write_json(&run, std::path::Path::new(path))
             .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
     }
-    let mut out = t1000_bench::results::render_markdown(&run);
+    let mut out = render(&run);
     let s = &run.stats;
     writeln!(out).unwrap();
     writeln!(
@@ -713,14 +723,6 @@ fn bench_all(
         s.cells_requested, s.cells_simulated, s.cells_deduped, s.selection_jobs, s.threads
     )
     .unwrap();
-    if s.cells_restored > 0 {
-        writeln!(
-            out,
-            "Resume: {} cell(s) restored from checkpoint.",
-            s.cells_restored
-        )
-        .unwrap();
-    }
     if let Some(path) = json {
         writeln!(
             out,
@@ -730,11 +732,6 @@ fn bench_all(
         .unwrap();
     }
     if run.failures.is_empty() {
-        // Healthy run: the artifact is complete, so the checkpoint is
-        // dead weight.
-        if let Some(cp) = &checkpoint {
-            let _ = std::fs::remove_file(cp);
-        }
         Ok(out)
     } else {
         // The artifact (if any) records the failures; print everything we
@@ -839,9 +836,11 @@ usage:\n\
 \x20 t1000 select  <file|bench:name> [--strategy greedy|selective|knapsack] [--pfus N]\n\
 \x20               [--greedy] [--threshold F] [--lut-budget N] [--reload-weight W] [--explain] [--scale test|full]\n\
 \x20 t1000 bench   <name> [--scale test|full] [--pfus N] [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
-\x20 t1000 bench   --all [--scale test|full] [--json FILE] [--resume]\n\
+\x20 t1000 bench   --all [--scale test|full] [--json FILE]\n\
 \x20               [--pfu-planes 1|2] [--pfu-prefetch N] [--conf-compress R]\n\
 \x20               [--deterministic] [--inject PLAN] [--max-cycles N] [--strategies] [--no-fast-path]\n\
+\x20 t1000 bench   --plan reconfig|bitwidth|ports|width|branch|pfu_policy|reload [--scale test|full]\n\
+\x20               [--json FILE] [--deterministic] [--inject PLAN] [--max-cycles N] [--no-fast-path]\n\
 \x20 t1000 bench   --validate <BENCH_results.json> [--expect KEY=VALUE,...]\n\
 \x20 t1000 serve   [--socket PATH] [--workers N] [--queue N]  (JSON-RPC daemon; docs/SERVING.md)\n";
         assert_eq!(run(&s(&["--help"])).unwrap(), golden);
@@ -873,6 +872,14 @@ usage:\n\
                 );
             }
         }
+        let names: Vec<&str> = t1000_bench::plan::NAMED_PLANS
+            .iter()
+            .map(|n| n.name)
+            .collect();
+        assert!(
+            usage.contains(&format!("--plan {} ", names.join("|"))),
+            "usage() must list the named plans {names:?}"
+        );
     }
 
     #[test]
@@ -1043,7 +1050,6 @@ usage:\n\
             "missing failure record"
         );
         let _ = std::fs::remove_file(&json);
-        let _ = std::fs::remove_file(format!("{json}.partial"));
     }
 
     #[test]
@@ -1086,7 +1092,6 @@ usage:\n\
         let e = run(&s(&["bench", "--all", "--expect", "failed_cells=0"])).unwrap_err();
         assert!(e.0.contains("--expect requires --validate"), "{}", e.0);
         let _ = std::fs::remove_file(&json);
-        let _ = std::fs::remove_file(format!("{json}.partial"));
     }
 
     #[test]
@@ -1113,9 +1118,6 @@ usage:\n\
         assert!(e.0.contains("--inject"), "{}", e.0);
         let e = run(&s(&["bench", "--all", "--max-cycles", "lots"])).unwrap_err();
         assert!(e.0.contains("--max-cycles"), "{}", e.0);
-        // --resume without --all (or without --json) has no checkpoint.
-        assert!(run(&s(&["bench", "g721_enc", "--resume"])).is_err());
-        assert!(run(&s(&["bench", "--all", "--resume"])).is_err());
         // Options one mode would ignore are rejected, not dropped.
         let e = run(&s(&["bench", "--all", "--pfus", "4"])).unwrap_err();
         assert!(e.0.contains("--pfus"), "{}", e.0);
@@ -1141,7 +1143,7 @@ usage:\n\
             &["--all"],
             &["--strategies"],
             &["--deterministic"],
-            &["--resume"],
+            &["--plan", "reload"],
             &["--inject", "boom"],
             &["--scale", "full"],
         ] {
@@ -1161,6 +1163,45 @@ usage:\n\
         assert!(e.0.contains("fuel exhausted (100 cycles)"), "{}", e.0);
         let e = run(&s(&["bench", "g721_enc", "--max-cycles", "lots"])).unwrap_err();
         assert!(e.0.contains("--max-cycles"), "{}", e.0);
+    }
+
+    #[test]
+    fn bench_plan_rejects_what_the_plan_fixes() {
+        // An unknown plan names every known one.
+        let e = run(&s(&["bench", "--plan", "warp"])).unwrap_err();
+        assert!(e.0.contains("unknown plan `warp`"), "{}", e.0);
+        for named in t1000_bench::plan::NAMED_PLANS {
+            assert!(
+                e.0.contains(named.name),
+                "{} missing from: {}",
+                named.name,
+                e.0
+            );
+        }
+        // A plan fixes its cells: options that reshape them are refused.
+        for extra in [
+            &["--strategies"][..],
+            &["--pfus", "4"],
+            &["--pfu-planes", "2"],
+            &["--pfu-prefetch", "2"],
+            &["--conf-compress", "0.5"],
+            &["--all"],
+        ] {
+            let mut args = vec!["bench", "--plan", "reload"];
+            args.extend(extra);
+            let e = run(&s(&args)).unwrap_err();
+            assert!(
+                e.0.contains(&format!("{} does not apply to --plan reload", extra[0])),
+                "{}",
+                e.0
+            );
+        }
+        let e = run(&s(&["bench", "g721_enc", "--plan", "branch"])).unwrap_err();
+        assert!(
+            e.0.contains("takes no benchmark name (got `g721_enc`)"),
+            "{}",
+            e.0
+        );
     }
 
     #[test]

@@ -939,7 +939,7 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let workers = match p.get_u32("workers")? {
         Some(0) => return Err(CliError("serve: --workers must be at least 1".to_string())),
         Some(n) => n as usize,
-        None => t1000_bench::engine::num_threads(),
+        None => t1000_bench::engine::num_threads().map_err(CliError)?,
     };
     let queue_capacity = match p.get_u32("queue")? {
         Some(0) => return Err(CliError("serve: --queue must be at least 1".to_string())),

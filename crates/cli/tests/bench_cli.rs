@@ -1,12 +1,11 @@
-//! End-to-end tests of `t1000 bench --all` through the real binary: an
-//! interrupted run leaves its `FILE.partial` checkpoint, the resumed run
-//! reproduces the uninterrupted artifact byte-for-byte, and a healthy
-//! exit deletes the checkpoint; and `t1000 run --stats-json` records the
+//! End-to-end tests of `t1000 bench` through the real binary: every named
+//! plan writes an artifact the validator accepts, a malformed
+//! `T1000_THREADS` is refused, and `t1000 run --stats-json` records the
 //! artifact's own cell documents.
 
-use std::path::Path;
 use std::process::Command;
 use t1000_bench::json::Json;
+use t1000_bench::results::validate_artifact;
 
 fn tmp(name: &str) -> String {
     std::env::temp_dir()
@@ -15,21 +14,12 @@ fn tmp(name: &str) -> String {
         .into_owned()
 }
 
-/// Runs `t1000 bench --all --scale test --deterministic --json <path>`
-/// with `extra` appended; returns (success, stdout+stderr).
-fn bench_all(path: &str, extra: &[&str]) -> (bool, String) {
-    let mut args = vec![
-        "bench",
-        "--all",
-        "--scale",
-        "test",
-        "--deterministic",
-        "--json",
-        path,
-    ];
-    args.extend_from_slice(extra);
+/// Runs `t1000 bench --all --scale test --deterministic --json <path>`;
+/// returns (success, stdout+stderr).
+fn bench_all(path: &str) -> (bool, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_t1000"))
-        .args(&args)
+        .args(["bench", "--all", "--scale", "test", "--deterministic"])
+        .args(["--json", path])
         .output()
         .expect("run bench");
     let text = format!(
@@ -45,39 +35,61 @@ fn read(path: &str) -> String {
 }
 
 #[test]
-fn resume_skips_checkpointed_cells_and_reproduces_the_artifact() {
-    let clean = tmp("clean.json");
-    let (ok, log) = bench_all(&clean, &[]);
-    assert!(ok, "clean run failed:\n{log}");
-    assert!(
-        !Path::new(&format!("{clean}.partial")).exists(),
-        "a healthy run must delete its checkpoint"
-    );
+fn every_named_plan_writes_a_validating_artifact() {
+    // `reload` is the costliest plan; tests/config_plane.rs runs it once
+    // through the library and validates its artifact there.
+    for named in t1000_bench::plan::NAMED_PLANS {
+        if named.name == "reload" {
+            continue;
+        }
+        let path = tmp(&format!("plan_{}.json", named.name));
+        let out = Command::new(env!("CARGO_BIN_EXE_t1000"))
+            .args(["bench", "--plan", named.name, "--scale", "test"])
+            .args(["--deterministic", "--json", &path])
+            .output()
+            .expect("run bench --plan");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "--plan {}: {out:?}", named.name);
+        let summary = validate_artifact(&read(&path))
+            .unwrap_or_else(|e| panic!("--plan {}: {e}", named.name));
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(summary.failed_cells, 0, "--plan {}", named.name);
+        // The pivot: the title, one line per workload × row and a geomean
+        // line per row.
+        assert!(
+            stdout.starts_with(&format!("# {}\n", named.title)),
+            "{stdout}"
+        );
+        let lines = stdout.lines().filter(|l| l.starts_with("| ")).count();
+        assert_eq!(
+            lines,
+            1 + (summary.workloads + 1) * named.rows.len(),
+            "{stdout}"
+        );
+        for row in named.rows {
+            assert!(
+                stdout.contains(&format!("| geomean | {row} | ")),
+                "{stdout}"
+            );
+        }
+    }
+}
 
-    // Interrupted run: cell 2 panics, so the command exits nonzero but
-    // leaves every other cell in the checkpoint.
-    let path = tmp("resume.json");
-    let partial = format!("{path}.partial");
-    let (ok, log) = bench_all(&path, &["--inject", "panic@2"]);
-    assert!(!ok, "injected run should report the failure:\n{log}");
-    assert!(
-        Path::new(&partial).exists(),
-        "interrupted run must leave its checkpoint"
-    );
-
-    let (ok, log) = bench_all(&path, &["--resume"]);
-    assert!(ok, "resumed run failed:\n{log}");
-    assert!(
-        log.contains("cell(s) restored from checkpoint"),
-        "resume restored nothing:\n{log}"
-    );
-    assert_eq!(read(&path), read(&clean), "resumed artifact diverges");
-    assert!(
-        !Path::new(&partial).exists(),
-        "a healthy resumed run must delete its checkpoint"
-    );
-    for p in [clean, path] {
-        let _ = std::fs::remove_file(p);
+#[test]
+fn a_malformed_thread_count_is_refused() {
+    for args in [&["bench", "--all", "--deterministic"][..], &["serve"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_t1000"))
+            .args(args)
+            .env("T1000_THREADS", "two")
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("run t1000");
+        assert!(!out.status.success(), "{args:?} accepted T1000_THREADS=two");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("T1000_THREADS: `two` is not a thread count"),
+            "{args:?}: {stderr}"
+        );
     }
 }
 
@@ -94,7 +106,7 @@ fn strip_timing(cell: &Json) -> Json {
 #[test]
 fn run_stats_cells_equal_the_artifact_cells() {
     let artifact = tmp("cells.json");
-    let (ok, log) = bench_all(&artifact, &[]);
+    let (ok, log) = bench_all(&artifact);
     assert!(ok, "bench --all failed:\n{log}");
     let doc = Json::parse(&read(&artifact)).expect("artifact JSON");
     let _ = std::fs::remove_file(&artifact);

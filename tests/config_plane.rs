@@ -11,6 +11,9 @@
 //! every new counter (except the stream-size tally) zero.
 
 use proptest::prelude::*;
+use t1000_bench::engine::{execute_with, EngineConfig};
+use t1000_bench::plan::{named_plan, SelectionSpec};
+use t1000_bench::results::{to_json, validate_artifact};
 use t1000_core::{SelectConfig, Session};
 use t1000_cpu::{AttrCollector, CpuConfig};
 use t1000_workloads::{all, Scale};
@@ -50,6 +53,34 @@ fn fused_cfg(pfus: usize, planes: u32, prefetch: u32, compress: f64) -> CpuConfi
     cfg.pfu_prefetch = prefetch;
     cfg.conf_compress = compress;
     cfg
+}
+
+/// The `reload` plan (`t1000 bench --plan reload`): its artifact validates
+/// and the config planes hide reload traffic. Greedy reloads the most, so
+/// its prefetch-enabled cells are the witness that the model is not inert.
+#[test]
+fn reload_plan_validates_and_greedy_prefetch_hides_reload_cycles() {
+    let reload = named_plan("reload").expect("reload plan");
+    let run = execute_with(
+        &reload.plan(),
+        Scale::Test,
+        &EngineConfig {
+            deterministic: true,
+            ..EngineConfig::default()
+        },
+    );
+    let summary = validate_artifact(&to_json(&run).to_string_pretty()).expect("valid artifact");
+    assert_eq!(summary.failed_cells, 0, "{:?}", run.failures);
+    let greedy_hidden: u64 = run
+        .cells
+        .iter()
+        .filter(|c| c.cell.selection == SelectionSpec::Greedy && c.cell.machine.pfu_prefetch > 0)
+        .map(|c| c.pfu_hidden_reload_cycles)
+        .sum();
+    assert!(
+        greedy_hidden > 0,
+        "prefetch-enabled greedy cells hid no reload cycles: the config-plane model is inert"
+    );
 }
 
 /// Golden: the default knobs reproduce the pre-refactor blocking-load

@@ -1,13 +1,10 @@
-//! Fault-tolerance integration tests: panic isolation, watchdog fuel, checkpoint/resume byte-identity, and the PFU-fault
-//! graceful-degradation property.
+//! Fault-tolerance integration tests: panic isolation, cycle fuel, and the
+//! PFU-fault graceful-degradation property.
 
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
-use t1000_bench::checkpoint::{self, CHECKPOINT_SCHEMA};
-use t1000_bench::engine::{execute_with, EngineConfig, EngineRun, FailureCause};
+use t1000_bench::engine::{execute_with, EngineConfig, FailureCause};
 use t1000_bench::fault::FaultPlan;
 use t1000_bench::plan::{Cell, MachineSpec, Plan, SelectionSpec};
-use t1000_bench::results;
 use t1000_core::{SelectConfig, Session};
 use t1000_cpu::CpuConfig;
 use t1000_workloads::Scale;
@@ -110,183 +107,6 @@ fn degraded_cells_fall_back_to_scalar_and_still_verify() {
             assert_eq!(d.cycles, c.cycles, "{:?}", c.cell);
         }
     }
-}
-
-#[test]
-fn resume_after_interrupted_run_reproduces_artifact_bytes() {
-    let dir = std::env::temp_dir();
-    let checkpoint = dir.join(format!("t1000_resume_test_{}.partial", std::process::id()));
-    let _ = std::fs::remove_file(&checkpoint);
-    let plan = small_plan();
-
-    // Reference: an uninterrupted deterministic run.
-    let clean = execute_with(&plan, Scale::Test, &config(""));
-    let clean_bytes = results::to_json(&clean).to_string_pretty();
-
-    // Interrupted run: one cell poisoned, completed cells checkpointed.
-    let mut cfg = config("panic@2");
-    cfg.checkpoint = Some(checkpoint.clone());
-    let partial = execute_with(&plan, Scale::Test, &cfg);
-    assert_eq!(partial.failures.len(), 1);
-    assert!(checkpoint.exists(), "checkpoint must have been flushed");
-
-    // Resume without the fault: the missing cell is simulated, the rest
-    // restored, and the artifact is byte-identical to the clean run.
-    let mut cfg = config("");
-    cfg.checkpoint = Some(checkpoint.clone());
-    cfg.resume = true;
-    let resumed = execute_with(&plan, Scale::Test, &cfg);
-    assert!(resumed.failures.is_empty(), "{:?}", resumed.failures);
-    assert_eq!(
-        resumed.stats.cells_restored,
-        plan.cells().len() - 1,
-        "all checkpointed cells must restore"
-    );
-    let resumed_bytes = results::to_json(&resumed).to_string_pretty();
-    assert_eq!(resumed_bytes, clean_bytes, "resume must be byte-identical");
-    let _ = std::fs::remove_file(&checkpoint);
-}
-
-#[test]
-fn mismatched_checkpoints_are_rejected_not_misapplied() {
-    // A checkpoint from another scale (or a torn/corrupt file) must fail
-    // loading; the engine then falls back to a full re-run.
-    let doc = format!(
-        "{{\"kind\":\"t1000.bench-checkpoint\",\"schema_version\":{CHECKPOINT_SCHEMA},\
-         \"scale\":\"full\"}}\n"
-    );
-    assert!(checkpoint::parse(&doc, Scale::Test)
-        .unwrap_err()
-        .contains("scale"));
-    assert!(checkpoint::parse("{\n", Scale::Test).is_err());
-    assert!(checkpoint::parse("{}\n", Scale::Test)
-        .unwrap_err()
-        .contains("kind"));
-}
-
-fn temp_checkpoint(name: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "t1000_checkpoint_{}_{name}.partial",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
-    path
-}
-
-/// Runs `plan` with `inject` armed and its checkpoint at `path`.
-fn checkpointed(plan: &Plan, path: &Path, inject: &str, resume: bool) -> EngineRun {
-    let mut cfg = config(inject);
-    cfg.checkpoint = Some(path.to_path_buf());
-    cfg.resume = resume;
-    execute_with(plan, Scale::Test, &cfg)
-}
-
-fn read(path: &Path) -> String {
-    std::fs::read_to_string(path).expect("checkpoint readable")
-}
-
-/// Asserts the checkpoint at `path` is a header plus exactly one line
-/// per cell of `plan`.
-fn assert_whole(path: &Path, plan: &Plan, what: &str) {
-    let text = read(path);
-    assert!(text.ends_with('\n'), "{what}: torn final line");
-    assert_eq!(text.lines().count(), plan.cells().len() + 1, "{what}");
-    let restored = checkpoint::parse(&text, Scale::Test)
-        .and_then(|cp| cp.restore(plan.cells()))
-        .unwrap_or_else(|e| panic!("{what}: {e}"));
-    assert_eq!(restored.len(), plan.cells().len(), "{what}");
-}
-
-#[test]
-fn torn_final_line_is_dropped_and_truncated_before_appending() {
-    let path = temp_checkpoint("torn");
-    let plan = small_plan();
-    let total = plan.cells().len();
-    let clean_bytes =
-        results::to_json(&execute_with(&plan, Scale::Test, &config(""))).to_string_pretty();
-
-    // Interrupted run, then a kill mid-append: the last line loses its
-    // newline and the end of its document.
-    checkpointed(&plan, &path, "panic@2", false);
-    let text = read(&path);
-    std::fs::write(&path, &text[..text.len() - 20]).unwrap();
-    let loaded = checkpoint::parse(&read(&path), Scale::Test).expect("torn tail is dropped");
-    assert_eq!(loaded.restore(plan.cells()).unwrap().len(), total - 2);
-
-    // The torn cell is simulated again, the artifact is byte-identical,
-    // and the appended lines start on a clean line boundary.
-    let resumed = checkpointed(&plan, &path, "", true);
-    assert!(resumed.failures.is_empty(), "{:?}", resumed.failures);
-    assert_eq!(resumed.stats.cells_restored, total - 2);
-    assert_eq!(results::to_json(&resumed).to_string_pretty(), clean_bytes);
-    assert_whole(&path, &plan, "after resume");
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn corrupt_checkpoints_are_rejected_whole_and_replaced() {
-    let path = temp_checkpoint("corrupt");
-    let plan = small_plan();
-    let clean_bytes =
-        results::to_json(&execute_with(&plan, Scale::Test, &config(""))).to_string_pretty();
-    checkpointed(&plan, &path, "panic@2", false);
-    let good = read(&path);
-    let first_cell = good.lines().nth(1).unwrap();
-
-    let unparseable = format!("{good}{{\"key\": oops\n");
-    let duplicate = format!("{good}{first_cell}\n");
-    assert!(checkpoint::parse(&unparseable, Scale::Test)
-        .unwrap_err()
-        .contains("line"));
-    assert!(checkpoint::parse(&duplicate, Scale::Test)
-        .unwrap_err()
-        .contains("duplicate key"));
-    let cases = [
-        ("unparseable line", unparseable),
-        ("duplicate key", duplicate),
-        (
-            "unrestorable cell document",
-            good.replacen("\"cycles\":", "\"cycels\":", 1),
-        ),
-        (
-            "old whole-file layout",
-            "{\n  \"schema_version\": 3,\n  \"kind\": \"t1000.bench-checkpoint\",\n  \
-             \"scale\": \"test\",\n  \"cells\": []\n}\n"
-                .to_string(),
-        ),
-    ];
-    for (what, text) in cases {
-        std::fs::write(&path, text).unwrap();
-        // Nothing is restored: the whole plan runs again into a fresh file.
-        let resumed = checkpointed(&plan, &path, "", true);
-        assert!(
-            resumed.failures.is_empty(),
-            "{what}: {:?}",
-            resumed.failures
-        );
-        assert_eq!(resumed.stats.cells_restored, 0, "{what}");
-        assert_eq!(
-            results::to_json(&resumed).to_string_pretty(),
-            clean_bytes,
-            "{what}"
-        );
-        assert_whole(&path, &plan, what);
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn fresh_runs_start_a_new_checkpoint_file() {
-    // Without --resume, even a valid checkpoint is replaced, not
-    // appended to (appending would duplicate every key).
-    let path = temp_checkpoint("fresh");
-    let plan = small_plan();
-    checkpointed(&plan, &path, "panic@2", false);
-    let run = checkpointed(&plan, &path, "", false);
-    assert!(run.failures.is_empty(), "{:?}", run.failures);
-    assert_eq!(run.stats.cells_restored, 0);
-    assert_whole(&path, &plan, "fresh run");
-    let _ = std::fs::remove_file(&path);
 }
 
 /// Random loop body over narrow ALU ops (same shape as prop_fusion.rs).
