@@ -31,6 +31,7 @@ pub mod json;
 pub mod plan;
 pub mod results;
 pub mod runstats;
+pub mod spec;
 
 use t1000_core::{Error, Selection, Session};
 use t1000_cpu::{CpuConfig, RunResult};

@@ -42,31 +42,13 @@ pub enum SelectionSpec {
 }
 
 impl SelectionSpec {
-    /// Selective spec from a plain threshold.
-    pub fn selective(pfus: Option<usize>, gain_threshold: f64) -> SelectionSpec {
-        SelectionSpec::Selective {
-            pfus,
-            gain_threshold_bits: gain_threshold.to_bits(),
-            reload_weight_bits: 0,
-        }
-    }
-
-    /// Selective spec with the §5.3 reload-traffic charge.
-    pub fn selective_reload(
-        pfus: Option<usize>,
-        gain_threshold: f64,
-        reload_weight: f64,
-    ) -> SelectionSpec {
-        SelectionSpec::Selective {
-            pfus,
-            gain_threshold_bits: gain_threshold.to_bits(),
-            reload_weight_bits: reload_weight.to_bits(),
-        }
-    }
-
     /// The paper's standard selective configuration (0.5 % gain threshold).
     pub fn selective_std(pfus: Option<usize>) -> SelectionSpec {
-        SelectionSpec::selective(pfus, 0.005)
+        SelectionSpec::Selective {
+            pfus,
+            gain_threshold_bits: 0.005f64.to_bits(),
+            reload_weight_bits: 0,
+        }
     }
 
     /// Knapsack spec for a total-LUT budget.
@@ -116,29 +98,13 @@ impl SelectionSpec {
     /// The `SelectConfig` to hand to the selector (`None` for baseline
     /// and greedy specs).
     pub fn select_config(&self) -> Option<SelectConfig> {
-        match *self {
-            SelectionSpec::Selective {
-                pfus,
-                gain_threshold_bits,
-                reload_weight_bits,
-            } => Some(SelectConfig {
-                pfus,
-                gain_threshold: f64::from_bits(gain_threshold_bits),
-                reload_weight: f64::from_bits(reload_weight_bits),
-            }),
-            _ => None,
-        }
+        self.strategy_spec()?.select_config()
     }
 
     /// Short name used in reports and JSON
     /// (`baseline`/`greedy`/`selective`/`knapsack`).
     pub fn algorithm(&self) -> &'static str {
-        match self {
-            SelectionSpec::Baseline => "baseline",
-            SelectionSpec::Greedy => "greedy",
-            SelectionSpec::Selective { .. } => "selective",
-            SelectionSpec::Knapsack { .. } => "knapsack",
-        }
+        self.strategy_spec().map_or("baseline", |s| s.algorithm())
     }
 }
 
@@ -348,12 +314,19 @@ impl Plan {
         self.deduped
     }
 
-    /// This plan with every PFU-bearing machine rewritten to carry the
-    /// reconfiguration-hiding knobs (`t1000 bench --pfu-planes` /
-    /// `--pfu-prefetch` / `--conf-compress`). Baseline (0-PFU) machines
+    /// This plan with every PFU-bearing machine carrying the
+    /// reconfiguration-hiding knobs of `knobs` (`t1000 bench --pfu-planes`
+    /// / `--pfu-prefetch` / `--conf-compress`). Baseline (0-PFU) machines
     /// are left untouched — each rewritten cell re-implies the same
     /// normaliser, so speedups stay comparable to the default artifact.
-    pub fn with_config_plane(&self, planes: u32, prefetch: u32, conf_compress: f64) -> Plan {
+    /// Default knobs keep the plan itself, so its artifact stays
+    /// byte-identical (cell order included).
+    pub fn with_config_plane(self, knobs: &MachineSpec) -> Plan {
+        let (planes, prefetch) = (knobs.pfu_planes, knobs.pfu_prefetch);
+        if (planes, prefetch, knobs.conf_compress_bits) == (1, 0, 0) {
+            return self;
+        }
+        let conf_compress = f64::from_bits(knobs.conf_compress_bits);
         let mut out = Plan::new();
         for c in &self.cells {
             if c.selection == SelectionSpec::Baseline {

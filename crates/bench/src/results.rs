@@ -53,7 +53,8 @@ use t1000_workloads::Scale;
 ///   cell ran. See `docs/ROBUSTNESS.md`.
 pub const SCHEMA_VERSION: u64 = 8;
 
-pub(crate) fn scale_str(scale: Scale) -> &'static str {
+/// `test` or `full`, as artifacts and `serve` spell the scale.
+pub fn scale_str(scale: Scale) -> &'static str {
     match scale {
         Scale::Test => "test",
         Scale::Full => "full",

@@ -64,17 +64,6 @@ impl Parsed {
         }
     }
 
-    /// Float option value.
-    pub fn get_f64(&self, name: &str) -> Result<Option<f64>, ArgError> {
-        match self.get(name) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| ArgError(format!("--{name}: `{v}` is not a number"))),
-        }
-    }
-
     /// Names of every option and flag given, in no particular order.
     pub fn given(&self) -> impl Iterator<Item = &str> {
         self.options.keys().chain(&self.flags).map(String::as_str)

@@ -16,10 +16,12 @@ use args::{parse, ArgError, Parsed};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use t1000_bench::engine::{CellRunner, FailureCause, RunOptions};
-use t1000_bench::plan::{Cell, MachineSpec, SelectionSpec};
+use t1000_bench::json::Json;
+use t1000_bench::plan::SelectionSpec;
 use t1000_bench::runstats::{self, TraceWriter};
-use t1000_core::{ExtractConfig, PipelineTrace, SelectConfig, Session, StrategySpec};
-use t1000_cpu::{AttrCollector, PfuCount};
+use t1000_bench::spec::{self, CellSpec, Front};
+use t1000_core::{ExtractConfig, PipelineTrace, Selection, Session};
+use t1000_cpu::AttrCollector;
 use t1000_isa::Program;
 
 /// CLI error: message already formatted for the user.
@@ -170,93 +172,50 @@ fn cmd_disasm(args: &[String]) -> Result<String, CliError> {
     Ok(t1000_asm::disassemble(&load(path)?))
 }
 
-/// The reconfiguration-hiding knobs (docs/METRICS.md, schema v6):
-/// `--pfu-planes`, `--pfu-prefetch`, `--conf-compress`, defaulting to
-/// the paper's blocking-load machine.
-fn config_plane(p: &Parsed) -> Result<(u32, u32, f64), CliError> {
-    let planes = match p.get_u32("pfu-planes")? {
-        Some(n) if !(1..=2).contains(&n) => return err("--pfu-planes must be 1 or 2"),
-        Some(n) => n,
-        None => 1,
-    };
-    let prefetch = p.get_u32("pfu-prefetch")?.unwrap_or(0);
-    let compress = match p.get_f64("conf-compress")? {
-        Some(r) if !(r > 0.0 && r.is_finite()) => {
-            return err("--conf-compress must be a positive ratio (cycles per stream word)");
+/// The cell `front` reads from `p`'s options and the registry benchmark
+/// `bench` (`run`/`select` take it as `bench:<name>`).
+fn cell_spec(front: Front, p: &Parsed, bench: Option<&str>) -> Result<CellSpec, CliError> {
+    let options = p.given().filter(|name| front.admits(name));
+    let pairs = options
+        .map(|name| (name, spec::cli_value(p.get(name))))
+        .chain(bench.map(|name| ("benchmark", Json::Str(name.to_string()))));
+    spec::parse(front, pairs).map_err(|e| CliError(e.message))
+}
+
+/// `spec`'s program: its registry workload, else the `.s`/`.tobj` file
+/// `target`. Returns the reference checksum too (`None` for a file: its
+/// own baseline run becomes the reference).
+fn program_of(spec: &CellSpec, target: &str) -> Result<(Program, Option<u64>), CliError> {
+    match &spec.workload {
+        Some(w) => {
+            let program = w.program().map_err(|e| CliError(e.to_string()))?;
+            Ok((program, Some(w.expected_checksum())))
         }
-        Some(r) => r,
-        None => 0.0,
-    };
-    Ok((planes, prefetch, compress))
-}
-
-/// `run`'s machine from `--pfus`, `--reconfig` and the config-plane knobs.
-fn machine_spec(p: &Parsed) -> Result<MachineSpec, CliError> {
-    let reconfig = p
-        .get_u32("reconfig")?
-        .unwrap_or(t1000_cpu::CpuConfig::default().reconfig_cycles);
-    let machine = match p.get("pfus") {
-        None => MachineSpec::with_pfus(0, reconfig),
-        Some("unlimited") => MachineSpec::unlimited(reconfig),
-        Some(v) => MachineSpec::with_pfus(
-            v.parse()
-                .map_err(|_| CliError(format!("--pfus: `{v}` is not a count")))?,
-            reconfig,
-        ),
-    };
-    let (planes, prefetch, compress) = config_plane(p)?;
-    Ok(machine.config_plane(planes, prefetch, compress))
-}
-
-/// `--scale test|full` (default `test`).
-fn scale(p: &Parsed) -> Result<t1000_workloads::Scale, CliError> {
-    match p.get("scale") {
-        Some("full") => Ok(t1000_workloads::Scale::Full),
-        Some("test") | None => Ok(t1000_workloads::Scale::Test),
-        Some(other) => err(format!("--scale: `{other}` is not test|full")),
+        None => Ok((load(target)?, None)),
     }
 }
 
-/// The registry workload `name` at `scale`.
-fn registry_workload(
-    name: &str,
-    scale: t1000_workloads::Scale,
-) -> Result<t1000_workloads::Workload, CliError> {
-    t1000_workloads::by_name(name, scale).ok_or_else(|| {
-        CliError(format!(
-            "unknown benchmark `{name}` (one of {:?})",
-            t1000_workloads::NAMES
-        ))
-    })
-}
-
-/// Resolves `run`'s and `select`'s input: a `.s`/`.tobj` path, or
-/// `bench:<name>` for a registry workload (scaled by `--scale`). Returns
-/// the cell's workload label (the registry name, or `adhoc` for a file,
-/// as in `t1000 serve`), the program, and the reference checksum (`None`
-/// for a file: its own baseline run becomes the reference).
-fn load_target(target: &str, p: &Parsed) -> Result<(&'static str, Program, Option<u64>), CliError> {
-    let Some(name) = target.strip_prefix("bench:") else {
-        return Ok(("adhoc", load(target)?, None));
-    };
-    let w = registry_workload(name, scale(p)?)?;
-    let program = w.program().map_err(|e| CliError(e.to_string()))?;
-    Ok((w.name, program, Some(w.expected_checksum())))
-}
-
-/// Profiles `program` (the profiling run bounded by `max_instructions`,
-/// 0 = unbounded, so a non-terminating input errors out instead of
-/// hanging) and prepares the [`CellRunner`] that `run` and `bench <name>`
-/// simulate through, as the batch engine and the server do.
-fn prepare_runner(
-    program: Program,
-    expected: Option<u64>,
+/// Profiles `spec`'s program (the profiling run bounded by
+/// `max_instructions`, 0 = unbounded, so a non-terminating input errors
+/// out instead of hanging), prepares the [`CellRunner`] that `run` and
+/// `bench <name>` simulate through, as the batch engine and the server
+/// do, and selects for the cell.
+fn prepare(
+    spec: &CellSpec,
+    target: &str,
     max_instructions: u64,
     opts: &RunOptions,
-) -> Result<CellRunner, FailureCause> {
+) -> Result<(CellRunner, Option<Arc<Selection>>), CliError> {
+    let (program, expected) = program_of(spec, target)?;
+    let fail = |cause: FailureCause| CliError(format!("{target}: {cause}"));
     let session = Session::with_limits(program, ExtractConfig::default(), max_instructions)
-        .map_err(|e| FailureCause::Prepare(e.to_string()))?;
-    CellRunner::from_session(Arc::new(session), expected, opts)
+        .map_err(|e| fail(FailureCause::Prepare(e.to_string())))?;
+    let runner = CellRunner::from_session(Arc::new(session), expected, opts).map_err(fail)?;
+    let selection = match spec.cell.selection {
+        SelectionSpec::Baseline => None,
+        selection => Some(runner.select(&selection).map_err(fail)?),
+    };
+    Ok((runner, selection))
 }
 
 fn cmd_run(args: &[String]) -> Result<String, CliError> {
@@ -264,52 +223,18 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
     let [target] = p.positional.as_slice() else {
         return err("run: expected exactly one input (a file or bench:<name>)");
     };
-    let machine = machine_spec(&p)?;
-    if machine.pfus == PfuCount::Fixed(0) {
-        // Without PFUs there is nothing to select: a selection option
-        // would be silently dropped.
-        for (opt, given) in [
-            ("greedy", p.flag("greedy")),
-            ("threshold", p.get("threshold").is_some()),
-            ("reload-weight", p.get("reload-weight").is_some()),
-        ] {
-            if given {
-                return err(format!(
-                    "run: --{opt} selects for PFUs; give --pfus N (N > 0)"
-                ));
-            }
-        }
-    }
-    if p.flag("greedy") {
-        reject_unused("run", &p, "greedy", &["threshold", "reload-weight"])?;
-    }
+    let spec = cell_spec(Front::Run, &p, target.strip_prefix("bench:"))?;
     let max_instructions = p.get_u32("max-instr")?.map_or(0, u64::from);
-    let (label, program, expected) = load_target(target, &p)?;
     // Escape hatch for A/B timing comparisons; results are bit-identical
     // either way (docs/FASTPATH.md).
     let opts = RunOptions {
         max_cycles: 0,
         no_fast_path: p.flag("no-fast-path"),
     };
-    let fail = |cause: FailureCause| CliError(format!("{target}: {cause}"));
-    let runner = prepare_runner(program, expected, max_instructions, &opts).map_err(fail)?;
-    let cell = if machine.pfus == PfuCount::Fixed(0) {
-        Cell::new(label, SelectionSpec::Baseline, MachineSpec::with_pfus(0, 0))
-    } else if p.flag("greedy") {
-        Cell::new(label, SelectionSpec::Greedy, machine)
-    } else {
-        let spec = SelectionSpec::selective_reload(
-            machine.pfus.limit(),
-            p.get_f64("threshold")?.unwrap_or(0.005),
-            p.get_f64("reload-weight")?.unwrap_or(0.0),
-        );
-        Cell::new(label, spec, machine)
-    };
-    let selection = match cell.selection {
-        SelectionSpec::Baseline => None,
-        spec => Some(runner.select(&spec).map_err(fail)?),
-    };
+    let (runner, selection) = prepare(&spec, target, max_instructions, &opts)?;
     let selection = selection.as_deref();
+    let cell = spec.cell;
+    let fail = |cause: FailureCause| CliError(format!("{target}: {cause}"));
 
     let stats_json = p.get("stats-json");
     let trace = p.get("trace");
@@ -409,8 +334,7 @@ fn cmd_report(args: &[String]) -> Result<String, CliError> {
     };
     let text =
         std::fs::read_to_string(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-    let doc =
-        t1000_bench::json::Json::parse(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
+    let doc = Json::parse(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
     runstats::report_from_stats(&doc).map_err(|e| CliError(format!("{path}: {e}")))
 }
 
@@ -424,54 +348,6 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     let profile =
         t1000_profile::ExecProfile::collect(&program, 0).map_err(|e| CliError(e.to_string()))?;
     Ok(t1000_profile::report::render(&program, &cfg, &profile))
-}
-
-/// Rejects the selection options in `unused`, which `strategy` would
-/// otherwise silently ignore, naming the first one given.
-fn reject_unused(cmd: &str, p: &Parsed, strategy: &str, unused: &[&str]) -> Result<(), CliError> {
-    match unused.iter().find(|opt| p.get(opt).is_some()) {
-        Some(opt) => err(format!(
-            "{cmd}: --{opt} does not apply to the {strategy} strategy"
-        )),
-        None => Ok(()),
-    }
-}
-
-/// Resolves `select`'s strategy from `--strategy`/`--greedy`/`--pfus`/
-/// `--threshold`/`--lut-budget`/`--reload-weight` into the pipeline's
-/// [`StrategySpec`]. An option the strategy does not read is an error.
-fn strategy_spec_for(p: &Parsed, pfus: Option<usize>) -> Result<StrategySpec, CliError> {
-    let name = match (p.get("strategy"), p.flag("greedy")) {
-        (Some(_), true) => return err("select: --greedy is --strategy greedy; give one of them"),
-        (Some(s), false) => s,
-        (None, true) => "greedy",
-        (None, false) => "selective",
-    };
-    let unused: &[&str] = match name {
-        "greedy" => &["pfus", "threshold", "reload-weight", "lut-budget"],
-        "selective" => &["lut-budget"],
-        "knapsack" => &["pfus", "threshold"],
-        _ => &[],
-    };
-    reject_unused("select", p, name, unused)?;
-    let threshold = p.get_f64("threshold")?.unwrap_or(0.005);
-    let reload_weight = p.get_f64("reload-weight")?.unwrap_or(0.0);
-    let cfg = SelectConfig {
-        pfus,
-        gain_threshold: threshold,
-        reload_weight,
-    };
-    match name {
-        "greedy" => Ok(StrategySpec::Greedy),
-        "selective" => Ok(StrategySpec::selective(&cfg)),
-        "knapsack" => {
-            let budget = p.get_u32("lut-budget")?.unwrap_or(256);
-            Ok(StrategySpec::knapsack_reload(budget, reload_weight))
-        }
-        other => err(format!(
-            "--strategy: `{other}` is not one of greedy|selective|knapsack"
-        )),
-    }
 }
 
 /// Renders `--explain`: the per-pass timing/output table followed by the
@@ -510,18 +386,20 @@ fn cmd_select(args: &[String]) -> Result<String, CliError> {
     let [target] = p.positional.as_slice() else {
         return err("select: expected exactly one input (a file or bench:<name>)");
     };
-    let pfus = p.get_u32("pfus")?.map(|n| n as usize);
-    let spec = strategy_spec_for(&p, pfus.or(Some(4)))?;
-    let (_, program, _) = load_target(target, &p)?;
+    let spec = cell_spec(Front::Select, &p, target.strip_prefix("bench:"))?;
+    let Some(strategy) = spec.cell.selection.strategy_spec() else {
+        return err("select: the baseline strategy has no selection job");
+    };
+    let (program, _) = program_of(&spec, target)?;
     let session = Session::new(program).map_err(|e| CliError(e.to_string()))?;
 
     let mut out = String::new();
     let sel = if p.flag("explain") {
-        let (sel, trace) = session.explain(&spec);
+        let (sel, trace) = session.explain(&strategy);
         render_trace(&mut out, &trace);
         sel
     } else {
-        session.select(&spec)
+        session.select(&strategy)
     };
     writeln!(
         out,
@@ -546,7 +424,6 @@ fn cmd_select(args: &[String]) -> Result<String, CliError> {
 
 fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     let p = parse(args, BENCH_VALUE_OPTS, BENCH_FLAG_OPTS)?;
-    let scale = scale(&p)?;
     if let Some(path) = p.get("validate") {
         // Validation reads an artifact and runs nothing: any option that
         // would shape a run is rejected, not dropped.
@@ -563,9 +440,9 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     if p.get("expect").is_some() {
         return err("bench: --expect requires --validate FILE");
     }
-    let (planes, prefetch, compress) = config_plane(&p)?;
-    if let Some(name) = p.get("plan") {
-        let named = t1000_bench::plan::named_plan(name).ok_or_else(|| {
+    let named = match p.get("plan") {
+        None => None,
+        Some(name) => Some(t1000_bench::plan::named_plan(name).ok_or_else(|| {
             let known: Vec<&str> = t1000_bench::plan::NAMED_PLANS
                 .iter()
                 .map(|n| n.name)
@@ -574,51 +451,42 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
                 "bench: unknown plan `{name}` (one of {})",
                 known.join(", ")
             ))
-        })?;
+        })?),
+    };
+    if named.is_some() || p.flag("all") {
+        let mode = named.map_or("--all".to_string(), |n| format!("--plan {}", n.name));
         if let Some(bench) = p.positional.first() {
             return err(format!(
-                "bench: --plan runs every workload; it takes no benchmark name (got `{bench}`)"
+                "bench: {mode} runs every workload; it takes no benchmark name (got `{bench}`)"
             ));
         }
-        // The plan fixes its cells: an option that would reshape them is
-        // rejected, not dropped.
-        let fixed = [
-            "all",
-            "pfus",
-            "strategies",
-            "pfu-planes",
-            "pfu-prefetch",
-            "conf-compress",
-        ];
-        if let Some(opt) = p.given().find(|o| fixed.contains(o)) {
-            return err(format!("bench: --{opt} does not apply to --plan {name}"));
-        }
-        let config = engine_config(&p)?;
-        return run_plan(&named.plan(), scale, p.get("json"), &config, |run| {
-            t1000_bench::results::render_pivot(run, named)
-        });
-    }
-    if p.flag("all") {
-        if p.get("pfus").is_some() {
-            return err("bench: --pfus sets one benchmark's PFU count; --all runs the paper's");
-        }
-        let mut plan = if p.flag("strategies") {
-            t1000_bench::plan::run_all_plan_with_strategies()
-        } else {
-            t1000_bench::plan::run_all_plan()
+        // A plan fixes its cells, and `--all` its PFU counts: an option
+        // that would reshape them is rejected, not dropped.
+        let fixed: &[&str] = match named {
+            Some(_) => &["all", "pfus", "strategies"],
+            None => &["pfus"],
         };
-        // Default knobs keep the untouched plan object, so the artifact
-        // stays byte-identical to pre-v6 runs (cell order included).
-        if (planes, prefetch, compress) != (1, 0, 0.0) {
-            plan = plan.with_config_plane(planes, prefetch, compress);
+        let plane_knob = |o: &&str| named.is_some() && Front::Bench.admits(o) && *o != "scale";
+        if let Some(opt) = p.given().find(|o| fixed.contains(o) || plane_knob(o)) {
+            return err(format!("bench: --{opt} does not apply to {mode}"));
         }
+        let spec = cell_spec(Front::Bench, &p, None)?;
+        let plan = match named {
+            Some(named) => named.plan(),
+            None if p.flag("strategies") => t1000_bench::plan::run_all_plan_with_strategies(),
+            None => t1000_bench::plan::run_all_plan(),
+        };
+        let plan = plan.with_config_plane(&spec.cell.machine);
         let config = engine_config(&p)?;
         return run_plan(
             &plan,
-            scale,
+            spec.scale,
             p.get("json"),
             &config,
-            t1000_bench::results::render_markdown,
+            |run| match named {
+                Some(named) => t1000_bench::results::render_pivot(run, named),
+                None => t1000_bench::results::render_markdown(run),
+            },
         );
     }
     for (opt, given) in [
@@ -637,30 +505,23 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
             t1000_workloads::NAMES
         ));
     };
-    let w = registry_workload(name, scale)?;
+    let spec = cell_spec(Front::Bench, &p, Some(name))?;
     let opts = RunOptions {
         max_cycles: max_cycles(&p)?,
         no_fast_path: p.flag("no-fast-path"),
     };
-    let pfus = p.get_u32("pfus")?.map_or(2, |n| n as usize);
-    let program = w.program().map_err(|e| CliError(e.to_string()))?;
-    let fail = |cause: FailureCause| CliError(format!("{name}: {cause}"));
-    let runner = prepare_runner(program, Some(w.expected_checksum()), 0, &opts).map_err(fail)?;
-    let cell = Cell::new(
-        w.name,
-        SelectionSpec::selective_std(Some(pfus)),
-        MachineSpec::with_pfus(pfus, 10).config_plane(planes, prefetch, compress),
-    );
-    let sel = runner.select(&cell.selection).map_err(fail)?;
+    let (runner, sel) = prepare(&spec, name, 0, &opts)?;
     let result = runner
-        .run_cell_with(cell, Some(&sel), &opts)
-        .map_err(fail)?;
+        .run_cell_with(spec.cell, sel.as_deref(), &opts)
+        .map_err(|cause| CliError(format!("{name}: {cause}")))?;
     Ok(format!(
-        "{name} ({scale:?}): baseline {} cycles, T1000/{pfus}-PFU {} cycles, speedup {:.3}x, {} confs, checksum ok\n",
+        "{name} ({:?}): baseline {} cycles, T1000/{}-PFU {} cycles, speedup {:.3}x, {} confs, checksum ok\n",
+        spec.scale,
         runner.baseline_cycles(),
+        spec.cell.machine.pfus.limit().unwrap_or_default(),
         result.cycles,
         runner.speedup(&result).unwrap_or(0.0),
-        sel.num_confs()
+        sel.map_or(0, |s| s.num_confs())
     ))
 }
 
@@ -1202,6 +1063,32 @@ usage:\n\
             "{}",
             e.0
         );
+        // `--all` runs every workload too: a name is refused, not dropped.
+        let e = run(&s(&["bench", "g721_enc", "--all"])).unwrap_err();
+        assert!(
+            e.0.contains("--all runs every workload; it takes no benchmark name (got `g721_enc`)"),
+            "{}",
+            e.0
+        );
+    }
+
+    /// Each cell key a CLI front end spells is an option of its
+    /// subcommand, so `usage()` names it too.
+    #[test]
+    fn every_cell_key_is_an_option_of_its_subcommand() {
+        for (front, opts) in [
+            (Front::Run, [RUN_VALUE_OPTS, RUN_FLAG_OPTS]),
+            (Front::Select, [SELECT_VALUE_OPTS, SELECT_FLAG_OPTS]),
+            (Front::Bench, [BENCH_VALUE_OPTS, BENCH_FLAG_OPTS]),
+        ] {
+            for (_, spelled) in spec::SPELLING {
+                let name = spelled[front as usize];
+                assert!(
+                    matches!(name, "" | "benchmark") || opts.concat().contains(&name),
+                    "{front:?} --{name}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1225,17 +1112,14 @@ usage:\n\
         // The document wraps the cell document, which round-trips through
         // the validator and `report`.
         let text = std::fs::read_to_string(&json).unwrap();
-        let doc = t1000_bench::json::Json::parse(&text).unwrap();
+        let doc = Json::parse(&text).unwrap();
         assert_eq!(
-            doc.get("schema").and_then(t1000_bench::json::Json::as_str),
+            doc.get("schema").and_then(Json::as_str),
             Some(runstats::RUN_STATS_SCHEMA)
         );
-        assert_eq!(
-            doc.get("target").and_then(t1000_bench::json::Json::as_str),
-            Some(src.as_str())
-        );
+        assert_eq!(doc.get("target").and_then(Json::as_str), Some(src.as_str()));
         let cell = doc.get("cell").unwrap();
-        let cycles = cell.get("cycles").and_then(t1000_bench::json::Json::as_u64);
+        let cycles = cell.get("cycles").and_then(Json::as_u64);
         runstats::validate_attribution(cell.get("attribution").unwrap(), cycles).unwrap();
         let report = run(&s(&["report", &json])).unwrap();
         assert!(report.starts_with("workload: adhoc\n"), "{report}");
@@ -1252,11 +1136,8 @@ usage:\n\
         let text = std::fs::read_to_string(&trace).unwrap();
         assert!(!text.is_empty());
         for line in text.lines().take(50) {
-            let e = t1000_bench::json::Json::parse(line).unwrap();
-            assert!(e
-                .get("type")
-                .and_then(t1000_bench::json::Json::as_str)
-                .is_some());
+            let e = Json::parse(line).unwrap();
+            assert!(e.get("type").and_then(Json::as_str).is_some());
         }
         // The selective selection at 2 PFUs stays resident: the trace must
         // contain configuration loads and (usually) hits.
@@ -1325,6 +1206,36 @@ usage:\n\
                 );
             }
         }
+        // Without PFUs the cell is the canonical baseline: a machine knob
+        // would be dropped, so each is named.
+        for extra in [
+            &["--reconfig", "50"][..],
+            &["--pfu-planes", "2"],
+            &["--pfu-prefetch", "3"],
+            &["--conf-compress", "0.5"],
+        ] {
+            for pfus in [&[][..], &["--pfus", "0"]] {
+                let mut args = vec!["run", "bench:g721_enc"];
+                args.extend(pfus);
+                args.extend(extra);
+                let e = run(&s(&args)).unwrap_err();
+                assert!(
+                    e.0.contains(&format!("{} configures PFUs", extra[0])),
+                    "{e}"
+                );
+            }
+        }
+        // Out-of-range integers are refused, not truncated.
+        for extra in [
+            &["--pfus", "4294967298"][..],
+            &["--reconfig", "4294967306"],
+            &["--pfu-prefetch", "4294967296"],
+        ] {
+            let mut args = vec!["run", "bench:g721_enc"];
+            args.extend(extra);
+            let e = run(&s(&args)).unwrap_err();
+            assert!(e.0.contains(&format!("{} must be", extra[0])), "{e}");
+        }
         // Greedy reads neither a threshold nor a reload weight.
         for extra in [&["--threshold", "0.5"][..], &["--reload-weight", "3"]] {
             let mut args = vec!["run", "bench:g721_enc", "--pfus", "2", "--greedy"];
@@ -1391,6 +1302,39 @@ usage:\n\
             full.extend(args);
             assert!(run(&s(&full)).is_ok(), "{args:?}");
         }
+    }
+
+    #[test]
+    fn a_zero_conf_compress_is_no_flag() {
+        let plain = run(&s(&["run", "bench:g721_enc", "--pfus", "2"])).unwrap();
+        let zero = run(&s(&[
+            "run",
+            "bench:g721_enc",
+            "--pfus",
+            "2",
+            "--conf-compress",
+            "0",
+        ]));
+        assert_eq!(zero.unwrap(), plain);
+    }
+
+    /// The largest prefetch depth once sized a per-cycle buffer, and the
+    /// failed allocation aborted the process. A depth beyond the fetch
+    /// queue scans the whole queue, as any deeper one does.
+    #[test]
+    fn the_largest_prefetch_depth_runs() {
+        let depth = |n: &str| {
+            run(&s(&[
+                "run",
+                "bench:g721_enc",
+                "--pfus",
+                "2",
+                "--pfu-prefetch",
+                n,
+            ]))
+            .unwrap()
+        };
+        assert_eq!(depth("4294967295"), depth("1000"));
     }
 
     #[test]

@@ -52,6 +52,7 @@
 
 use crate::args::parse;
 use crate::CliError;
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -60,8 +61,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 use t1000_bench::engine::{CellRunner, FailureCause, RunOptions, SelectionRecord};
 use t1000_bench::json::Json;
-use t1000_bench::plan::{Cell, MachineSpec, SelectionSpec};
-use t1000_bench::results::{cell_result_json, selection_json, SCHEMA_VERSION};
+use t1000_bench::plan::{Cell, SelectionSpec};
+use t1000_bench::results::{cell_result_json, scale_str, selection_json, SCHEMA_VERSION};
+use t1000_bench::spec::{self, Front};
 use t1000_core::{program_hash, ExtractConfig, SessionStore};
 use t1000_isa::Program;
 use t1000_workloads::Scale;
@@ -185,16 +187,14 @@ enum RunnerKey {
 struct WorkRequest {
     id: Json,
     method: WorkMethod,
-    /// `cells[].workload` label: the registry name, or `adhoc` for
+    /// The cell; its workload is the registry name, or `adhoc` for
     /// inline `asm`.
-    label: &'static str,
+    cell: Cell,
     scale: Option<Scale>,
     program: Program,
     hash: u64,
     expected: Option<u64>,
     max_instructions: u64,
-    selection: SelectionSpec,
-    machine: MachineSpec,
     opts: RunOptions,
     deadline: Option<Instant>,
     runner_key: RunnerKey,
@@ -212,177 +212,88 @@ enum Routed {
     Work(Box<WorkRequest>),
 }
 
-fn p_get<'a>(params: Option<&'a Json>, key: &str) -> Option<&'a Json> {
-    params.and_then(|p| p.get(key))
-}
-
-fn p_str<'a>(params: Option<&'a Json>, key: &str) -> Result<Option<&'a str>, String> {
-    match p_get(params, key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(Some)
-            .ok_or_else(|| format!("`{key}` must be a string")),
-    }
-}
-
-fn p_u64(params: Option<&Json>, key: &str) -> Result<Option<u64>, String> {
-    match p_get(params, key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("`{key}` must be a non-negative integer")),
-    }
-}
-
-fn p_f64(params: Option<&Json>, key: &str) -> Result<Option<f64>, String> {
-    match p_get(params, key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("`{key}` must be a number")),
-    }
-}
-
-fn p_bool(params: Option<&Json>, key: &str) -> Result<Option<bool>, String> {
-    match p_get(params, key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_bool()
-            .map(Some)
-            .ok_or_else(|| format!("`{key}` must be a boolean")),
-    }
-}
-
 fn parse_work(id: &Json, method: WorkMethod, params: Option<&Json>) -> Result<WorkRequest, String> {
-    if let Some(p) = params {
-        if !matches!(p, Json::Obj(_)) {
-            return Err("`params` must be an object".into());
+    let params: &[(String, Json)] = match params {
+        None => &[],
+        Some(Json::Obj(pairs)) => pairs,
+        Some(_) => return Err("`params` must be an object".into()),
+    };
+    // The cell's keys go to the cell-spec parser, `machine` flattened to
+    // `machine.KEY`; the request's own keys are read here.
+    let mut cell_keys = Vec::new();
+    let (mut asm, mut max_cycles, mut no_fast_path) = (None, 0, false);
+    let (mut max_instructions, mut deadline_ms) = (None, None);
+    for (key, value) in params {
+        let uint = || {
+            value
+                .as_u64()
+                .ok_or_else(|| format!("`{key}` must be a non-negative integer"))
+        };
+        match key.as_str() {
+            "asm" => asm = Some(value.as_str().ok_or("`asm` must be a string")?),
+            "max_cycles" => max_cycles = uint()?,
+            "max_instructions" => max_instructions = Some(uint()?),
+            "deadline_ms" => deadline_ms = Some(uint()?),
+            "no_fast_path" => {
+                no_fast_path = value.as_bool().ok_or("`no_fast_path` must be a boolean")?
+            }
+            "machine" => {
+                let Json::Obj(machine) = value else {
+                    return Err("`machine` must be an object".into());
+                };
+                cell_keys.extend(
+                    machine
+                        .iter()
+                        .map(|(k, v)| (Cow::Owned(format!("machine.{k}")), v)),
+                );
+            }
+            _ => cell_keys.push((Cow::Borrowed(key.as_str()), value)),
         }
     }
-
-    // -- Program source: a registry workload or inline assembly. --------
-    let workload = p_str(params, "workload")?;
-    let asm = p_str(params, "asm")?;
-    let (label, scale, program, expected) = match (workload, asm) {
+    let spec = spec::parse(Front::Serve, cell_keys).map_err(|e| e.message)?;
+    let (program, expected) = match (&spec.workload, asm) {
         (Some(_), Some(_)) => return Err("`workload` and `asm` are mutually exclusive".into()),
         (None, None) => return Err("request needs a `workload` name or inline `asm`".into()),
-        (Some(name), None) => {
-            let scale = match p_str(params, "scale")? {
-                None | Some("test") => Scale::Test,
-                Some("full") => Scale::Full,
-                Some(other) => return Err(format!("`scale` must be test|full, got `{other}`")),
-            };
-            let Some(label) = t1000_workloads::NAMES.iter().copied().find(|n| *n == name) else {
-                return Err(format!(
-                    "unknown workload `{name}` (one of {:?})",
-                    t1000_workloads::NAMES
-                ));
-            };
-            let w = t1000_workloads::by_name(label, scale)
-                .ok_or_else(|| format!("unknown workload `{name}`"))?;
-            let program = w.program().map_err(|e| format!("workload `{name}`: {e}"))?;
-            (label, Some(scale), program, Some(w.expected_checksum()))
+        (Some(w), None) => {
+            let program = w
+                .program()
+                .map_err(|e| format!("`workload` {}: {e}", w.name))?;
+            (program, Some(w.expected_checksum()))
         }
         (None, Some(text)) => {
-            let program = t1000_asm::assemble(text).map_err(|e| format!("asm: {e}"))?;
-            ("adhoc", None, program, None)
+            let program = t1000_asm::assemble(text).map_err(|e| format!("`asm`: {e}"))?;
+            (program, None)
         }
     };
-
-    // -- Strategy axis (defaults mirror `t1000 run`/`select`). ----------
-    let pfus = p_u64(params, "pfus")?.unwrap_or(2) as usize;
-    let threshold = p_f64(params, "threshold")?;
-    let lut_budget = p_u64(params, "lut_budget")?;
-    let strategy = p_str(params, "strategy")?.unwrap_or("selective");
-    let selection = match strategy {
-        "baseline" => SelectionSpec::Baseline,
-        "greedy" => SelectionSpec::Greedy,
-        "selective" => SelectionSpec::selective(Some(pfus), threshold.unwrap_or(0.005)),
-        "knapsack" => SelectionSpec::knapsack(lut_budget.unwrap_or(256) as u32),
-        other => {
-            return Err(format!(
-                "`strategy` must be baseline|greedy|selective|knapsack, got `{other}`"
-            ))
-        }
-    };
-    // A parameter the strategy does not read is refused, not dropped.
-    for (name, given, reader) in [
-        ("threshold", threshold.is_some(), "selective"),
-        ("lut_budget", lut_budget.is_some(), "knapsack"),
-    ] {
-        if given && strategy != reader {
-            return Err(format!(
-                "`{name}` applies only to strategy `{reader}`, not `{strategy}`"
-            ));
-        }
-    }
-    if method == WorkMethod::Select && selection == SelectionSpec::Baseline {
-        return Err("select: strategy `baseline` has no selection job".into());
+    if method == WorkMethod::Select && spec.cell.selection == SelectionSpec::Baseline {
+        return Err("`strategy` baseline has no selection job".into());
     }
 
-    // -- Machine axis. --------------------------------------------------
-    let machine = match p_get(params, "machine") {
-        None => MachineSpec::with_pfus(pfus, 10),
-        Some(m) if matches!(m, Json::Obj(_)) => {
-            let reconfig = p_u64(Some(m), "reconfig_cycles")?.unwrap_or(10) as u32;
-            let base = match m.get("pfus") {
-                None => MachineSpec::with_pfus(pfus, reconfig),
-                Some(v) if v.as_str() == Some("unlimited") => MachineSpec::unlimited(reconfig),
-                Some(v) => match v.as_u64() {
-                    Some(n) => MachineSpec::with_pfus(n as usize, reconfig),
-                    None => {
-                        return Err("`machine.pfus` must be a count or \"unlimited\"".into());
-                    }
-                },
-            };
-            // Reconfiguration-hiding knobs (schema v6); defaults keep the
-            // legacy blocking-load machine.
-            let planes = p_u64(Some(m), "pfu_planes")?.unwrap_or(1) as u32;
-            if !(1..=2).contains(&planes) {
-                return Err("`machine.pfu_planes` must be 1 or 2".into());
-            }
-            let prefetch = p_u64(Some(m), "pfu_prefetch")?.unwrap_or(0) as u32;
-            let compress = p_f64(Some(m), "conf_compress")?.unwrap_or(0.0);
-            if !(compress >= 0.0 && compress.is_finite()) {
-                return Err("`machine.conf_compress` must be a non-negative ratio".into());
-            }
-            base.config_plane(planes, prefetch, compress)
-        }
-        Some(_) => return Err("`machine` must be an object".into()),
-    };
-
-    // -- Limits and deadline. -------------------------------------------
     let opts = RunOptions {
-        max_cycles: p_u64(params, "max_cycles")?.unwrap_or(0),
-        no_fast_path: p_bool(params, "no_fast_path")?.unwrap_or(false),
+        max_cycles,
+        no_fast_path,
     };
-    let max_instructions = match p_u64(params, "max_instructions")? {
+    let max_instructions = match max_instructions {
         Some(n) => n,
         None if expected.is_none() => ADHOC_MAX_INSTRUCTIONS,
         None => 0,
     };
-    let deadline =
-        p_u64(params, "deadline_ms")?.map(|ms| Instant::now() + Duration::from_millis(ms));
-
+    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+    let scale = spec.workload.is_some().then_some(spec.scale);
     let hash = program_hash(&program);
     let runner_key = match scale {
-        Some(scale) => RunnerKey::Workload(label, scale, opts),
+        Some(scale) => RunnerKey::Workload(spec.cell.workload, scale, opts),
         None => RunnerKey::Adhoc(hash, opts),
     };
     Ok(WorkRequest {
         id: id.clone(),
         method,
-        label,
+        cell: spec.cell,
         scale,
         program,
         hash,
         expected,
         max_instructions,
-        selection,
-        machine,
         opts,
         deadline,
         runner_key,
@@ -421,14 +332,6 @@ fn cell_failure(id: &Json, cause: &FailureCause) -> Json {
         &cause.to_string(),
         vec![("cause", Json::Str(cause.kind().to_string()))],
     )
-}
-
-fn scale_json(scale: Option<Scale>) -> Json {
-    match scale {
-        Some(Scale::Test) => Json::Str("test".to_string()),
-        Some(Scale::Full) => Json::Str("full".to_string()),
-        None => Json::Null,
-    }
 }
 
 fn write_response(out: &Out, resp: &Json) {
@@ -642,12 +545,12 @@ impl Server {
             Err(cause) => return cell_failure(&work.id, &cause),
         };
         match work.method {
-            WorkMethod::Select => match runner.select(&work.selection) {
+            WorkMethod::Select => match runner.select(&work.cell.selection) {
                 Ok(sel) => {
                     let record = SelectionRecord::summarize(
-                        work.label,
+                        work.cell.workload,
                         ExtractConfig::default(),
-                        work.selection,
+                        work.cell.selection,
                         sel,
                     );
                     ok_response(
@@ -660,8 +563,7 @@ impl Server {
                 Err(cause) => cell_failure(&work.id, &cause),
             },
             WorkMethod::Run => {
-                let cell = Cell::new(work.label, work.selection, work.machine);
-                match runner.run_cell_isolated(cell, &work.opts, work.deadline) {
+                match runner.run_cell_isolated(work.cell, &work.opts, work.deadline) {
                     Ok(c) => {
                         let speedup = runner.speedup(&c);
                         let baseline = runner.baseline_cycles();
@@ -700,7 +602,11 @@ impl Server {
             ("schema_version", Json::UInt(SCHEMA_VERSION)),
             ("generator", Json::Str("t1000-serve".to_string())),
             ("method", Json::Str(method.to_string())),
-            ("scale", scale_json(work.scale)),
+            (
+                "scale",
+                work.scale
+                    .map_or(Json::Null, |s| Json::Str(scale_str(s).into())),
+            ),
             ("program_hash", Json::Str(format!("0x{:016x}", work.hash))),
         ];
         fill(&mut fields);
@@ -1194,5 +1100,203 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
+    }
+
+    fn bad_request_message(resp: &Json) -> String {
+        assert_eq!(
+            error_code(resp),
+            code::BAD_REQUEST,
+            "{}",
+            resp.to_string_compact()
+        );
+        let message = resp.get("error").unwrap().get("message").unwrap();
+        message.as_str().unwrap().to_string()
+    }
+
+    /// Integers once cast with `as` (`4294967496` ran `knapsack(luts=200)`)
+    /// and keys once dropped (`pfu`, `reload_weight`) are each a 400 that
+    /// names the key.
+    #[test]
+    fn out_of_range_integers_and_unknown_keys_are_refused_by_name() {
+        let server = Server::new(&ServeConfig::default());
+        for (params, key) in [
+            (
+                r#""strategy": "knapsack", "lut_budget": 4294967496"#,
+                "`lut_budget`",
+            ),
+            (
+                r#""machine": {"pfu_planes": 4294967297}"#,
+                "`machine.pfu_planes`",
+            ),
+            (
+                r#""machine": {"reconfig_cycles": 4294967306}"#,
+                "`machine.reconfig_cycles`",
+            ),
+            (
+                r#""machine": {"pfu_prefetch": 4294967296}"#,
+                "`machine.pfu_prefetch`",
+            ),
+            (r#""pfu": 4"#, "`pfu`"),
+            (r#""reload_weight": 1"#, "`reload_weight`"),
+            (r#""machine": {"pfus": 2, "planes": 2}"#, "`machine.planes`"),
+        ] {
+            for method in ["run", "select"] {
+                let line = format!(
+                    r#"{{"id": 1, "method": "{method}", "params": {{"workload": "g721_enc", {params}}}}}"#
+                );
+                let message = bad_request_message(&j(&server.handle_line(&line)));
+                assert!(message.starts_with(key), "{line}: {message}");
+            }
+        }
+    }
+
+    /// A baseline cell is the canonical PFU-less machine, and a PFU key
+    /// given with it is refused instead of recorded.
+    #[test]
+    fn a_baseline_run_is_the_canonical_cell() {
+        let server = Server::new(&ServeConfig::default());
+        let resp = j(&server.handle_line(&run_req("g721_enc", "baseline", "")));
+        let machine = result(&resp).get("cell").unwrap().get("machine").unwrap();
+        assert_eq!(machine.get("pfus").and_then(Json::as_u64), Some(0));
+        assert_eq!(
+            machine.get("reconfig_cycles").and_then(Json::as_u64),
+            Some(0)
+        );
+        for (extra, key) in [
+            (r#", "pfus": 7"#, "`pfus`"),
+            (
+                r#", "machine": {"pfu_prefetch": 3}"#,
+                "`machine.pfu_prefetch`",
+            ),
+        ] {
+            let resp = j(&server.handle_line(&run_req("g721_enc", "baseline", extra)));
+            let message = bad_request_message(&resp);
+            assert!(message.starts_with(key), "{extra}: {message}");
+        }
+    }
+
+    /// Request 61 of the random-request test below, before a machine
+    /// without PFUs was refused: greedy selected configurations for it, and
+    /// the simulator panicked at the first extended instruction.
+    #[test]
+    fn greedy_on_a_machine_without_pfus_is_refused_not_run() {
+        let server = Server::new(&ServeConfig::default());
+        let line = r#"{"id": 61, "method": "run", "params": {"asm": "main:\n li $s0, 20\nloop:\n sll $t2, $s0, 3\n xor $t2, $t2, $s0\n addiu $s0, $s0, -1\n bgtz $s0, loop\n li $v0, 10\n syscall\n", "strategy": "greedy", "machine": {"pfus": 0}, "max_cycles": 20000}}"#;
+        let message = bad_request_message(&j(&server.handle_line(line)));
+        assert_eq!(
+            message,
+            "`machine.pfus` must be at least 1 for the greedy strategy"
+        );
+    }
+
+    /// Seeded random requests drawn from serve's keys, with wrong types,
+    /// huge, negative and fractional numbers, and unknown keys. Each gets a
+    /// result, a typed cell failure or a 400 naming a key; none panics.
+    /// `run` requests end on small fuel, so a huge reload penalty ends as
+    /// a `timeout` instead of simulating billions of cycles.
+    #[test]
+    fn random_requests_get_a_result_or_a_typed_error() {
+        let server = Server::new(&ServeConfig::default());
+        let asm = r"main:\n li $s0, 20\nloop:\n sll $t2, $s0, 3\n xor $t2, $t2, $s0\n addiu $s0, $s0, -1\n bgtz $s0, loop\n li $v0, 10\n syscall\n";
+        let mut keys: Vec<&str> = spec::SPELLING
+            .iter()
+            .map(|(_, spelled)| spelled[Front::Serve as usize])
+            .filter(|name| !name.is_empty())
+            .collect();
+        keys.extend(["asm", "max_cycles", "no_fast_path", "max_instructions"]);
+        keys.extend([
+            "deadline_ms",
+            "machine",
+            "pfu",
+            "reload_weight",
+            "machine.x",
+        ]);
+        let values = [
+            "0",
+            "1",
+            "2",
+            "-1",
+            "0.5",
+            "1e300",
+            "4294967295",
+            "4294967296",
+            "18446744073709551615",
+            "\"unlimited\"",
+            "\"greedy\"",
+            "\"knapsack\"",
+            "\"baseline\"",
+            "\"test\"",
+            "\"g721_enc\"",
+            "\"x\"",
+            "true",
+            "null",
+            "{}",
+            "[2]",
+        ];
+        let mut named: Vec<String> = keys.iter().map(|k| format!("`{k}`")).collect();
+        named.push("`params`".into());
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let field = |key: &str, value: &str| match key.strip_prefix("machine.") {
+            Some(key) => format!(r#""machine": {{"{key}": {value}}}"#),
+            None => format!(r#""{key}": {value}"#),
+        };
+        let (mut results, mut refused) = (0, 0);
+        for id in 0..500 {
+            let method = ["select", "select", "run"][next(3)];
+            let mut params = vec![format!(r#""asm": "{asm}""#)];
+            // A strategy and PFU counts of the kinds the server accepts...
+            for (key, choices) in [
+                (
+                    "strategy",
+                    &[r#""baseline""#, r#""greedy""#, r#""knapsack""#][..],
+                ),
+                ("pfus", &["0", "1", "2"]),
+                ("machine.pfus", &["0", "1", r#""unlimited""#]),
+            ] {
+                if next(2) == 0 {
+                    params.push(field(key, choices[next(choices.len())]));
+                }
+            }
+            // ...and up to two pairs drawn from every key and value.
+            for _ in 0..next(3) {
+                params.push(field(keys[next(keys.len())], values[next(values.len())]));
+            }
+            if method == "run" {
+                params.push(r#""max_cycles": 20000"#.into());
+            }
+            let line = format!(
+                r#"{{"id": {id}, "method": "{method}", "params": {{{}}}}}"#,
+                params.join(", ")
+            );
+            let resp = j(&server.handle_line(&line));
+            let Some(error) = resp.get("error") else {
+                results += 1;
+                continue;
+            };
+            let message = error.get("message").and_then(Json::as_str).unwrap();
+            match error.get("code").and_then(Json::as_u64).unwrap() {
+                code::BAD_REQUEST => {
+                    let names_a_key = named.iter().any(|k| message.contains(k.as_str()));
+                    assert!(names_a_key, "{line}: {message}");
+                    refused += 1;
+                }
+                code::CELL_FAILED | code::DEADLINE_EXCEEDED => {
+                    let cause = error.get("cause").and_then(Json::as_str);
+                    assert_ne!(cause, Some("panic"), "{line}: {message}");
+                    results += 1;
+                }
+                other => panic!("{line}: code {other}: {message}"),
+            }
+        }
+        assert!(
+            results > 30 && refused > 30,
+            "{results} results, {refused} refused"
+        );
     }
 }

@@ -1,9 +1,10 @@
 //! End-to-end tests of `t1000 bench` through the real binary: every named
 //! plan writes an artifact the validator accepts, a malformed
-//! `T1000_THREADS` is refused, and `t1000 run --stats-json` records the
-//! artifact's own cell documents.
+//! `T1000_THREADS` is refused, and `t1000 run --stats-json` and
+//! `t1000 serve` record the artifact's own cell documents.
 
-use std::process::Command;
+use std::io::Write;
+use std::process::{Command, Stdio};
 use t1000_bench::json::Json;
 use t1000_bench::results::validate_artifact;
 
@@ -113,15 +114,27 @@ fn run_stats_cells_equal_the_artifact_cells() {
     let cells = doc.get("cells").and_then(Json::as_array).expect("cells[]");
 
     // One `run` per kind of artifact cell: the baseline, greedy and
-    // selective at 2 PFUs, greedy on unlimited PFUs, and the §5.2 sweep.
+    // selective at 2 PFUs, greedy on unlimited PFUs, and the §5.2 sweep;
+    // beside each, the `serve` params that ask for the same cell.
     let stats = tmp("cell_stats.json");
-    for flags in [
-        &[][..],
-        &["--pfus", "2"],
-        &["--pfus", "2", "--greedy"],
-        &["--pfus", "unlimited", "--reconfig", "0", "--greedy"],
-        &["--pfus", "2", "--reconfig", "500"],
-    ] {
+    let cases = [
+        (&[][..], r#""strategy": "baseline""#),
+        (&["--pfus", "2"], r#""pfus": 2"#),
+        (
+            &["--pfus", "2", "--greedy"],
+            r#""strategy": "greedy", "pfus": 2"#,
+        ),
+        (
+            &["--pfus", "unlimited", "--reconfig", "0", "--greedy"],
+            r#""strategy": "greedy", "machine": {"pfus": "unlimited", "reconfig_cycles": 0}"#,
+        ),
+        (
+            &["--pfus", "2", "--reconfig", "500"],
+            r#""pfus": 2, "machine": {"reconfig_cycles": 500}"#,
+        ),
+    ];
+    let mut run_cells = Vec::new();
+    for (flags, _) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_t1000"))
             .args(["run", "bench:gsm_enc", "--stats-json", &stats])
             .args(flags)
@@ -129,19 +142,61 @@ fn run_stats_cells_equal_the_artifact_cells() {
             .expect("t1000 run");
         assert!(out.status.success(), "run {flags:?}: {out:?}");
         let run = Json::parse(&read(&stats)).expect("stats JSON");
-        let cell = run.get("cell").expect("cell");
+        let cell = run.get("cell").expect("cell").clone();
         let key = |c: &Json| {
             ["workload", "strategy", "machine"].map(|k| c.get(k).map(Json::to_string_compact))
         };
         let matching = cells
             .iter()
-            .find(|c| key(c) == key(cell))
-            .unwrap_or_else(|| panic!("run {flags:?}: no artifact cell {:?}", key(cell)));
+            .find(|c| key(c) == key(&cell))
+            .unwrap_or_else(|| panic!("run {flags:?}: no artifact cell {:?}", key(&cell)));
         assert_eq!(
-            strip_timing(cell),
+            strip_timing(&cell),
             strip_timing(matching),
             "run {flags:?} records a different cell"
         );
+        run_cells.push(cell);
     }
     let _ = std::fs::remove_file(&stats);
+
+    // `t1000 serve` parses its params into the same cells.
+    let requests: String = cases
+        .iter()
+        .enumerate()
+        .map(|(id, (_, params))| {
+            format!(
+                "{{\"id\": {id}, \"method\": \"run\", \"params\": {{\"workload\": \"gsm_enc\", {params}}}}}\n"
+            )
+        })
+        .collect();
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_t1000"))
+        .args(["serve", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn t1000 serve");
+    serve
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(requests.as_bytes())
+        .expect("send requests");
+    let out = serve.wait_with_output().expect("t1000 serve");
+    assert!(out.status.success(), "{out:?}");
+    let responses = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(responses.lines().count(), cases.len(), "{responses}");
+    for line in responses.lines() {
+        let resp = Json::parse(line).expect("response JSON");
+        let id = resp.get("id").and_then(Json::as_u64).expect("id") as usize;
+        let served = resp.get("result").and_then(|r| r.get("cell"));
+        let served = served.unwrap_or_else(|| panic!("{}: {line}", cases[id].1));
+        assert_eq!(
+            strip_timing(served),
+            strip_timing(&run_cells[id]),
+            "serve {} records a different cell than run {:?}",
+            cases[id].1,
+            cases[id].0
+        );
+    }
 }

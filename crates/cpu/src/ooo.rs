@@ -827,7 +827,8 @@ impl OooCore {
         let depth = self.cfg.pfu_prefetch as usize;
         // Each upcoming configuration with the sequence number its first
         // record will get at dispatch.
-        let mut upcoming: Vec<(ConfId, u64)> = Vec::with_capacity(depth);
+        let mut upcoming: Vec<(ConfId, u64)> =
+            Vec::with_capacity(depth.min(self.fetch_queue.len()));
         for (rec, seq) in self.fetch_queue.iter().zip(self.next_seq..) {
             if let Some(conf) = rec.conf() {
                 if !upcoming.iter().any(|&(c, _)| c == conf) {
