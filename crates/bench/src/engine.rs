@@ -21,7 +21,7 @@
 //! [`CellOutcome::Failed`] while every other cell completes. A cell is a
 //! pure function of (program, selection, machine), so a failed cell
 //! would fail the same way again and is never retried. Cycle fuel
-//! ([`EngineConfig::max_cycles`]) bounds divergent work, and a
+//! ([`RunOptions::max_cycles`]) bounds divergent work, and a
 //! [`FaultPlan`] can deterministically inject panics and PFU
 //! configuration faults for testing (see `docs/ROBUSTNESS.md`).
 //!
@@ -57,7 +57,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use t1000_core::{ExtractConfig, Selection, Session};
-use t1000_cpu::{AttrCollector, CycleAttribution, ExecError, TraceSink};
+use t1000_cpu::{
+    simulate_with, simulate_with_faults, AttrCollector, CycleAttribution, ExecError, TraceSink,
+};
+use t1000_isa::{ConfId, FusionMap};
 use t1000_workloads::{Scale, Workload};
 
 /// Worker-pool size: `T1000_THREADS` if set, else the machine's
@@ -187,10 +190,10 @@ pub enum FailureCause {
     Selection(String),
     /// The timing simulation failed.
     Simulate(String),
-    /// Simulation fuel exhausted (`EngineConfig::max_cycles`).
+    /// Simulation fuel exhausted ([`RunOptions::max_cycles`]).
     Timeout { max_cycles: u64 },
     /// The deadline passed before the cell started (a `t1000 serve`
-    /// request's `deadline_ms`; see [`CellRunner::run_cell_isolated`]).
+    /// request's `deadline_ms`; see [`run_isolated`]).
     WallClock,
     /// The simulated checksum diverges from the Rust reference.
     ChecksumMismatch { got: u64, expected: u64 },
@@ -275,22 +278,15 @@ pub enum CellOutcome {
 /// no fuel limit and no faults.
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
-    /// Per-simulation cycle fuel (0 = unlimited). Threaded into
-    /// `CpuConfig::max_cycles`; exhaustion fails the cell with
-    /// [`FailureCause::Timeout`].
-    pub max_cycles: u64,
+    /// The options every cell of the run simulates under: cycle fuel
+    /// and the fast-path switch.
+    pub run: RunOptions,
     /// Deterministic fault injection (see [`crate::fault`]).
     pub faults: FaultPlan,
     /// Zero the wall-clock seconds fields in [`EngineStats`] — and the
     /// per-cell `host_ns`/`sim_khz` measurements — so repeated runs
     /// produce byte-identical artifacts (the CI determinism digests).
     pub deterministic: bool,
-    /// Disable the pipeline-memo replay fast path
-    /// ([`t1000_cpu::CpuConfig::fast_path`], on by default) for every
-    /// simulation in this run. The results are bit-identical either way;
-    /// this knob exists to measure the accurate path's host throughput
-    /// (`--no-fast-path`).
-    pub no_fast_path: bool,
 }
 
 // ---------------------------------------------------------------------
@@ -543,12 +539,11 @@ pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineR
             }
         }
     }
-    let run_opts = config.run_options();
     let sessions: HashMap<(&'static str, ExtractConfig), Result<CellRunner, FailureCause>> =
         session_keys
             .iter()
             .zip(parallel_map(&session_keys, threads, |&(name, extract)| {
-                quiet_catch_unwind(|| CellRunner::for_workload(name, extract, scale, &run_opts))
+                quiet_catch_unwind(|| CellRunner::for_workload(name, extract, scale, &config.run))
                     .unwrap_or_else(|msg| Err(FailureCause::Panic(msg)))
             }))
             .map(|(&k, v)| (k, v))
@@ -609,8 +604,24 @@ pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineR
         if let Some(cause) = selection_failures.get(&selection_key) {
             return fail(FailureCause::Selection(cause.to_string()));
         }
-        let result = run_once(None, || {
-            simulate_cell(idx, cell, prepared, &selections, &selection_index, config)
+        let selection = selection_index
+            .get(&selection_key)
+            .map(|&i| selections[i].selection());
+        let result = run_isolated(None, || {
+            // Injected faults fire here: `panic@N` panics before the
+            // simulation starts; `pfu@N` fails every configuration load
+            // of the cell's selection (the scalar fallback path).
+            if config.faults.cell_panics(idx) {
+                panic!("injected fault: cell {idx}");
+            }
+            match selection {
+                Some(s) if config.faults.pfu_fault(idx) => {
+                    let faulted: Vec<ConfId> = s.confs.iter().map(|c| c.conf).collect();
+                    let mut sink = AttrCollector::new();
+                    prepared.run_cell_observed(cell, selection, &faulted, &config.run, &mut sink)
+                }
+                _ => prepared.run_cell_with(cell, selection, &config.run),
+            }
         });
         match result {
             Ok(result) => CellOutcome::Completed(Box::new(result)),
@@ -684,32 +695,25 @@ pub fn execute_with(plan: &Plan, scale: Scale, config: &EngineConfig) -> EngineR
 
 /// Per-simulation knobs a [`CellRunner`] threads into every
 /// [`t1000_cpu::CpuConfig`] it builds: the cycle-fuel watchdog and the
-/// fast-path switch. Extracted from [`EngineConfig`] so the runner can
-/// serve requests that carry their own limits (the `t1000 serve` daemon).
+/// fast-path switch. A batch run holds one in [`EngineConfig::run`]; the
+/// `t1000 serve` daemon reads one from each request.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct RunOptions {
     /// Cycle fuel per simulation (0 = unlimited); exhaustion fails the
     /// cell with [`FailureCause::Timeout`].
     pub max_cycles: u64,
-    /// Disable the replay fast path (results are bit-identical
-    /// either way; see `docs/FASTPATH.md`).
+    /// Disable the pipeline-memo replay fast path
+    /// ([`t1000_cpu::CpuConfig::fast_path`], on by default). The results
+    /// are bit-identical either way; the knob exists to measure the
+    /// accurate path's host throughput (`--no-fast-path`,
+    /// `docs/FASTPATH.md`).
     pub no_fast_path: bool,
 }
 
-impl EngineConfig {
-    /// The per-simulation slice of this engine configuration.
-    pub fn run_options(&self) -> RunOptions {
-        RunOptions {
-            max_cycles: self.max_cycles,
-            no_fast_path: self.no_fast_path,
-        }
-    }
-}
-
-/// Runs experiment cells for one prepared program, outside any batch
-/// plan — the per-cell execution engine extracted from the engine's
-/// phase machinery so that long-running services can call it one
-/// request at a time ([`crate::plan::Cell`] in, [`CellResult`] out).
+/// Runs experiment cells for one prepared program: the only code that
+/// simulates a cell and verifies its results ([`crate::plan::Cell`] in,
+/// [`CellResult`] out). The batch engine, `t1000 run`, `t1000 bench
+/// <name>` and `t1000 serve` all run cells through it.
 ///
 /// A runner owns a profiled [`Session`] plus the canonical baseline
 /// (PFU-less) reference run, which pins the architectural checksum every
@@ -732,7 +736,8 @@ impl EngineConfig {
 ///     SelectionSpec::selective_std(Some(2)),
 ///     MachineSpec::with_pfus(2, 10),
 /// );
-/// let result = runner.run_cell(cell, &opts).unwrap();
+/// let selection = runner.select(&cell.selection).unwrap();
+/// let result = runner.run_cell_with(cell, Some(&selection), &opts).unwrap();
 /// assert!(result.cycles < runner.baseline_cycles()); // fusion pays off
 /// assert_eq!(result.checksum, runner.expected_checksum()); // and verifies
 /// assert!(result.attr.checks_out()); // every cycle attributed
@@ -768,13 +773,14 @@ impl CellSink for AttrCollector {
     }
 }
 
-fn exec_cause(e: t1000_core::Error, deterministic: fn(String) -> FailureCause) -> FailureCause {
+/// The cause a failed simulation records: [`FailureCause::Timeout`] when
+/// it ran out of cycle fuel, else `other` with the error's message.
+fn exec_cause(e: ExecError, other: fn(String) -> FailureCause) -> FailureCause {
     match e {
-        t1000_core::Error::Exec(ExecError::CycleLimit(n)) => {
-            FailureCause::Timeout { max_cycles: n }
-        }
-        t1000_core::Error::SemanticsChanged { .. } => FailureCause::SemanticsChanged,
-        other => deterministic(other.to_string()),
+        ExecError::CycleLimit(n) => FailureCause::Timeout { max_cycles: n },
+        // Worded as `t1000_core::Error` words it, so failure details in
+        // artifacts and serve responses keep their text.
+        e => other(t1000_core::Error::Exec(e).to_string()),
     }
 }
 
@@ -794,7 +800,7 @@ impl CellRunner {
             .program()
             .map_err(|e| FailureCause::Prepare(e.to_string()))?;
         let session = Session::with_extract(program, extract)
-            .map_err(|e| exec_cause(e, FailureCause::Prepare))?;
+            .map_err(|e| FailureCause::Prepare(e.to_string()))?;
         CellRunner::from_session(Arc::new(session), Some(workload.expected_checksum()), opts)
     }
 
@@ -813,8 +819,7 @@ impl CellRunner {
         let mut sink = AttrCollector::new();
         let cpu = Self::cpu_for(&MachineSpec::with_pfus(0, 0), opts);
         let t0 = Instant::now();
-        let reference = session
-            .run_baseline_observed(cpu, &mut sink)
+        let reference = simulate_with(session.program(), &FusionMap::new(), cpu, &mut sink)
             .map_err(|e| exec_cause(e, FailureCause::Prepare))?;
         let reference_host_ns = t0.elapsed().as_nanos() as u64;
         let expected = expected_checksum.unwrap_or(reference.sys.checksum);
@@ -885,8 +890,8 @@ impl CellRunner {
     }
 
     /// Simulates `cell` with a pre-resolved `selection` (`None` =
-    /// baseline). This is the batch engine's entry point: the engine
-    /// resolves selections in its select phase, so a simulation never
+    /// baseline) under the aggregate [`AttrCollector`]. Callers resolve
+    /// selections first ([`CellRunner::select`]), so a simulation never
     /// touches the memo cache and cache counters stay deterministic. The
     /// canonical baseline cell reuses the reference run when `opts` match
     /// the prepare-time options.
@@ -911,90 +916,35 @@ impl CellRunner {
                 self.reference_host_ns,
             );
         }
-        self.run_cell_observed(cell, selection, opts, &mut AttrCollector::new())
+        self.run_cell_observed(cell, selection, &[], opts, &mut AttrCollector::new())
     }
 
     /// Simulates `cell` with a pre-resolved `selection` (`None` =
-    /// baseline) while `sink` observes the pipeline — per-PC stall
-    /// counters or an event trace for `t1000 run`. The cell's attribution
-    /// is the one `sink` collected. Always simulates: the reference run
-    /// is never reused, because it was not observed by `sink`.
+    /// baseline) while `sink` observes the pipeline (per-PC stall
+    /// counters or an event trace for `t1000 run`), and verifies its
+    /// results. The configurations in `faulted` fail to load, so their
+    /// sites fall back to the scalar sequence: the engine's `pfu@N` fault
+    /// injection. The cell's attribution is the one `sink` collected.
+    /// Always simulates: the reference run is never reused.
     pub fn run_cell_observed<S: CellSink>(
         &self,
         cell: Cell,
         selection: Option<&Selection>,
+        faulted: &[ConfId],
         opts: &RunOptions,
         sink: &mut S,
     ) -> Result<CellResult, FailureCause> {
+        let baseline = FusionMap::new();
+        let fusion = selection.map_or(&baseline, |s| &s.fusion);
         let cpu = Self::cpu_for(&cell.machine, opts);
         let t0 = Instant::now();
-        let run = match selection {
-            Some(s) => self.session.run_with_observed(s, cpu, sink),
-            None => self.session.run_baseline_observed(cpu, sink),
-        }
-        .map_err(|e| exec_cause(e, FailureCause::Simulate))?;
+        let run = simulate_with_faults(self.session.program(), fusion, cpu, faulted, sink)
+            .map_err(|e| exec_cause(e, FailureCause::Simulate))?;
         let host_ns = t0.elapsed().as_nanos() as u64;
         self.finish(cell, run, sink.attribution().clone(), host_ns)
     }
 
-    /// Simulates `cell` with every configuration of `selection` failing
-    /// to load — the graceful-degradation (scalar fallback) path the
-    /// engine's `pfu@N` fault injection exercises.
-    pub fn run_cell_degraded(
-        &self,
-        cell: Cell,
-        selection: &Selection,
-        opts: &RunOptions,
-    ) -> Result<CellResult, FailureCause> {
-        let cpu = Self::cpu_for(&cell.machine, opts);
-        let faulted: Vec<u16> = selection.confs.iter().map(|c| c.conf).collect();
-        let mut sink = AttrCollector::new();
-        let t0 = Instant::now();
-        let run = self
-            .session
-            .run_degraded_observed(selection, cpu, &faulted, &mut sink)
-            .map_err(|e| exec_cause(e, FailureCause::Simulate))?;
-        self.finish(cell, run, sink.attr, t0.elapsed().as_nanos() as u64)
-    }
-
-    /// Simulates `cell`, resolving its selection through the session's
-    /// memo cache first — the one-call form for callers outside a batch
-    /// plan (cache hits/misses are recorded, which is exactly what the
-    /// serving layer's `cache_stats` wants to observe).
-    pub fn run_cell(&self, cell: Cell, opts: &RunOptions) -> Result<CellResult, FailureCause> {
-        let selection = match cell.selection {
-            SelectionSpec::Baseline => None,
-            _ => Some(self.select(&cell.selection)?),
-        };
-        self.run_cell_with(cell, selection.as_deref(), opts)
-    }
-
-    /// [`CellRunner::run_cell`] under the engine's robustness machinery:
-    /// one attempt under `catch_unwind` panic isolation, after checking
-    /// an optional deadline ([`FailureCause::WallClock`] when it has
-    /// passed before the cell starts). The daemon's per-request execution
-    /// path.
-    // The error carries the full cell key on purpose (callers report it
-    // without keeping the request around); one per request, never hot.
-    #[allow(clippy::result_large_err)]
-    pub fn run_cell_isolated(
-        &self,
-        cell: Cell,
-        opts: &RunOptions,
-        deadline: Option<Instant>,
-    ) -> Result<CellResult, EngineError> {
-        let fail = |cause| EngineError { cell, cause };
-        let selection = match cell.selection {
-            SelectionSpec::Baseline => None,
-            spec => Some(self.select(&spec).map_err(fail)?),
-        };
-        run_once(deadline, || {
-            self.run_cell_with(cell, selection.as_deref(), opts)
-        })
-        .map_err(fail)
-    }
-
-    /// Verification + measurement extraction shared by every run path.
+    /// Verification + measurement extraction for every completed cell.
     fn finish(
         &self,
         cell: Cell,
@@ -1035,9 +985,11 @@ impl CellRunner {
     }
 }
 
-/// Runs a cell's simulation once under `catch_unwind` panic isolation,
-/// unless the `deadline` has already passed.
-fn run_once(
+/// Runs one cell's simulation once under `catch_unwind` panic isolation
+/// (a panic becomes [`FailureCause::Panic`]), unless `deadline` has
+/// already passed ([`FailureCause::WallClock`]). The batch engine's
+/// simulate phase and `t1000 serve`'s `run` both run cells through it.
+pub fn run_isolated(
     deadline: Option<Instant>,
     simulate: impl FnOnce() -> Result<CellResult, FailureCause>,
 ) -> Result<CellResult, FailureCause> {
@@ -1045,35 +997,6 @@ fn run_once(
         return Err(FailureCause::WallClock);
     }
     quiet_catch_unwind(simulate).unwrap_or_else(|msg| Err(FailureCause::Panic(msg)))
-}
-
-/// Simulates one cell for the batch engine. Injected faults
-/// fire here: `panic@N` panics before the simulation starts; `pfu@N`
-/// fails every configuration load of the cell's selection, exercising the
-/// graceful-degradation (scalar fallback) path.
-fn simulate_cell(
-    idx: usize,
-    cell: Cell,
-    runner: &CellRunner,
-    selections: &[SelectionRecord],
-    selection_index: &HashMap<(&'static str, ExtractConfig, SelectionSpec), usize>,
-    config: &EngineConfig,
-) -> Result<CellResult, FailureCause> {
-    if config.faults.cell_panics(idx) {
-        panic!("injected fault: cell {idx}");
-    }
-    let opts = config.run_options();
-    match selection_index.get(&(cell.workload, cell.extract, cell.selection)) {
-        Some(&i) => {
-            let selection = selections[i].selection();
-            if config.faults.pfu_fault(idx) {
-                runner.run_cell_degraded(cell, selection, &opts)
-            } else {
-                runner.run_cell_with(cell, Some(selection), &opts)
-            }
-        }
-        None => runner.run_cell_with(cell, None, &opts),
-    }
 }
 
 /// Identity/reference rows for every registry workload `cells` touches,
@@ -1185,13 +1108,17 @@ mod tests {
 
         let w = t1000_workloads::by_name("epic", Scale::Test).unwrap();
         let session = Session::new(w.program().unwrap()).unwrap();
-        let sel = session.greedy();
-        let base = session
-            .run_baseline(t1000_cpu::CpuConfig::baseline())
-            .unwrap();
-        let fused = session
-            .run_with(&sel, t1000_cpu::CpuConfig::with_pfus(2).reconfig(10))
-            .unwrap();
+        let sel = session.select_shared(&t1000_core::StrategySpec::Greedy);
+        let program = session.program();
+        let base =
+            t1000_cpu::simulate(program, &FusionMap::new(), t1000_cpu::CpuConfig::baseline())
+                .unwrap();
+        let fused = t1000_cpu::simulate(
+            program,
+            &sel.fusion,
+            t1000_cpu::CpuConfig::with_pfus(2).reconfig(10),
+        )
+        .unwrap();
 
         assert_eq!(run.cell(cell).expect("cell").cycles, fused.timing.cycles);
         assert_eq!(
@@ -1229,7 +1156,7 @@ mod tests {
     }
 
     #[test]
-    fn run_cell_isolated_fails_a_passed_deadline_before_the_cell_starts() {
+    fn run_isolated_fails_a_passed_deadline_before_the_cell_starts() {
         let opts = RunOptions::default();
         let runner =
             CellRunner::for_workload("gsm_dec", ExtractConfig::default(), Scale::Test, &opts)
@@ -1239,20 +1166,19 @@ mod tests {
             SelectionSpec::Greedy,
             MachineSpec::with_pfus(2, 10),
         );
+        let selection = runner.select(&cell.selection).unwrap();
+        let run = || runner.run_cell_with(cell, Some(&selection), &opts);
         // A deadline that has already passed refuses the cell unstarted.
-        let Err(e) = runner.run_cell_isolated(cell, &opts, Some(Instant::now())) else {
+        let Err(cause) = run_isolated(Some(Instant::now()), run) else {
             panic!("a passed deadline must refuse the cell");
         };
-        assert_eq!(e.cause, FailureCause::WallClock);
-        assert_eq!(e.cell, cell);
-        assert_eq!(
-            e.cause.to_string(),
-            "deadline passed before the cell started"
-        );
+        assert_eq!(cause, FailureCause::WallClock);
+        assert_eq!(cause.to_string(), "deadline passed before the cell started");
         // Without a deadline the same cell completes and verifies.
-        let r = runner
-            .run_cell_isolated(cell, &opts, None)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let r = run_isolated(None, run).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(r.checksum, runner.expected_checksum());
+        // A panicking simulation becomes a typed failure.
+        let panicked = run_isolated(None, || panic!("boom"));
+        assert_eq!(panicked.err(), Some(FailureCause::Panic("boom".into())));
     }
 }

@@ -3,8 +3,7 @@
 //! A [`FaultPlan`] describes *exactly* which operations fail — no
 //! randomness, no wall-clock — so a faulted run is reproducible down to
 //! the artifact bytes. Plans are written in a tiny comma-separated
-//! grammar, passed via `t1000 bench --inject <plan>` or the
-//! `T1000_INJECT` environment variable:
+//! grammar, passed via `t1000 bench --inject <plan>`:
 //!
 //! | arm | effect |
 //! |---|---|
@@ -16,9 +15,6 @@
 //! Example: `--inject panic@3,pfu@6`.
 
 use std::collections::HashSet;
-
-/// Environment variable holding the default fault plan.
-pub const FAULT_ENV: &str = "T1000_INJECT";
 
 /// A deterministic set of injected faults. The empty plan (the default)
 /// injects nothing and costs nothing on the hot path.
@@ -65,14 +61,6 @@ impl FaultPlan {
             }
         }
         Ok(plan)
-    }
-
-    /// The plan named by `T1000_INJECT`, or the empty plan when unset.
-    pub fn from_env() -> Result<FaultPlan, String> {
-        match std::env::var(FAULT_ENV) {
-            Ok(v) if !v.trim().is_empty() => FaultPlan::parse(&v),
-            _ => Ok(FaultPlan::none()),
-        }
     }
 
     /// Whether cell `idx` is injected to panic.

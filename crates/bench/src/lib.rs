@@ -32,54 +32,3 @@ pub mod plan;
 pub mod results;
 pub mod runstats;
 pub mod spec;
-
-use t1000_core::{Error, Selection, Session};
-use t1000_cpu::{CpuConfig, RunResult};
-use t1000_workloads::Workload;
-
-/// One benchmark's sessions and baseline run, shared across experiments.
-pub struct Prepared {
-    pub name: &'static str,
-    pub session: Session,
-    pub baseline: RunResult,
-}
-
-/// Assembles, profiles and baselines one workload.
-pub fn prepare(w: &Workload) -> Result<Prepared, Error> {
-    let program = w.program().map_err(Error::Asm)?;
-    let session = Session::new(program)?;
-    let baseline = session.run_baseline(CpuConfig::baseline())?;
-    // The harness refuses to report results for an incorrect simulation.
-    assert_eq!(
-        baseline.sys.checksum,
-        w.expected_checksum(),
-        "{}: simulator checksum diverges from the Rust reference",
-        w.name
-    );
-    Ok(Prepared {
-        name: w.name,
-        session,
-        baseline,
-    })
-}
-
-/// Runs one selection on one machine configuration and verifies
-/// architectural results against the baseline.
-pub fn run_verified(p: &Prepared, sel: &Selection, cpu: CpuConfig) -> RunResult {
-    let run = p
-        .session
-        .run_with(sel, cpu)
-        .unwrap_or_else(|e| panic!("{}: {e}", p.name));
-    assert_eq!(
-        run.sys, p.baseline.sys,
-        "{}: fused run changed architectural results",
-        p.name
-    );
-    run
-}
-
-/// Execution-time speedup over the prepared baseline (1.0 = no change,
-/// >1 = faster), the y-axis of Figs. 2 and 6.
-pub fn speedup(p: &Prepared, run: &RunResult) -> f64 {
-    p.baseline.timing.cycles as f64 / run.timing.cycles as f64
-}

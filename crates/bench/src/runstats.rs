@@ -578,7 +578,8 @@ mod tests {
     use crate::plan::{Cell, MachineSpec, SelectionSpec};
     use std::sync::Arc;
     use t1000_core::Session;
-    use t1000_cpu::{CpuConfig, RunResult};
+    use t1000_cpu::{simulate_with, CpuConfig, RunResult};
+    use t1000_isa::FusionMap;
 
     const KERNEL: &str = "
 main:
@@ -600,9 +601,13 @@ loop:
     fn kernel_run() -> (Session, RunResult, AttrCollector) {
         let session = Session::from_asm(KERNEL).unwrap();
         let mut sink = AttrCollector::with_per_pc();
-        let run = session
-            .run_baseline_observed(CpuConfig::baseline(), &mut sink)
-            .unwrap();
+        let run = simulate_with(
+            session.program(),
+            &FusionMap::new(),
+            CpuConfig::baseline(),
+            &mut sink,
+        )
+        .unwrap();
         (session, run, sink)
     }
 
@@ -619,7 +624,7 @@ loop:
         );
         let mut sink = AttrCollector::with_per_pc();
         let result = runner
-            .run_cell_observed(cell, None, &opts, &mut sink)
+            .run_cell_observed(cell, None, &[], &opts, &mut sink)
             .unwrap();
         assert_eq!(result.cycles, runner.baseline_cycles());
         let analysis = runner.session().analysis();
@@ -759,9 +764,13 @@ loop:
     fn trace_writer_emits_json_lines_and_collects_attribution() {
         let session = Session::from_asm(KERNEL).unwrap();
         let mut writer = TraceWriter::new(Vec::new());
-        let run = session
-            .run_baseline_observed(CpuConfig::baseline(), &mut writer)
-            .unwrap();
+        let run = simulate_with(
+            session.program(),
+            &FusionMap::new(),
+            CpuConfig::baseline(),
+            &mut writer,
+        )
+        .unwrap();
         assert_eq!(writer.collector.attr.total_cycles, run.timing.cycles);
         assert!(writer.collector.attr.checks_out());
         assert!(writer.events_written > 0, "cold caches must emit misses");

@@ -246,7 +246,7 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
         let file = std::fs::File::create(path)
             .map_err(|e| CliError(format!("cannot create {path}: {e}")))?;
         let mut writer = TraceWriter::new(std::io::BufWriter::new(file));
-        let result = runner.run_cell_observed(cell, selection, &opts, &mut writer);
+        let result = runner.run_cell_observed(cell, selection, &[], &opts, &mut writer);
         events = writer.events_written;
         per_pc = std::mem::take(&mut writer.collector).into_parts().1;
         writer
@@ -255,7 +255,7 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
         result
     } else if observing {
         let mut sink = AttrCollector::with_per_pc();
-        let result = runner.run_cell_observed(cell, selection, &opts, &mut sink);
+        let result = runner.run_cell_observed(cell, selection, &[], &opts, &mut sink);
         per_pc = sink.into_parts().1;
         result
     } else {
@@ -397,9 +397,9 @@ fn cmd_select(args: &[String]) -> Result<String, CliError> {
     let sel = if p.flag("explain") {
         let (sel, trace) = session.explain(&strategy);
         render_trace(&mut out, &trace);
-        sel
+        Arc::new(sel)
     } else {
-        session.select(&strategy)
+        session.select_shared(&strategy)
     };
     writeln!(
         out,
@@ -506,10 +506,7 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
         ));
     };
     let spec = cell_spec(Front::Bench, &p, Some(name))?;
-    let opts = RunOptions {
-        max_cycles: max_cycles(&p)?,
-        no_fast_path: p.flag("no-fast-path"),
-    };
+    let opts = run_options(&p)?;
     let (runner, sel) = prepare(&spec, name, 0, &opts)?;
     let result = runner
         .run_cell_with(spec.cell, sel.as_deref(), &opts)
@@ -525,36 +522,32 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     ))
 }
 
-/// Cycle fuel per simulation: `--max-cycles`, else `T1000_MAX_CYCLES`,
-/// else 0 (unlimited).
-fn max_cycles(p: &Parsed) -> Result<u64, CliError> {
-    match p.get("max-cycles") {
+/// The per-cell options `bench` reads from `--max-cycles` (cycle fuel
+/// per simulation, 0 or absent = unlimited) and `--no-fast-path`.
+fn run_options(p: &Parsed) -> Result<RunOptions, CliError> {
+    let max_cycles = match p.get("max-cycles") {
         Some(v) => v
             .parse::<u64>()
-            .map_err(|_| CliError(format!("--max-cycles: `{v}` is not a cycle count"))),
-        None => match std::env::var("T1000_MAX_CYCLES") {
-            Ok(v) => v
-                .parse::<u64>()
-                .map_err(|_| CliError(format!("T1000_MAX_CYCLES: `{v}` is not a cycle count"))),
-            Err(_) => Ok(0),
-        },
-    }
+            .map_err(|_| CliError(format!("--max-cycles: `{v}` is not a cycle count")))?,
+        None => 0,
+    };
+    Ok(RunOptions {
+        max_cycles,
+        no_fast_path: p.flag("no-fast-path"),
+    })
 }
 
-/// Assembles the engine's robustness configuration from CLI flags and
-/// their environment fallbacks (`T1000_INJECT`, `T1000_MAX_CYCLES`).
+/// Assembles the engine's configuration from the `bench` flags.
 fn engine_config(p: &Parsed) -> Result<t1000_bench::engine::EngineConfig, CliError> {
     let faults = match p.get("inject") {
         Some(text) => t1000_bench::fault::FaultPlan::parse(text)
             .map_err(|e| CliError(format!("--inject: {e}")))?,
-        None => t1000_bench::fault::FaultPlan::from_env()
-            .map_err(|e| CliError(format!("T1000_INJECT: {e}")))?,
+        None => t1000_bench::fault::FaultPlan::none(),
     };
     Ok(t1000_bench::engine::EngineConfig {
-        max_cycles: max_cycles(p)?,
+        run: run_options(p)?,
         faults,
         deterministic: p.flag("deterministic"),
-        no_fast_path: p.flag("no-fast-path"),
     })
 }
 

@@ -13,10 +13,11 @@
 //!   per process in a shared [`t1000_core::SessionStore`] keyed by
 //!   program hash, so the profiling pass and the per-`StrategySpec`
 //!   selection memo-cache are warm across clients;
-//! * per-request execution goes through
-//!   [`CellRunner::run_cell_isolated`]: one attempt under `catch_unwind`
-//!   panic isolation, bounded by cycle fuel; the per-request deadline is
-//!   checked before work starts, not during a simulation;
+//! * a `run` simulates through [`CellRunner::run_cell_with`] under
+//!   [`run_isolated`], the wrapper the batch engine uses: one attempt
+//!   under `catch_unwind` panic isolation, bounded by cycle fuel; the
+//!   per-request deadline is checked before work starts, not during a
+//!   simulation;
 //! * work requests (`select`, `run`) fan out onto a bounded worker pool
 //!   behind a bounded queue — when the queue is full the request is shed
 //!   immediately with a `429`-style [`code::QUEUE_FULL`] error instead of
@@ -59,7 +60,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
-use t1000_bench::engine::{CellRunner, FailureCause, RunOptions, SelectionRecord};
+use t1000_bench::engine::{run_isolated, CellRunner, FailureCause, RunOptions, SelectionRecord};
 use t1000_bench::json::Json;
 use t1000_bench::plan::{Cell, SelectionSpec};
 use t1000_bench::results::{cell_result_json, scale_str, selection_json, SCHEMA_VERSION};
@@ -563,7 +564,16 @@ impl Server {
                 Err(cause) => cell_failure(&work.id, &cause),
             },
             WorkMethod::Run => {
-                match runner.run_cell_isolated(work.cell, &work.opts, work.deadline) {
+                let selection = match work.cell.selection {
+                    SelectionSpec::Baseline => Ok(None),
+                    spec => runner.select(&spec).map(Some),
+                };
+                let result = selection.and_then(|sel| {
+                    run_isolated(work.deadline, || {
+                        runner.run_cell_with(work.cell, sel.as_deref(), &work.opts)
+                    })
+                });
+                match result {
                     Ok(c) => {
                         let speedup = runner.speedup(&c);
                         let baseline = runner.baseline_cycles();
@@ -575,7 +585,7 @@ impl Server {
                             }),
                         )
                     }
-                    Err(e) if e.cause == FailureCause::WallClock => {
+                    Err(FailureCause::WallClock) => {
                         self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
                         error_response(
                             &work.id,
@@ -585,7 +595,7 @@ impl Server {
                             vec![],
                         )
                     }
-                    Err(e) => cell_failure(&work.id, &e.cause),
+                    Err(cause) => cell_failure(&work.id, &cause),
                 }
             }
         }

@@ -1,7 +1,8 @@
 //! End-to-end tests of `t1000 bench` through the real binary: every named
 //! plan writes an artifact the validator accepts, a malformed
-//! `T1000_THREADS` is refused, and `t1000 run --stats-json` and
-//! `t1000 serve` record the artifact's own cell documents.
+//! `T1000_THREADS` is refused, no environment variable injects faults or
+//! cycle fuel, and `t1000 run --stats-json` and `t1000 serve` record the
+//! artifact's own cell documents.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -92,6 +93,25 @@ fn a_malformed_thread_count_is_refused() {
             "{args:?}: {stderr}"
         );
     }
+}
+
+#[test]
+fn fault_and_fuel_variables_in_the_environment_are_ignored() {
+    // Faults come only from `--inject` and cycle fuel only from
+    // `--max-cycles`: a value left in the shell must not fail cells the
+    // artifact cannot account for.
+    let path = tmp("env_ignored.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_t1000"))
+        .args(["bench", "--all", "--scale", "test", "--deterministic"])
+        .args(["--json", &path])
+        .env("T1000_INJECT", "panic@0")
+        .env("T1000_MAX_CYCLES", "50")
+        .output()
+        .expect("run bench");
+    assert!(out.status.success(), "{out:?}");
+    let summary = validate_artifact(&read(&path)).unwrap_or_else(|e| panic!("{e}"));
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(summary.failed_cells, 0);
 }
 
 /// A cell document without its host-timing fields (`host_ns`, `sim_khz`),

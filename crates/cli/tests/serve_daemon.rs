@@ -164,7 +164,8 @@ fn concurrent_clients_share_one_analysis_and_match_t1000_run() {
         SelectionSpec::selective_std(Some(2)),
         MachineSpec::with_pfus(2, 10),
     );
-    let local = runner.run_cell(cell, &opts).unwrap();
+    let selection = runner.select(&cell.selection).unwrap();
+    let local = runner.run_cell_with(cell, Some(&selection), &opts).unwrap();
     let speedup = runner.baseline_cycles() as f64 / local.cycles as f64;
     let want = cell_result_json(&local, Some(speedup));
     let served = result(&responses[0]).get("cell").unwrap();

@@ -17,13 +17,13 @@
 //! * [`select`] — shared selection types plus source-compatible wrappers
 //!   over the pipeline;
 //! * [`session::Session`] — the end-to-end façade
-//!   (assemble → profile → select → simulate → verify), memoising
-//!   selections per [`StrategySpec`].
+//!   (assemble → profile → select), memoising selections per
+//!   [`StrategySpec`].
 //!
 //! Extracting extended instructions from a hot loop:
 //!
 //! ```
-//! use t1000_core::Session;
+//! use t1000_core::{Session, StrategySpec};
 //!
 //! let session = Session::from_asm("
 //! main:
@@ -38,7 +38,7 @@
 //!     syscall
 //! ").unwrap();
 //!
-//! let selection = session.greedy();
+//! let selection = session.select_shared(&StrategySpec::Greedy);
 //! assert!(selection.num_confs() >= 1); // the sll/xor/andi run fuses
 //! ```
 
@@ -78,12 +78,6 @@ pub enum Error {
     Decode(t1000_isa::DecodeError),
     /// Functional execution failed (bad PC, misalignment, runaway...).
     Exec(t1000_cpu::ExecError),
-    /// A selection changed architectural results — a selector bug caught
-    /// by the differential check.
-    SemanticsChanged {
-        baseline: Box<t1000_cpu::SyscallState>,
-        fused: Box<t1000_cpu::SyscallState>,
-    },
     /// A selection pass ran without its inputs — a custom pipeline wired
     /// the passes in an order that violates the `SelectionCtx` contract
     /// (`docs/PIPELINE.md`). The standard pipeline never produces this.
@@ -96,9 +90,6 @@ impl std::fmt::Display for Error {
             Error::Asm(e) => write!(f, "assembly error: {e}"),
             Error::Decode(e) => write!(f, "decode error: {e}"),
             Error::Exec(e) => write!(f, "execution error: {e}"),
-            Error::SemanticsChanged { .. } => {
-                write!(f, "selection changed architectural results")
-            }
             Error::Pipeline(msg) => write!(f, "selection pipeline: {msg}"),
         }
     }

@@ -1,11 +1,13 @@
-//! End-to-end pipeline: assemble → analyse → select → simulate.
+//! End-to-end pipeline: assemble → analyse → select.
 //!
 //! [`Session`] is the crate's front door. It owns one program plus its
-//! analyses and runs the paper's experiments on it:
+//! analyses and selects extended instructions for it; `t1000_cpu`
+//! simulates the program with or without them:
 //!
 //! ```
-//! use t1000_core::{Session, SelectConfig};
-//! use t1000_cpu::CpuConfig;
+//! use t1000_core::{SelectConfig, Session, StrategySpec};
+//! use t1000_cpu::{simulate, CpuConfig};
+//! use t1000_isa::FusionMap;
 //!
 //! let session = Session::from_asm("
 //! main:
@@ -28,24 +30,25 @@
 //!     syscall
 //! ").unwrap();
 //!
-//! let baseline = session.run_baseline(CpuConfig::baseline()).unwrap();
-//! let selection = session.selective(&SelectConfig { pfus: Some(2), ..Default::default() });
-//! let t1000 = session.run_with(&selection, CpuConfig::with_pfus(2)).unwrap();
-//! assert_eq!(t1000.sys.checksum, baseline.sys.checksum); // fusion is semantics-preserving
+//! let program = session.program();
+//! let baseline = simulate(program, &FusionMap::new(), CpuConfig::baseline()).unwrap();
+//! let cfg = SelectConfig { pfus: Some(2), ..Default::default() };
+//! let selection = session.select_shared(&StrategySpec::selective(&cfg));
+//! let t1000 = simulate(program, &selection.fusion, CpuConfig::with_pfus(2)).unwrap();
+//! assert_eq!(t1000.sys, baseline.sys); // fusion is semantics-preserving
 //! assert!(t1000.timing.cycles < baseline.timing.cycles); // and faster
 //! ```
 
 use crate::extract::{Analysis, ExtractConfig};
 use crate::pipeline::{run_selection, PipelineTrace};
-use crate::select::{SelectConfig, Selection};
+use crate::select::Selection;
 use crate::strategy::StrategySpec;
 use crate::Error;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-use t1000_cpu::{simulate, simulate_with, simulate_with_faults, CpuConfig, RunResult, TraceSink};
-use t1000_isa::{ConfId, FusionMap, Program};
+use t1000_isa::Program;
 
 /// Counters describing how the session's selection cache has been used.
 /// Times are for cache *misses* only — what the selectors actually cost.
@@ -366,11 +369,6 @@ impl Session {
         })
     }
 
-    /// Like [`Session::select_shared`], but clones the cached selection.
-    pub fn select(&self, spec: &StrategySpec) -> Selection {
-        (*self.select_shared(spec)).clone()
-    }
-
     /// Runs the strategy *uncached* with decision logging enabled and
     /// returns the selection together with the pipeline trace (per-pass
     /// wall time and item counts, per-candidate accept/reject reasons) —
@@ -386,137 +384,30 @@ impl Session {
         )
     }
 
-    /// Runs the greedy selection algorithm (§4). Memoized: repeated calls
-    /// (from any thread) compute the selection once and clone the cached
-    /// result.
-    pub fn greedy(&self) -> Selection {
-        (*self.greedy_shared()).clone()
-    }
-
-    /// Runs the selective algorithm (§5). Memoized per `SelectConfig`,
-    /// like [`Session::greedy`].
-    pub fn selective(&self, cfg: &SelectConfig) -> Selection {
-        (*self.selective_shared(cfg)).clone()
-    }
-
-    /// Like [`Session::greedy`], but shares the cached selection instead
-    /// of cloning it.
-    pub fn greedy_shared(&self) -> Arc<Selection> {
-        self.select_shared(&StrategySpec::Greedy)
-    }
-
-    /// Like [`Session::selective`], but shares the cached selection
-    /// instead of cloning it.
-    pub fn selective_shared(&self, cfg: &SelectConfig) -> Arc<Selection> {
-        self.select_shared(&StrategySpec::selective(cfg))
-    }
-
     /// Hit/miss/compute-time counters for the selection cache.
     pub fn selection_cache_stats(&self) -> SelectionCacheStats {
         self.selections.stats()
-    }
-
-    /// Simulates the program with no extended instructions.
-    pub fn run_baseline(&self, cpu: CpuConfig) -> Result<RunResult, Error> {
-        simulate(&self.program, &FusionMap::new(), cpu).map_err(Error::Exec)
-    }
-
-    /// Simulates the program with `selection`'s extended instructions.
-    pub fn run_with(&self, selection: &Selection, cpu: CpuConfig) -> Result<RunResult, Error> {
-        simulate(&self.program, &selection.fusion, cpu).map_err(Error::Exec)
-    }
-
-    /// [`Session::run_baseline`] with an observability sink attached
-    /// (cycle attribution and/or event traces; see `t1000_cpu::observe`).
-    pub fn run_baseline_observed<S: TraceSink>(
-        &self,
-        cpu: CpuConfig,
-        sink: &mut S,
-    ) -> Result<RunResult, Error> {
-        simulate_with(&self.program, &FusionMap::new(), cpu, sink).map_err(Error::Exec)
-    }
-
-    /// [`Session::run_with`] with an observability sink attached.
-    pub fn run_with_observed<S: TraceSink>(
-        &self,
-        selection: &Selection,
-        cpu: CpuConfig,
-        sink: &mut S,
-    ) -> Result<RunResult, Error> {
-        simulate_with(&self.program, &selection.fusion, cpu, sink).map_err(Error::Exec)
-    }
-
-    /// Simulates the program with `selection`'s extended instructions while
-    /// the PFU configurations in `faulted_confs` fail to load. Each visit
-    /// to a faulted site gracefully degrades to the original scalar
-    /// sequence at its true latency; the visits are counted in
-    /// `timing.pfu.load_faults`. Architectural results are bit-identical to
-    /// the healthy fused run.
-    pub fn run_degraded(
-        &self,
-        selection: &Selection,
-        cpu: CpuConfig,
-        faulted_confs: &[ConfId],
-    ) -> Result<RunResult, Error> {
-        self.run_degraded_observed(selection, cpu, faulted_confs, &mut t1000_cpu::NullSink)
-    }
-
-    /// [`Session::run_degraded`] with an observability sink attached.
-    pub fn run_degraded_observed<S: TraceSink>(
-        &self,
-        selection: &Selection,
-        cpu: CpuConfig,
-        faulted_confs: &[ConfId],
-        sink: &mut S,
-    ) -> Result<RunResult, Error> {
-        simulate_with_faults(&self.program, &selection.fusion, cpu, faulted_confs, sink)
-            .map_err(Error::Exec)
-    }
-
-    /// Differential check for the graceful-degradation path: simulates the
-    /// baseline and the degraded (faulted-conf) configurations and verifies
-    /// bit-identical architectural results. Returns both runs.
-    pub fn verify_degraded(
-        &self,
-        selection: &Selection,
-        cpu: CpuConfig,
-        faulted_confs: &[ConfId],
-    ) -> Result<(RunResult, RunResult), Error> {
-        let base = self.run_baseline(CpuConfig::baseline())?;
-        let degraded = self.run_degraded(selection, cpu, faulted_confs)?;
-        if base.sys != degraded.sys {
-            return Err(Error::SemanticsChanged {
-                baseline: Box::new(base.sys),
-                fused: Box::new(degraded.sys),
-            });
-        }
-        Ok((base, degraded))
-    }
-
-    /// Differential check: simulates baseline and fused configurations and
-    /// verifies bit-identical architectural results (output, checksum,
-    /// exit code). Returns both runs.
-    pub fn verify_selection(
-        &self,
-        selection: &Selection,
-        cpu: CpuConfig,
-    ) -> Result<(RunResult, RunResult), Error> {
-        let base = self.run_baseline(CpuConfig::baseline())?;
-        let fused = self.run_with(selection, cpu)?;
-        if base.sys != fused.sys {
-            return Err(Error::SemanticsChanged {
-                baseline: Box::new(base.sys),
-                fused: Box::new(fused.sys),
-            });
-        }
-        Ok((base, fused))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::selective;
+    use crate::select::{selective, SelectConfig};
+    use t1000_cpu::{simulate, simulate_with, CpuConfig, RunResult};
+    use t1000_isa::FusionMap;
+
+    fn baseline(s: &Session) -> RunResult {
+        simulate(s.program(), &FusionMap::new(), CpuConfig::baseline()).unwrap()
+    }
+
+    fn fused(s: &Session, sel: &Selection, cpu: CpuConfig) -> RunResult {
+        simulate(s.program(), &sel.fusion, cpu).unwrap()
+    }
+
+    fn selective_of(s: &Session, cfg: &SelectConfig) -> Arc<Selection> {
+        s.select_shared(&StrategySpec::selective(cfg))
+    }
 
     const KERNEL: &str = "
 main:
@@ -542,13 +433,18 @@ loop:
     #[test]
     fn full_pipeline_speeds_up_and_preserves_semantics() {
         let s = Session::from_asm(KERNEL).unwrap();
-        let sel = s.selective(&SelectConfig {
-            pfus: Some(2),
-            gain_threshold: 0.005,
-            reload_weight: 0.0,
-        });
+        let sel = selective_of(
+            &s,
+            &SelectConfig {
+                pfus: Some(2),
+                gain_threshold: 0.005,
+                reload_weight: 0.0,
+            },
+        );
         assert!(sel.num_confs() >= 1);
-        let (base, fused) = s.verify_selection(&sel, CpuConfig::with_pfus(2)).unwrap();
+        let base = baseline(&s);
+        let fused = fused(&s, &sel, CpuConfig::with_pfus(2));
+        assert_eq!(fused.sys, base.sys);
         assert!(
             fused.timing.cycles < base.timing.cycles,
             "fused {} >= base {}",
@@ -563,50 +459,59 @@ loop:
     fn observed_and_plain_runs_agree_and_account_every_cycle() {
         use t1000_cpu::AttrCollector;
         let s = Session::from_asm(KERNEL).unwrap();
-        let plain = s.run_baseline(CpuConfig::baseline()).unwrap();
+        let plain = baseline(&s);
         let mut sink = AttrCollector::new();
-        let observed = s
-            .run_baseline_observed(CpuConfig::baseline(), &mut sink)
-            .unwrap();
+        let observed = simulate_with(
+            s.program(),
+            &FusionMap::new(),
+            CpuConfig::baseline(),
+            &mut sink,
+        )
+        .unwrap();
         assert_eq!(observed.timing.cycles, plain.timing.cycles);
         assert_eq!(observed.sys, plain.sys);
         assert_eq!(sink.attr.total_cycles, plain.timing.cycles);
         assert!(sink.attr.checks_out());
 
-        let sel = s.selective(&SelectConfig {
-            pfus: Some(2),
-            gain_threshold: 0.005,
-            reload_weight: 0.0,
-        });
-        let mut fused_sink = AttrCollector::new();
-        let fused = s
-            .run_with_observed(&sel, CpuConfig::with_pfus(2), &mut fused_sink)
-            .unwrap();
-        assert_eq!(
-            fused.timing.cycles,
-            s.run_with(&sel, CpuConfig::with_pfus(2))
-                .unwrap()
-                .timing
-                .cycles
+        let sel = selective_of(
+            &s,
+            &SelectConfig {
+                pfus: Some(2),
+                gain_threshold: 0.005,
+                reload_weight: 0.0,
+            },
         );
-        assert_eq!(fused_sink.attr.total_cycles, fused.timing.cycles);
+        let mut fused_sink = AttrCollector::new();
+        let observed_fused = simulate_with(
+            s.program(),
+            &sel.fusion,
+            CpuConfig::with_pfus(2),
+            &mut fused_sink,
+        )
+        .unwrap();
+        assert_eq!(
+            observed_fused.timing.cycles,
+            fused(&s, &sel, CpuConfig::with_pfus(2)).timing.cycles
+        );
+        assert_eq!(fused_sink.attr.total_cycles, observed_fused.timing.cycles);
         assert!(fused_sink.attr.checks_out());
     }
 
     #[test]
     fn greedy_with_unlimited_pfus_is_at_least_as_fast_as_selective() {
         let s = Session::from_asm(KERNEL).unwrap();
-        let g = s.greedy();
-        let sel = s.selective(&SelectConfig {
-            pfus: Some(2),
-            gain_threshold: 0.005,
-            reload_weight: 0.0,
-        });
-        let base = s.run_baseline(CpuConfig::baseline()).unwrap();
-        let g_run = s
-            .run_with(&g, CpuConfig::unlimited_pfus().reconfig(0))
-            .unwrap();
-        let s_run = s.run_with(&sel, CpuConfig::with_pfus(2)).unwrap();
+        let g = s.select_shared(&StrategySpec::Greedy);
+        let sel = selective_of(
+            &s,
+            &SelectConfig {
+                pfus: Some(2),
+                gain_threshold: 0.005,
+                reload_weight: 0.0,
+            },
+        );
+        let base = baseline(&s);
+        let g_run = fused(&s, &g, CpuConfig::unlimited_pfus().reconfig(0));
+        let s_run = fused(&s, &sel, CpuConfig::with_pfus(2));
         assert!(g_run.timing.cycles <= s_run.timing.cycles);
         assert!(g_run.timing.cycles < base.timing.cycles);
     }
@@ -620,8 +525,8 @@ loop:
             reload_weight: 0.0,
         };
         let uncached = selective(s.program(), s.analysis(), s.extract_config(), &cfg);
-        let first = s.selective(&cfg);
-        let second = s.selective(&cfg);
+        let first = selective_of(&s, &cfg);
+        let second = selective_of(&s, &cfg);
         // The cached results must be indistinguishable from a direct,
         // uncached run of the algorithm.
         assert_eq!(format!("{uncached:?}"), format!("{first:?}"));
@@ -634,35 +539,50 @@ loop:
     #[test]
     fn selection_cache_keys_distinguish_configs() {
         let s = Session::from_asm(KERNEL).unwrap();
-        s.greedy();
-        s.selective(&SelectConfig {
-            pfus: Some(2),
-            gain_threshold: 0.005,
-            reload_weight: 0.0,
-        });
-        s.selective(&SelectConfig {
-            pfus: Some(4),
-            gain_threshold: 0.005,
-            reload_weight: 0.0,
-        });
-        s.selective(&SelectConfig {
-            pfus: Some(2),
-            gain_threshold: 0.01,
-            reload_weight: 0.0,
-        });
-        s.selective(&SelectConfig {
-            pfus: None,
-            gain_threshold: 0.005,
-            reload_weight: 0.0,
-        });
+        s.select_shared(&StrategySpec::Greedy);
+        selective_of(
+            &s,
+            &SelectConfig {
+                pfus: Some(2),
+                gain_threshold: 0.005,
+                reload_weight: 0.0,
+            },
+        );
+        selective_of(
+            &s,
+            &SelectConfig {
+                pfus: Some(4),
+                gain_threshold: 0.005,
+                reload_weight: 0.0,
+            },
+        );
+        selective_of(
+            &s,
+            &SelectConfig {
+                pfus: Some(2),
+                gain_threshold: 0.01,
+                reload_weight: 0.0,
+            },
+        );
+        selective_of(
+            &s,
+            &SelectConfig {
+                pfus: None,
+                gain_threshold: 0.005,
+                reload_weight: 0.0,
+            },
+        );
         assert_eq!(s.selection_cache_stats().misses, 5);
         assert_eq!(s.selection_cache_stats().hits, 0);
-        s.greedy();
-        s.selective(&SelectConfig {
-            pfus: None,
-            gain_threshold: 0.005,
-            reload_weight: 0.0,
-        });
+        s.select_shared(&StrategySpec::Greedy);
+        selective_of(
+            &s,
+            &SelectConfig {
+                pfus: None,
+                gain_threshold: 0.005,
+                reload_weight: 0.0,
+            },
+        );
         assert_eq!(s.selection_cache_stats().misses, 5);
         assert_eq!(s.selection_cache_stats().hits, 2);
     }
@@ -677,7 +597,7 @@ loop:
         };
         let selections: Vec<std::sync::Arc<Selection>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
-                .map(|_| scope.spawn(|| s.selective_shared(&cfg)))
+                .map(|_| scope.spawn(|| selective_of(&s, &cfg)))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
@@ -737,11 +657,11 @@ loop:
         store
             .get_or_build(&a, ExtractConfig::default(), 0)
             .unwrap()
-            .greedy_shared();
+            .select_shared(&StrategySpec::Greedy);
         store
             .get_or_build(&b, ExtractConfig::default(), 0)
             .unwrap()
-            .greedy_shared();
+            .select_shared(&StrategySpec::Greedy);
         assert_eq!(store.selection_totals().misses, 2);
     }
 

@@ -2,8 +2,9 @@
 //! where the paper's reasoning predicts a specific decision, asserted
 //! exactly.
 
-use t1000_core::{SelectConfig, Session};
-use t1000_cpu::CpuConfig;
+use t1000_core::{SelectConfig, Session, StrategySpec};
+use t1000_cpu::{simulate, CpuConfig};
+use t1000_isa::FusionMap;
 
 /// Two loops, each dominated by a different chain form. With one PFU the
 /// selective algorithm must pick the best form *per loop* (configurations
@@ -38,19 +39,22 @@ l2:
     syscall
 ";
     let s = Session::from_asm(src).unwrap();
-    let sel = s.selective(&SelectConfig {
+    let sel = s.select_shared(&StrategySpec::selective(&SelectConfig {
         pfus: Some(1),
         gain_threshold: 0.005,
         reload_weight: 0.0,
-    });
+    }));
     // One config per loop: two distinct configurations in total.
     assert_eq!(sel.num_confs(), 2, "{:?}", sel.confs);
     // And with one PFU the machine reconfigures exactly twice (once per
     // loop entry), independent of iteration count.
-    let base = s.run_baseline(CpuConfig::baseline()).unwrap();
-    let run = s
-        .run_with(&sel, CpuConfig::with_pfus(1).reconfig(10))
-        .unwrap();
+    let base = simulate(s.program(), &FusionMap::new(), CpuConfig::baseline()).unwrap();
+    let run = simulate(
+        s.program(),
+        &sel.fusion,
+        CpuConfig::with_pfus(1).reconfig(10),
+    )
+    .unwrap();
     assert_eq!(run.sys, base.sys);
     assert_eq!(run.timing.pfu.reconfigurations, 2);
     assert!(run.timing.cycles < base.timing.cycles);
@@ -84,11 +88,13 @@ loop:
     syscall
 ";
     let s = Session::from_asm(src).unwrap();
-    let sel = s.greedy();
+    let sel = s.select_shared(&StrategySpec::Greedy);
     // Fusing [sll; xor; andi] is fine ONLY because its output ($t2) is the
     // single live-out; the extractor must have kept $t2 as the output, and
     // the fused run must still produce identical results.
-    let (base, fused) = s.verify_selection(&sel, CpuConfig::with_pfus(2)).unwrap();
+    let base = simulate(s.program(), &FusionMap::new(), CpuConfig::baseline()).unwrap();
+    let fused = simulate(s.program(), &sel.fusion, CpuConfig::with_pfus(2)).unwrap();
+    assert_eq!(base.sys, fused.sys);
     assert_eq!(base.sys.checksum, fused.sys.checksum);
     for site in sel.fusion.sites() {
         // No site may treat $t2's def as a dead intermediate while it is
@@ -132,11 +138,11 @@ cold:
     syscall
 ";
     let s = Session::from_asm(src).unwrap();
-    let sel = s.selective(&SelectConfig {
+    let sel = s.select_shared(&StrategySpec::selective(&SelectConfig {
         pfus: Some(4),
         gain_threshold: 0.005,
         reload_weight: 0.0,
-    });
+    }));
     // Only the hot loop's form(s) survive; the cold loop's gain share is
     // ~3/20000 ≪ 0.5%.
     assert!(sel.num_confs() >= 1);
@@ -184,16 +190,19 @@ l2:
 "
     );
     let s = Session::from_asm(&src).unwrap();
-    let sel = s.selective(&SelectConfig {
+    let sel = s.select_shared(&StrategySpec::selective(&SelectConfig {
         pfus: Some(1),
         gain_threshold: 0.005,
         reload_weight: 0.0,
-    });
+    }));
     assert_eq!(sel.num_confs(), 1, "identical chains must share a config");
     assert_eq!(sel.fusion.num_sites(), 2);
-    let run = s
-        .run_with(&sel, CpuConfig::with_pfus(1).reconfig(10))
-        .unwrap();
+    let run = simulate(
+        s.program(),
+        &sel.fusion,
+        CpuConfig::with_pfus(1).reconfig(10),
+    )
+    .unwrap();
     assert_eq!(
         run.timing.pfu.reconfigurations, 1,
         "one load serves both loops"

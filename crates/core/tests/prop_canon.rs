@@ -1,7 +1,7 @@
 //! Property tests for canonicalisation and selection determinism.
 
 use proptest::prelude::*;
-use t1000_core::{canonicalize, SelectConfig, Session};
+use t1000_core::{canonicalize, SelectConfig, Session, StrategySpec};
 use t1000_isa::{Instr, Op, Reg};
 
 fn r(n: u8) -> Reg {
@@ -110,11 +110,11 @@ loop:
     let runs: Vec<Vec<(u16, usize, u32)>> = (0..3)
         .map(|_| {
             let s = Session::from_asm(src).unwrap();
-            s.selective(&SelectConfig {
+            s.select_shared(&StrategySpec::selective(&SelectConfig {
                 pfus: Some(2),
                 gain_threshold: 0.005,
                 reload_weight: 0.0,
-            })
+            }))
             .confs
             .iter()
             .map(|c| (c.conf, c.num_sites, c.cost.luts))

@@ -14,7 +14,7 @@
 //! under cycle fuel that runs out around it, plus what `execute` returns
 //! on the same programs.
 
-use t1000_core::{SelectConfig, Session};
+use t1000_core::{SelectConfig, Session, StrategySpec};
 use t1000_cpu::{
     simulate_with, AttrCollector, CpuConfig, DynInstr, ExecError, FuncCore, StepValues,
 };
@@ -159,11 +159,11 @@ fn record_streams_match_their_goldens() {
         let w = t1000_workloads::by_name(name, Scale::Test).unwrap();
         let session = Session::new(w.program().unwrap()).unwrap();
         let p = session.program();
-        let greedy = session.greedy();
-        let selective = session.selective(&SelectConfig {
+        let greedy = session.select_shared(&StrategySpec::Greedy);
+        let selective = session.select_shared(&StrategySpec::selective(&SelectConfig {
             pfus: Some(2),
             ..SelectConfig::default()
-        });
+        }));
         let every: Vec<u16> = selective.fusion.defs().map(|d| d.conf).collect();
         let none = FusionMap::new();
         let cases: [(&FusionMap, &[u16]); 4] = [

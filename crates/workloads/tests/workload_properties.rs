@@ -2,7 +2,7 @@
 //! must satisfy for the paper's experiments to be meaningful.
 
 use t1000_core::{Analysis, ExtractConfig, Session};
-use t1000_cpu::{execute, CpuConfig};
+use t1000_cpu::{execute, simulate, CpuConfig};
 use t1000_isa::FusionMap;
 use t1000_workloads::{all, by_name, Scale, NAMES};
 
@@ -74,7 +74,7 @@ fn memory_kernels_actually_touch_memory() {
         let w = by_name(name, Scale::Test).unwrap();
         let p = w.program().unwrap();
         let session = Session::new(p).unwrap();
-        let run = session.run_baseline(CpuConfig::baseline()).unwrap();
+        let run = simulate(session.program(), &FusionMap::new(), CpuConfig::baseline()).unwrap();
         assert!(
             run.timing.mem.dl1.accesses > 1000,
             "{name}: only {} D-cache accesses",

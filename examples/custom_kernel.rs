@@ -7,8 +7,9 @@
 //! cargo run --release -p t1000-core --example custom_kernel
 //! ```
 
-use t1000_core::{SelectConfig, Session};
-use t1000_cpu::CpuConfig;
+use t1000_core::{SelectConfig, Session, StrategySpec};
+use t1000_cpu::{simulate, CpuConfig};
+use t1000_isa::FusionMap;
 
 /// Saturating fixed-point dot product over two LCG-generated vectors,
 /// with a per-element clamp to ±2^14 and a final scale. The clamp and
@@ -80,17 +81,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Greedy vs selective at 1 PFU: the greedy set is larger, the
     // selective set respects the budget.
-    let greedy = session.greedy();
+    let greedy = session.select_shared(&StrategySpec::Greedy);
     println!(
         "greedy found {} distinct extended instruction(s)",
         greedy.num_confs()
     );
 
-    let selective = session.selective(&SelectConfig {
+    let selective = session.select_shared(&StrategySpec::selective(&SelectConfig {
         pfus: Some(1),
         gain_threshold: 0.005,
         reload_weight: 0.0,
-    });
+    }));
     println!("selective (1 PFU) kept {}:", selective.num_confs());
     for c in &selective.confs {
         println!(
@@ -112,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Timing across machines.
-    let baseline = session.run_baseline(CpuConfig::baseline())?;
+    let baseline = simulate(session.program(), &FusionMap::new(), CpuConfig::baseline())?;
     println!();
     println!("{:<28} {:>12} {:>9}", "machine", "cycles", "speedup");
     println!(
@@ -132,7 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             CpuConfig::unlimited_pfus().reconfig(0),
         ),
     ] {
-        let run = session.run_with(sel, cpu)?;
+        let run = simulate(session.program(), &sel.fusion, cpu)?;
         assert_eq!(run.sys, baseline.sys, "fusion must preserve results");
         println!(
             "{label:<28} {:>12} {:>9.3}",

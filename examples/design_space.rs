@@ -9,8 +9,9 @@
 //! cargo run --release -p t1000-core --example design_space [bench]
 //! ```
 
-use t1000_core::{SelectConfig, Session};
-use t1000_cpu::CpuConfig;
+use t1000_core::{SelectConfig, Session, StrategySpec};
+use t1000_cpu::{simulate, CpuConfig};
+use t1000_isa::FusionMap;
 use t1000_workloads::{by_name, Scale};
 
 const PFUS: [usize; 4] = [1, 2, 4, 8];
@@ -28,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
 
     let session = Session::new(w.program()?)?;
-    let baseline = session.run_baseline(CpuConfig::baseline())?;
+    let baseline = simulate(session.program(), &FusionMap::new(), CpuConfig::baseline())?;
     println!(
         "{name}: {} dynamic instructions, baseline {} cycles ({:.2} IPC)",
         baseline.timing.base_instructions, baseline.timing.cycles, baseline.timing.base_ipc
@@ -42,14 +43,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!();
     for pfus in PFUS {
-        let sel = session.selective(&SelectConfig {
+        let sel = session.select_shared(&StrategySpec::selective(&SelectConfig {
             pfus: Some(pfus),
             gain_threshold: 0.005,
             reload_weight: 0.0,
-        });
+        }));
         print!("{pfus:>8}");
         for penalty in PENALTIES {
-            let run = session.run_with(&sel, CpuConfig::with_pfus(pfus).reconfig(penalty))?;
+            let run = simulate(
+                session.program(),
+                &sel.fusion,
+                CpuConfig::with_pfus(pfus).reconfig(penalty),
+            )?;
             assert_eq!(run.sys, baseline.sys);
             print!("  {:>9.3}", run.speedup_over(&baseline));
         }

@@ -6,7 +6,7 @@
 //! cargo run --release -p t1000-core --example inspect_fusion [bench]
 //! ```
 
-use t1000_core::{SelectConfig, Session};
+use t1000_core::{SelectConfig, Session, StrategySpec};
 use t1000_workloads::{by_name, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,11 +20,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
     });
     let session = Session::new(w.program()?)?;
-    let sel = session.selective(&SelectConfig {
+    let sel = session.select_shared(&StrategySpec::selective(&SelectConfig {
         pfus: Some(4),
         gain_threshold: 0.005,
         reload_weight: 0.0,
-    });
+    }));
     let program = session.program();
 
     println!(

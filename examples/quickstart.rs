@@ -5,8 +5,9 @@
 //! cargo run --release -p t1000-core --example quickstart
 //! ```
 
-use t1000_core::{SelectConfig, Session};
-use t1000_cpu::CpuConfig;
+use t1000_core::{SelectConfig, Session, StrategySpec};
+use t1000_cpu::{simulate, CpuConfig};
+use t1000_isa::FusionMap;
 
 const KERNEL: &str = "
 # A toy DSP loop: shift-add-xor chain with a masked accumulator.
@@ -36,11 +37,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let session = Session::from_asm(KERNEL)?;
 
     // Run the paper's selective algorithm for a 2-PFU machine.
-    let selection = session.selective(&SelectConfig {
+    let selection = session.select_shared(&StrategySpec::selective(&SelectConfig {
         pfus: Some(2),
         gain_threshold: 0.005,
         reload_weight: 0.0,
-    });
+    }));
     println!(
         "selected {} extended instruction(s):",
         selection.num_confs()
@@ -56,7 +57,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Simulate baseline vs T1000, verifying bit-identical results.
-    let (baseline, t1000) = session.verify_selection(&selection, CpuConfig::with_pfus(2))?;
+    let program = session.program();
+    let baseline = simulate(program, &FusionMap::new(), CpuConfig::baseline())?;
+    let t1000 = simulate(program, &selection.fusion, CpuConfig::with_pfus(2))?;
+    if t1000.sys != baseline.sys {
+        return Err("fusion changed the program's results".into());
+    }
     println!();
     println!(
         "baseline: {} cycles ({:.2} IPC)",

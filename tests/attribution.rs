@@ -7,7 +7,7 @@ use t1000_bench::json::Json;
 use t1000_bench::plan::{Cell, MachineSpec, Plan, SelectionSpec};
 use t1000_bench::results::{to_json, validate_artifact};
 use t1000_bench::runstats::{attr_json, validate_attribution};
-use t1000_core::{SelectConfig, Session};
+use t1000_core::{SelectConfig, Session, StrategySpec};
 use t1000_cpu::{simulate_with, AttrCollector, CpuConfig, StallCause};
 use t1000_isa::FusionMap;
 use t1000_workloads::{all, Scale};
@@ -21,11 +21,11 @@ use t1000_workloads::{all, Scale};
 fn segment_deltas_and_the_class_walk_match_the_accurate_path() {
     for w in all(Scale::Test) {
         let session = Session::new(w.program().unwrap()).unwrap();
-        let sel = session.selective(&SelectConfig {
+        let sel = session.select_shared(&StrategySpec::selective(&SelectConfig {
             pfus: Some(2),
             gain_threshold: 0.005,
             reload_weight: 0.0,
-        });
+        }));
         let cells = [
             ("baseline", FusionMap::new(), CpuConfig::baseline()),
             (
@@ -66,9 +66,13 @@ fn attribution_partitions_every_kernel_exactly() {
         let session = Session::new(w.program().unwrap()).unwrap();
 
         let mut sink = AttrCollector::new();
-        let base = session
-            .run_baseline_observed(CpuConfig::baseline(), &mut sink)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let base = simulate_with(
+            session.program(),
+            &FusionMap::new(),
+            CpuConfig::baseline(),
+            &mut sink,
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         assert_eq!(
             sink.attr.total_cycles, base.timing.cycles,
             "{}: every cycle must be classified",
@@ -83,15 +87,19 @@ fn attribution_partitions_every_kernel_exactly() {
             sink.attr.total_cycles
         );
 
-        let sel = session.selective(&SelectConfig {
+        let sel = session.select_shared(&StrategySpec::selective(&SelectConfig {
             pfus: Some(2),
             gain_threshold: 0.005,
             reload_weight: 0.0,
-        });
+        }));
         let mut fused_sink = AttrCollector::new();
-        let fused = session
-            .run_with_observed(&sel, CpuConfig::with_pfus(2).reconfig(10), &mut fused_sink)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let fused = simulate_with(
+            session.program(),
+            &sel.fusion,
+            CpuConfig::with_pfus(2).reconfig(10),
+            &mut fused_sink,
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         assert_eq!(
             fused_sink.attr.total_cycles, fused.timing.cycles,
             "{}",
@@ -118,20 +126,18 @@ fn greedy_pays_more_reconfiguration_stalls_than_selective() {
         let session = Session::new(w.program().unwrap()).unwrap();
         let cpu = CpuConfig::with_pfus(2).reconfig(10);
 
-        let greedy = session.greedy();
+        let greedy = session.select_shared(&StrategySpec::Greedy);
         let mut g_sink = AttrCollector::new();
-        session
-            .run_with_observed(&greedy, cpu, &mut g_sink)
+        simulate_with(session.program(), &greedy.fusion, cpu, &mut g_sink)
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
 
-        let selective = session.selective(&SelectConfig {
+        let selective = session.select_shared(&StrategySpec::selective(&SelectConfig {
             pfus: Some(2),
             gain_threshold: 0.005,
             reload_weight: 0.0,
-        });
+        }));
         let mut s_sink = AttrCollector::new();
-        session
-            .run_with_observed(&selective, cpu, &mut s_sink)
+        simulate_with(session.program(), &selective.fusion, cpu, &mut s_sink)
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
 
         let g = g_sink.attr.stall(StallCause::Reconfig);

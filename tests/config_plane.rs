@@ -14,8 +14,9 @@ use proptest::prelude::*;
 use t1000_bench::engine::{execute_with, EngineConfig};
 use t1000_bench::plan::{named_plan, SelectionSpec};
 use t1000_bench::results::{to_json, validate_artifact};
-use t1000_core::{SelectConfig, Session};
-use t1000_cpu::{AttrCollector, CpuConfig};
+use t1000_core::{SelectConfig, Session, StrategySpec};
+use t1000_cpu::{simulate, simulate_with, AttrCollector, CpuConfig};
+use t1000_isa::FusionMap;
 use t1000_workloads::{all, Scale};
 
 /// A small two-loop kernel with enough distinct fusable chains that a
@@ -90,21 +91,29 @@ fn reload_plan_validates_and_greedy_prefetch_hides_reload_cycles() {
 fn default_knobs_reproduce_the_legacy_machine() {
     for w in all(Scale::Test) {
         let session = Session::new(w.program().unwrap()).unwrap();
-        let sel = session.selective(&SelectConfig {
+        let sel = session.select_shared(&StrategySpec::selective(&SelectConfig {
             pfus: Some(2),
             gain_threshold: 0.005,
             reload_weight: 0.0,
-        });
+        }));
 
         let mut legacy_sink = AttrCollector::new();
-        let legacy = session
-            .run_with_observed(&sel, CpuConfig::with_pfus(2).reconfig(10), &mut legacy_sink)
-            .unwrap();
+        let legacy = simulate_with(
+            session.program(),
+            &sel.fusion,
+            CpuConfig::with_pfus(2).reconfig(10),
+            &mut legacy_sink,
+        )
+        .unwrap();
         // Spelling the defaults out explicitly must be a no-op.
         let mut explicit_sink = AttrCollector::new();
-        let explicit = session
-            .run_with_observed(&sel, fused_cfg(2, 1, 0, 0.0), &mut explicit_sink)
-            .unwrap();
+        let explicit = simulate_with(
+            session.program(),
+            &sel.fusion,
+            fused_cfg(2, 1, 0, 0.0),
+            &mut explicit_sink,
+        )
+        .unwrap();
 
         assert_eq!(legacy.sys, explicit.sys, "{}", w.name);
         assert_eq!(legacy.timing.cycles, explicit.timing.cycles, "{}", w.name);
@@ -135,13 +144,17 @@ fn default_knobs_reproduce_the_legacy_machine() {
 fn prefetch_and_double_buffering_preserve_architecture_on_all_workloads() {
     for w in all(Scale::Test) {
         let session = Session::new(w.program().unwrap()).unwrap();
-        let sel = session.greedy();
-        let base = session.run_baseline(CpuConfig::baseline()).unwrap();
+        let sel = session.select_shared(&StrategySpec::Greedy);
+        let base = simulate(session.program(), &FusionMap::new(), CpuConfig::baseline()).unwrap();
 
         let mut sink = AttrCollector::new();
-        let run = session
-            .run_with_observed(&sel, fused_cfg(2, 2, 2, 0.0), &mut sink)
-            .unwrap();
+        let run = simulate_with(
+            session.program(),
+            &sel.fusion,
+            fused_cfg(2, 2, 2, 0.0),
+            &mut sink,
+        )
+        .unwrap();
         assert_eq!(run.sys, base.sys, "{}: hiding changed results", w.name);
         assert_eq!(sink.attr.total_cycles, run.timing.cycles, "{}", w.name);
         assert!(sink.attr.checks_out(), "{}: partition broke", w.name);
@@ -175,12 +188,12 @@ proptest! {
         compress in prop::sample::select(vec![0.0f64, 0.25, 1.0, 2.0]),
     ) {
         let session = Session::from_asm(THRASH_KERNEL).unwrap();
-        let base = session.run_baseline(CpuConfig::baseline()).unwrap();
-        let sel = session.greedy();
+        let base = simulate(session.program(), &FusionMap::new(), CpuConfig::baseline()).unwrap();
+        let sel = session.select_shared(&StrategySpec::Greedy);
 
         let mut cfg = fused_cfg(pfus, planes, prefetch, compress);
         let mut sink = AttrCollector::new();
-        let fast = session.run_with_observed(&sel, cfg, &mut sink).unwrap();
+        let fast = simulate_with(session.program(), &sel.fusion, cfg, &mut sink).unwrap();
         prop_assert_eq!(&fast.sys, &base.sys, "knobs changed architectural results");
         prop_assert_eq!(sink.attr.total_cycles, fast.timing.cycles);
         prop_assert!(
@@ -190,7 +203,7 @@ proptest! {
         );
 
         cfg.fast_path = false;
-        let slow = session.run_with(&sel, cfg).unwrap();
+        let slow = simulate(session.program(), &sel.fusion, cfg).unwrap();
         prop_assert_eq!(&slow.sys, &fast.sys);
         prop_assert_eq!(slow.timing.cycles, fast.timing.cycles, "fast path diverged");
         prop_assert_eq!(

@@ -10,8 +10,9 @@
 //! contract.
 
 use proptest::prelude::*;
-use t1000_core::{SelectConfig, Session};
-use t1000_cpu::{simulate_with_faults, AttrCollector, CpuConfig, RunResult};
+use t1000_core::{SelectConfig, Session, StrategySpec};
+use t1000_cpu::{simulate_with, simulate_with_faults, AttrCollector, CpuConfig, RunResult};
+use t1000_isa::FusionMap;
 use t1000_workloads::{Scale, NAMES};
 
 /// Asserts two runs are bit-identical in everything except host-side
@@ -52,11 +53,11 @@ fn every_registry_workload_is_bit_identical_both_ways() {
     for name in NAMES {
         let w = t1000_workloads::by_name(name, Scale::Test).unwrap();
         let session = Session::new(w.program().unwrap()).unwrap();
-        let sel = session.selective(&SelectConfig {
+        let sel = session.select_shared(&StrategySpec::selective(&SelectConfig {
             pfus: Some(2),
             gain_threshold: 0.005,
             reload_weight: 0.0,
-        });
+        }));
         for (label, cfg) in [
             ("baseline", CpuConfig::baseline()),
             ("2pfu", CpuConfig::with_pfus(2).reconfig(10)),
@@ -64,9 +65,9 @@ fn every_registry_workload_is_bit_identical_both_ways() {
             let run = |cfg: CpuConfig| {
                 let mut sink = AttrCollector::new();
                 let r = if label == "baseline" {
-                    session.run_baseline_observed(cfg, &mut sink)
+                    simulate_with(session.program(), &FusionMap::new(), cfg, &mut sink)
                 } else {
-                    session.run_with_observed(&sel, cfg, &mut sink)
+                    simulate_with(session.program(), &sel.fusion, cfg, &mut sink)
                 }
                 .unwrap();
                 (r, sink.attr)
@@ -153,11 +154,11 @@ proptest! {
     ) {
         let src = program(&body, 400);
         let session = Session::from_asm(&src).expect("random program must assemble");
-        let sel = session.selective(&SelectConfig {
+        let sel = session.select_shared(&StrategySpec::selective(&SelectConfig {
             pfus: Some(pfus),
             gain_threshold: 0.001,
             reload_weight: 0.0,
-        });
+        }));
         let cfg = CpuConfig::with_pfus(pfus).reconfig(10);
         let fusion = sel.fusion.clone();
         let run = |cfg: CpuConfig| {

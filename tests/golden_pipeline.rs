@@ -412,7 +412,7 @@ fn assert_equivalent_at(scale: Scale) {
                     StrategySpec::selective(cfg),
                 ),
             };
-            let actual = session.select(&spec);
+            let actual = session.select_shared(&spec);
             assert_eq!(
                 canonical(&expected),
                 canonical(&actual),
@@ -447,13 +447,13 @@ fn budget_knapsack_respects_the_lut_budget_greedy_exceeds() {
     let mut exercised = 0;
     for w in all(Scale::Test) {
         let session = Session::new(w.program().unwrap()).unwrap();
-        let greedy = session.select(&StrategySpec::Greedy);
+        let greedy = session.select_shared(&StrategySpec::Greedy);
         let greedy_luts: u32 = greedy.confs.iter().map(|c| c.cost.luts).sum();
         if greedy_luts < 2 {
             continue;
         }
         let budget = greedy_luts / 2;
-        let knap = session.select(&StrategySpec::knapsack(budget));
+        let knap = session.select_shared(&StrategySpec::knapsack(budget));
         let knap_luts: u32 = knap.confs.iter().map(|c| c.cost.luts).sum();
         assert!(
             knap_luts <= budget,

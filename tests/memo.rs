@@ -14,7 +14,7 @@
 
 use t1000_bench::engine::execute;
 use t1000_bench::plan::{Cell, MachineSpec, Plan, SelectionSpec};
-use t1000_core::{SelectConfig, Session};
+use t1000_core::{SelectConfig, Session, StrategySpec};
 use t1000_cpu::{
     simulate_with_faults, AttrCollector, BranchModel, CpuConfig, CycleAttribution, ExecError,
     FuncCore, OooCore, TimingStats,
@@ -274,7 +274,7 @@ loop:
 #[test]
 fn one_pfu_alternating_two_configurations() {
     let s = session(TWO_CHAINS);
-    let sel = s.greedy();
+    let sel = s.select_shared(&StrategySpec::Greedy);
     let t = both_ways(
         &s,
         &sel.fusion,
@@ -289,7 +289,7 @@ fn one_pfu_alternating_two_configurations() {
 #[test]
 fn unlimited_pfus_with_zero_cycle_reload() {
     let s = session(TWO_CHAINS);
-    let sel = s.greedy();
+    let sel = s.select_shared(&StrategySpec::Greedy);
     let t = both_ways(
         &s,
         &sel.fusion,
@@ -304,7 +304,7 @@ fn unlimited_pfus_with_zero_cycle_reload() {
 #[test]
 fn two_planes_with_two_deep_prefetch() {
     let s = session(TWO_CHAINS);
-    let sel = s.greedy();
+    let sel = s.select_shared(&StrategySpec::Greedy);
     let cfg = CpuConfig {
         pfu_planes: 2,
         pfu_prefetch: 2,
@@ -431,7 +431,7 @@ fn run_source(
 #[test]
 fn cycle_limit_landing_mid_replay() {
     let s = session(TWO_CHAINS);
-    let sel = s.greedy();
+    let sel = s.select_shared(&StrategySpec::Greedy);
     let cfg = CpuConfig::with_pfus(1).reconfig(10);
     let (full, _) = run_source(&s, &sel.fusion, cfg, &|_, _| true);
     let full = full.unwrap();
@@ -483,7 +483,7 @@ fn stream_ending_mid_segment() {
 #[test]
 fn pfu_fault_injected_mid_replay() {
     let s = session(TWO_CHAINS);
-    let sel = s.greedy();
+    let sel = s.select_shared(&StrategySpec::Greedy);
     let confs: Vec<u16> = sel.fusion.defs().map(|d| d.conf).collect();
     assert!(!confs.is_empty());
     for cfg in [
@@ -547,11 +547,11 @@ fn memo_agrees_with_the_accurate_path_on_selected_kernels() {
     // The selector's own choice on the data-dependent kernel: fused
     // sites inside branchy code.
     let s = session(LCG_BRANCHES);
-    let sel = s.selective(&SelectConfig {
+    let sel = s.select_shared(&StrategySpec::selective(&SelectConfig {
         pfus: Some(2),
         gain_threshold: 0.001,
         reload_weight: 0.0,
-    });
+    }));
     let t = both_ways(
         &s,
         &sel.fusion,

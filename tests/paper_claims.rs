@@ -1,36 +1,50 @@
 //! The paper's qualitative claims, asserted as tests. These encode the
 //! *shape* of the evaluation — who wins, by roughly what factor, where
 //! the crossovers fall — which is what a reproduction must preserve.
+//!
+//! Every claim reads the cells of one run of the paper's matrix
+//! ([`run_all_plan`]) at test scale: the cells `t1000 bench --all`
+//! reports, each checksum-verified against the Rust reference and
+//! against the baseline's architectural results.
 
-use t1000_bench::{prepare, run_verified, speedup, Prepared};
-use t1000_core::{SelectConfig, Selection};
-use t1000_cpu::CpuConfig;
-use t1000_workloads::{all, Scale};
+use std::sync::LazyLock;
+use t1000_bench::engine::{execute, EngineRun, SelectionRecord};
+use t1000_bench::plan::{run_all_plan, Cell, MachineSpec, SelectionSpec};
+use t1000_bench::results::render_failures;
+use t1000_workloads::{Scale, NAMES};
 
-fn prepared() -> Vec<Prepared> {
-    all(Scale::Test)
-        .iter()
-        .map(|w| prepare(w).unwrap())
-        .collect()
+static RUN: LazyLock<EngineRun> = LazyLock::new(|| {
+    let run = execute(&run_all_plan(), Scale::Test);
+    assert!(
+        run.failures.is_empty(),
+        "{}",
+        render_failures(&run.failures)
+    );
+    run
+});
+
+/// Speedup of `workload` under `selection` on `machine` over its
+/// baseline (>1 = faster).
+fn speedup(workload: &'static str, selection: SelectionSpec, machine: MachineSpec) -> f64 {
+    let cell = Cell::new(workload, selection, machine);
+    RUN.speedup(cell)
+        .unwrap_or_else(|| panic!("{workload}: no {cell:?} in the run"))
 }
 
-fn selective(p: &Prepared, pfus: Option<usize>) -> Selection {
-    p.session.selective(&SelectConfig {
-        pfus,
-        gain_threshold: 0.005,
-        reload_weight: 0.0,
-    })
+/// The selection `spec` made for `workload`.
+fn selection(workload: &'static str, spec: SelectionSpec) -> &'static SelectionRecord {
+    let cell = Cell::new(workload, spec, MachineSpec::with_pfus(0, 0));
+    RUN.selection(cell)
+        .unwrap_or_else(|| panic!("{workload}: no {} selection", spec.strategy_id()))
 }
 
 /// §4.1 / Fig. 2 bar 2: greedy with unlimited PFUs and zero
 /// reconfiguration cost speeds up every benchmark.
 #[test]
 fn claim_greedy_unlimited_always_wins() {
-    for p in prepared() {
-        let sel = p.session.greedy();
-        let run = run_verified(&p, &sel, CpuConfig::unlimited_pfus().reconfig(0));
-        let s = speedup(&p, &run);
-        assert!(s > 1.0, "{}: greedy/unlimited speedup {s:.3} ≤ 1", p.name);
+    for w in NAMES {
+        let s = speedup(w, SelectionSpec::Greedy, MachineSpec::unlimited(0));
+        assert!(s > 1.0, "{w}: greedy/unlimited speedup {s:.3} ≤ 1");
     }
 }
 
@@ -38,19 +52,16 @@ fn claim_greedy_unlimited_always_wins() {
 /// "substantially worse than the original processor" — the PFU thrashes.
 #[test]
 fn claim_greedy_with_two_pfus_thrashes() {
-    for p in prepared() {
-        let sel = p.session.greedy();
-        let run = run_verified(&p, &sel, CpuConfig::with_pfus(2).reconfig(10));
-        let s = speedup(&p, &run);
+    for w in NAMES {
+        let machine = MachineSpec::with_pfus(2, 10);
+        let s = speedup(w, SelectionSpec::Greedy, machine);
+        assert!(s < 1.0, "{w}: greedy/2-PFU speedup {s:.3} should be < 1");
+        let run = RUN
+            .cell(Cell::new(w, SelectionSpec::Greedy, machine))
+            .expect("cell");
         assert!(
-            s < 1.0,
-            "{}: greedy/2-PFU speedup {s:.3} should be < 1",
-            p.name
-        );
-        assert!(
-            run.timing.pfu.reconfigurations > 100,
-            "{}: thrashing means frequent reloads",
-            p.name
+            run.reconfigurations > 100,
+            "{w}: thrashing means frequent reloads"
         );
     }
 }
@@ -58,13 +69,11 @@ fn claim_greedy_with_two_pfus_thrashes() {
 /// §4.1: the greedy algorithm finds sequences of length 2–8.
 #[test]
 fn claim_greedy_sequence_lengths_match_paper_range() {
-    for p in prepared() {
-        let sel = p.session.greedy();
-        for c in &sel.confs {
+    for w in NAMES {
+        for c in &selection(w, SelectionSpec::Greedy).selection().confs {
             assert!(
                 (2..=8).contains(&c.seq_len),
-                "{}: sequence length {} outside the paper's 2–8",
-                p.name,
+                "{w}: sequence length {} outside the paper's 2–8",
                 c.seq_len
             );
         }
@@ -75,11 +84,13 @@ fn claim_greedy_sequence_lengths_match_paper_range() {
 /// every benchmark (paper: 2–27 %).
 #[test]
 fn claim_selective_two_pfus_beats_baseline() {
-    for p in prepared() {
-        let sel = selective(&p, Some(2));
-        let run = run_verified(&p, &sel, CpuConfig::with_pfus(2).reconfig(10));
-        let s = speedup(&p, &run);
-        assert!(s > 1.0, "{}: selective/2-PFU speedup {s:.3} ≤ 1", p.name);
+    for w in NAMES {
+        let s = speedup(
+            w,
+            SelectionSpec::selective_std(Some(2)),
+            MachineSpec::with_pfus(2, 10),
+        );
+        assert!(s > 1.0, "{w}: selective/2-PFU speedup {s:.3} ≤ 1");
     }
 }
 
@@ -87,19 +98,17 @@ fn claim_selective_two_pfus_beats_baseline() {
 /// simulator noise).
 #[test]
 fn claim_selective_speedups_monotone_in_pfus() {
-    for p in prepared() {
+    for w in NAMES {
         let mut prev = 0.0f64;
         for pfus in [Some(2usize), Some(4), None] {
-            let sel = selective(&p, pfus);
-            let cpu = match pfus {
-                Some(n) => CpuConfig::with_pfus(n).reconfig(10),
-                None => CpuConfig::unlimited_pfus().reconfig(10),
+            let machine = match pfus {
+                Some(n) => MachineSpec::with_pfus(n, 10),
+                None => MachineSpec::unlimited(10),
             };
-            let s = speedup(&p, &run_verified(&p, &sel, cpu));
+            let s = speedup(w, SelectionSpec::selective_std(pfus), machine);
             assert!(
                 s >= prev * 0.995,
-                "{}: speedup dropped from {prev:.3} with more PFUs ({s:.3})",
-                p.name
+                "{w}: speedup dropped from {prev:.3} with more PFUs ({s:.3})"
             );
             prev = s;
         }
@@ -110,25 +119,14 @@ fn claim_selective_speedups_monotone_in_pfus() {
 /// as high as 500 cycles".
 #[test]
 fn claim_selective_robust_to_500_cycle_reconfiguration() {
-    for p in prepared() {
-        let sel = selective(&p, Some(2));
-        let fast = speedup(
-            &p,
-            &run_verified(&p, &sel, CpuConfig::with_pfus(2).reconfig(10)),
-        );
-        let slow = speedup(
-            &p,
-            &run_verified(&p, &sel, CpuConfig::with_pfus(2).reconfig(500)),
-        );
-        assert!(
-            slow > 1.0,
-            "{}: slow-reconfig speedup {slow:.3} ≤ 1",
-            p.name
-        );
+    for w in NAMES {
+        let selective = SelectionSpec::selective_std(Some(2));
+        let fast = speedup(w, selective, MachineSpec::with_pfus(2, 10));
+        let slow = speedup(w, selective, MachineSpec::with_pfus(2, 500));
+        assert!(slow > 1.0, "{w}: slow-reconfig speedup {slow:.3} ≤ 1");
         assert!(
             slow > 0.80 * fast,
-            "{}: 500-cycle reconfiguration lost too much ({fast:.3} → {slow:.3})",
-            p.name
+            "{w}: 500-cycle reconfiguration lost too much ({fast:.3} → {slow:.3})"
         );
     }
 }
@@ -137,22 +135,16 @@ fn claim_selective_robust_to_500_cycle_reconfiguration() {
 /// LUTs and evaluates in a single cycle.
 #[test]
 fn claim_selected_instructions_fit_the_pfu_budget() {
-    for p in prepared() {
-        for sel in [p.session.greedy(), selective(&p, Some(4))] {
-            for c in &sel.confs {
+    for w in NAMES {
+        for spec in [SelectionSpec::Greedy, SelectionSpec::selective_std(Some(4))] {
+            for c in &selection(w, spec).selection().confs {
                 assert!(
                     c.cost.luts < 150,
-                    "{}: conf {} needs {} LUTs",
-                    p.name,
+                    "{w}: conf {} needs {} LUTs",
                     c.conf,
                     c.cost.luts
                 );
-                assert!(
-                    c.cost.single_cycle(),
-                    "{}: conf {} too deep",
-                    p.name,
-                    c.conf
-                );
+                assert!(c.cost.single_cycle(), "{w}: conf {} too deep", c.conf);
             }
         }
     }
@@ -162,15 +154,13 @@ fn claim_selected_instructions_fit_the_pfu_budget() {
 /// constraint.
 #[test]
 fn claim_port_constraints_hold() {
-    for p in prepared() {
-        let sel = p.session.greedy();
-        for site in sel.fusion.sites() {
-            assert!(
-                site.inputs.len() <= 2,
-                "{}: site at 0x{:x}",
-                p.name,
-                site.pc
-            );
+    for w in NAMES {
+        for site in selection(w, SelectionSpec::Greedy)
+            .selection()
+            .fusion
+            .sites()
+        {
+            assert!(site.inputs.len() <= 2, "{w}: site at 0x{:x}", site.pc);
         }
     }
 }

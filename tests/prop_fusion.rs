@@ -3,8 +3,9 @@
 //! selection must obey its structural invariants.
 
 use proptest::prelude::*;
-use t1000_core::{SelectConfig, Session};
-use t1000_cpu::CpuConfig;
+use t1000_core::{SelectConfig, Session, StrategySpec};
+use t1000_cpu::{simulate, CpuConfig};
+use t1000_isa::FusionMap;
 
 /// A random loop body of narrow ALU operations over $t0..$t7, always
 /// terminated by a width-bounding mask so profiled widths stay small.
@@ -61,14 +62,13 @@ proptest! {
     fn random_programs_fuse_without_changing_results(body in arb_body(), pfus in 1usize..5) {
         let src = program(&body, 40);
         let session = Session::from_asm(&src).expect("random program must assemble");
-        let baseline = session.run_baseline(CpuConfig::baseline()).unwrap();
+        let baseline = simulate(session.program(), &FusionMap::new(), CpuConfig::baseline()).unwrap();
 
         for sel in [
-            session.greedy(),
-            session.selective(&SelectConfig { pfus: Some(pfus), gain_threshold: 0.001, reload_weight: 0.0 }),
+            session.select_shared(&StrategySpec::Greedy),
+            session.select_shared(&StrategySpec::selective(&SelectConfig { pfus: Some(pfus), gain_threshold: 0.001, reload_weight: 0.0 })),
         ] {
-            let run = session
-                .run_with(&sel, CpuConfig::with_pfus(pfus).reconfig(10))
+            let run = simulate(session.program(), &sel.fusion, CpuConfig::with_pfus(pfus).reconfig(10))
                 .unwrap();
             prop_assert_eq!(&run.sys, &baseline.sys, "fusion changed results");
             prop_assert_eq!(run.timing.base_instructions, baseline.timing.base_instructions);
@@ -79,7 +79,7 @@ proptest! {
     fn selection_invariants_hold_on_random_programs(body in arb_body()) {
         let src = program(&body, 40);
         let session = Session::from_asm(&src).unwrap();
-        let sel = session.greedy();
+        let sel = session.select_shared(&StrategySpec::Greedy);
         // Sites are disjoint, sorted, and within the text segment.
         let mut last_end = 0u32;
         for site in sel.fusion.sites() {
@@ -101,7 +101,7 @@ proptest! {
     fn selective_never_exceeds_pfu_budget_per_loop(body in arb_body(), budget in 1usize..4) {
         let src = program(&body, 40);
         let session = Session::from_asm(&src).unwrap();
-        let sel = session.selective(&SelectConfig { pfus: Some(budget), gain_threshold: 0.001, reload_weight: 0.0 });
+        let sel = session.select_shared(&StrategySpec::selective(&SelectConfig { pfus: Some(budget), gain_threshold: 0.001, reload_weight: 0.0 }));
         // This program has a single loop, so the total number of distinct
         // configurations must respect the budget.
         prop_assert!(

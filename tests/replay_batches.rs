@@ -8,7 +8,7 @@
 //! on and off, and requires identical timing statistics, cycle
 //! attribution and errors.
 
-use t1000_core::Session;
+use t1000_core::{Session, StrategySpec};
 use t1000_cpu::{
     AttrCollector, CpuConfig, CycleAttribution, DynInstr, ExecError, FuncCore, OooCore,
     RecordSource, StepValues, TimingStats,
@@ -168,7 +168,7 @@ loop:
 #[test]
 fn thrashing_pfu_from_every_batch_size() {
     let s = Session::from_asm(TWO_CHAINS).unwrap();
-    let sel = s.greedy();
+    let sel = s.select_shared(&StrategySpec::Greedy);
     let cfg = CpuConfig::with_pfus(1).reconfig(10);
     for t in both_ways(&s, &sel.fusion, cfg, "1 pfu") {
         assert!(t.pfu.reconfigurations > 4000, "{:?}", t.pfu);

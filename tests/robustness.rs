@@ -2,11 +2,12 @@
 //! PFU-fault graceful-degradation property.
 
 use proptest::prelude::*;
-use t1000_bench::engine::{execute_with, EngineConfig, FailureCause};
+use t1000_bench::engine::{execute_with, EngineConfig, FailureCause, RunOptions};
 use t1000_bench::fault::FaultPlan;
 use t1000_bench::plan::{Cell, MachineSpec, Plan, SelectionSpec};
-use t1000_core::{SelectConfig, Session};
-use t1000_cpu::CpuConfig;
+use t1000_core::{SelectConfig, Session, StrategySpec};
+use t1000_cpu::{simulate, simulate_with_faults, CpuConfig, NullSink};
+use t1000_isa::FusionMap;
 use t1000_workloads::Scale;
 
 /// A small but non-trivial plan: two workloads, fused + implied baseline
@@ -59,7 +60,10 @@ fn injected_panic_fails_one_cell_and_every_other_completes() {
 fn cycle_fuel_times_out_every_cell_that_needs_more() {
     let plan = small_plan();
     let cfg = EngineConfig {
-        max_cycles: 50, // far below any real workload
+        run: RunOptions {
+            max_cycles: 50, // far below any real workload
+            ..RunOptions::default()
+        },
         deterministic: true,
         ..EngineConfig::default()
     };
@@ -163,11 +167,11 @@ proptest! {
     fn pfu_fault_fallback_is_bit_identical(body in arb_body(), fault_mask in any::<u64>()) {
         let src = program(&body, 40);
         let session = Session::from_asm(&src).expect("random program must assemble");
-        let sel = session.selective(&SelectConfig { pfus: Some(2), gain_threshold: 0.001, reload_weight: 0.0 });
+        let sel = session.select_shared(&StrategySpec::selective(&SelectConfig { pfus: Some(2), gain_threshold: 0.001, reload_weight: 0.0 }));
         let cpu = CpuConfig::with_pfus(2).reconfig(10);
 
-        let baseline = session.run_baseline(CpuConfig::baseline()).unwrap();
-        let fused = session.run_with(&sel, cpu).unwrap();
+        let baseline = simulate(session.program(), &FusionMap::new(), CpuConfig::baseline()).unwrap();
+        let fused = simulate(session.program(), &sel.fusion, cpu).unwrap();
         prop_assert_eq!(&fused.sys, &baseline.sys);
 
         // A pseudo-random subset of the chosen configurations faults.
@@ -178,14 +182,14 @@ proptest! {
             .filter(|(i, _)| fault_mask >> (i % 64) & 1 == 1)
             .map(|(_, c)| c.conf)
             .collect();
-        let degraded = session.run_degraded(&sel, cpu, &subset).unwrap();
+        let degraded = simulate_with_faults(session.program(), &sel.fusion, cpu, &subset, &mut NullSink).unwrap();
         prop_assert_eq!(&degraded.sys, &baseline.sys, "degradation changed results");
 
         // Faulting every configuration reduces the machine to the scalar
         // baseline: identical results AND identical cycle count.
         let all: Vec<u16> = sel.confs.iter().map(|c| c.conf).collect();
-        let (base2, scalar) = session.verify_degraded(&sel, cpu, &all).unwrap();
-        prop_assert_eq!(&scalar.sys, &base2.sys);
+        let scalar = simulate_with_faults(session.program(), &sel.fusion, cpu, &all, &mut NullSink).unwrap();
+        prop_assert_eq!(&scalar.sys, &baseline.sys);
         prop_assert_eq!(scalar.timing.cycles, baseline.timing.cycles);
         prop_assert_eq!(scalar.timing.pfu.ext_executed, 0);
         if !all.is_empty() && fused.timing.pfu.ext_executed > 0 {

@@ -2,33 +2,39 @@
 //! decisions are not just legal but *good* — they capture most of the
 //! available gain under tight budgets and degrade gracefully.
 
-use t1000_bench::{prepare, run_verified, speedup};
-use t1000_core::{SelectConfig, Session};
-use t1000_cpu::CpuConfig;
-use t1000_workloads::{all, by_name, Scale};
+use t1000_bench::engine::{execute, CellRunner, RunOptions};
+use t1000_bench::plan::{run_all_plan, Cell, MachineSpec, SelectionSpec};
+use t1000_bench::results::render_failures;
+use t1000_core::{SelectConfig, Session, StrategySpec};
+use t1000_cpu::{simulate, CpuConfig};
+use t1000_isa::FusionMap;
+use t1000_workloads::{by_name, Scale, NAMES};
 
 #[test]
 fn selective_captures_most_of_greedy_potential_at_four_pfus() {
     // Across the suite, 4-PFU selective should realise a substantial
-    // fraction of the greedy/unlimited ceiling.
+    // fraction of the greedy/unlimited ceiling. Both cells are in the
+    // paper's matrix, run once at test scale.
+    let run = execute(&run_all_plan(), Scale::Test);
+    assert!(
+        run.failures.is_empty(),
+        "{}",
+        render_failures(&run.failures)
+    );
+    let speedup = |cell: Cell| run.speedup(cell).expect("cell in the matrix");
     let mut captured = 0.0;
     let mut ceiling = 0.0;
-    for w in all(Scale::Test) {
-        let p = prepare(&w).unwrap();
-        let g = p.session.greedy();
-        let s = p.session.selective(&SelectConfig {
-            pfus: Some(4),
-            gain_threshold: 0.005,
-            reload_weight: 0.0,
-        });
-        let best = speedup(
-            &p,
-            &run_verified(&p, &g, CpuConfig::unlimited_pfus().reconfig(0)),
-        );
-        let got = speedup(
-            &p,
-            &run_verified(&p, &s, CpuConfig::with_pfus(4).reconfig(10)),
-        );
+    for w in NAMES {
+        let best = speedup(Cell::new(
+            w,
+            SelectionSpec::Greedy,
+            MachineSpec::unlimited(0),
+        ));
+        let got = speedup(Cell::new(
+            w,
+            SelectionSpec::selective_std(Some(4)),
+            MachineSpec::with_pfus(4, 10),
+        ));
         captured += got - 1.0;
         ceiling += best - 1.0;
     }
@@ -65,15 +71,16 @@ loop:
     syscall
 ";
     let session = Session::from_asm(src).unwrap();
-    let sel = session.selective(&SelectConfig {
+    let sel = session.select_shared(&StrategySpec::selective(&SelectConfig {
         pfus: Some(1),
         gain_threshold: 0.005,
         reload_weight: 0.0,
-    });
+    }));
     assert_eq!(sel.num_confs(), 1);
     let estimated: u64 = sel.confs.iter().map(|c| c.total_gain).sum();
-    let base = session.run_baseline(CpuConfig::baseline()).unwrap();
-    let fused = session.run_with(&sel, CpuConfig::with_pfus(1)).unwrap();
+    let program = session.program();
+    let base = simulate(program, &FusionMap::new(), CpuConfig::baseline()).unwrap();
+    let fused = simulate(program, &sel.fusion, CpuConfig::with_pfus(1)).unwrap();
     let measured = base.timing.cycles - fused.timing.cycles;
     assert!(
         estimated / 2 <= measured && measured <= estimated * 2,
@@ -84,14 +91,14 @@ loop:
 #[test]
 fn tighter_thresholds_select_fewer_forms() {
     let w = by_name("g721_enc", Scale::Test).unwrap();
-    let p = prepare(&w).unwrap();
+    let session = Session::new(w.program().unwrap()).unwrap();
     let mut prev = usize::MAX;
     for threshold in [0.001, 0.01, 0.10, 0.90] {
-        let sel = p.session.selective(&SelectConfig {
+        let sel = session.select_shared(&StrategySpec::selective(&SelectConfig {
             pfus: None,
             gain_threshold: threshold,
             reload_weight: 0.0,
-        });
+        }));
         assert!(
             sel.num_confs() <= prev,
             "threshold {threshold} selected more forms than a looser one"
@@ -112,7 +119,7 @@ fn wider_port_budgets_never_reduce_coverage() {
             ..Default::default()
         };
         let session = Session::with_extract(program, extract).unwrap();
-        let sel = session.greedy();
+        let sel = session.select_shared(&StrategySpec::Greedy);
         let gain: u64 = sel.confs.iter().map(|c| c.total_gain).sum();
         assert!(
             gain >= prev_gain,
@@ -127,23 +134,28 @@ fn wider_port_budgets_never_reduce_coverage() {
 
 #[test]
 fn multicycle_extraction_extends_coverage_without_breaking_semantics() {
-    let w = by_name("mpeg2_dec", Scale::Test).unwrap();
-    let program = w.program().unwrap();
     let extract = t1000_core::ExtractConfig {
         max_pfu_latency: 3,
         max_len: 12,
         ..Default::default()
     };
-    let session = Session::with_extract(program, extract).unwrap();
-    let sel = session.selective(&SelectConfig {
-        pfus: Some(4),
-        gain_threshold: 0.005,
-        reload_weight: 0.0,
-    });
-    let (base, fused) = session
-        .verify_selection(&sel, CpuConfig::with_pfus(4))
-        .unwrap();
-    assert!(fused.timing.cycles < base.timing.cycles);
+    // The runner verifies the fused run against the Rust reference and
+    // the baseline's architectural results.
+    let opts = RunOptions::default();
+    let runner = CellRunner::for_workload("mpeg2_dec", extract, Scale::Test, &opts).unwrap();
+    let cell = Cell {
+        extract,
+        ..Cell::new(
+            "mpeg2_dec",
+            SelectionSpec::selective_std(Some(4)),
+            MachineSpec::with_pfus(4, 10),
+        )
+    };
+    let sel = runner.select(&cell.selection).unwrap();
+    let fused = runner
+        .run_cell_with(cell, Some(&sel), &opts)
+        .unwrap_or_else(|cause| panic!("{cause}"));
+    assert!(fused.cycles < runner.baseline_cycles());
     // Multi-cycle configs are allowed now; the simulator must honour any
     // latency the selector assigned.
     for c in &sel.confs {
